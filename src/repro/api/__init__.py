@@ -27,7 +27,6 @@ True
 """
 
 from repro.api import backends as _backends  # noqa: F401  (registers built-ins)
-from repro.api import parallel as _parallel  # noqa: F401  (registers S3 verifier)
 from repro.api.engine import (
     MBBEngine,
     PreparedGraphCache,

@@ -28,7 +28,6 @@ whichever backend executes.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.api.registry import BackendInfo, FunctionBackend, register_backend
@@ -74,7 +73,6 @@ def _run_sparse(
     seed: int,
     sparse_config: Optional[SparseConfig] = None,
     prepared: Optional[PreparedGraph] = None,
-    parallel_s3: Optional[bool] = None,
 ) -> MBBResult:
     if sparse_config is None:
         config = SparseConfig(kernel=kernel)
@@ -92,11 +90,6 @@ def _run_sparse(
             and config.time_budget is not None
         ):
             context.time_budget = config.time_budget
-    if parallel_s3 is not None:
-        # A request-level switch overrides the config's S3 execution
-        # mode but nothing else — the engine's wire-format knob, while a
-        # programmatic caller keeps full control through SparseConfig.
-        config = replace(config, parallel_s3=parallel_s3)
     return hbv_mbb(graph, config=config, context=context, prepared=prepared)
 
 
@@ -108,11 +101,9 @@ def _run_auto(
     seed: int,
     sparse_config: Optional[SparseConfig] = None,
     prepared: Optional[PreparedGraph] = None,
-    parallel_s3: Optional[bool] = None,
 ) -> MBBResult:
     # The prepared snapshot only serves the sparse framework; the dense
-    # resolution drops it (the dense solver indexes into bitsets itself),
-    # as does the parallel-S3 switch (the dense solver has no S3).
+    # resolution drops it (the dense solver indexes into bitsets itself).
     if resolve_auto(graph) == "dense":
         return _run_dense(graph, context, kernel=kernel, seed=seed)
     return _run_sparse(
@@ -122,7 +113,6 @@ def _run_auto(
         seed=seed,
         sparse_config=sparse_config,
         prepared=prepared,
-        parallel_s3=parallel_s3,
     )
 
 

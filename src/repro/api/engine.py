@@ -571,9 +571,6 @@ class MBBEngine:
         """
         if graph is None:
             graph = request.graph.materialise()
-        options: Dict[str, object] = {}
-        if request.parallel_s3 is not None:
-            options["parallel_s3"] = request.parallel_s3
         result, resolved, kernel = self._dispatch(
             graph,
             backend=request.backend,
@@ -581,7 +578,6 @@ class MBBEngine:
             node_budget=request.node_budget,
             time_budget=request.time_budget,
             seed=request.seed,
-            **options,
         )
         return SolveReport.from_result(
             request, result, backend=resolved, kernel=kernel, graph=graph
@@ -1120,16 +1116,12 @@ class MBBEngine:
 
         Cached :class:`PreparedGraph` bundles stay usable — they own
         their buffers; only the published segments (the cross-process
-        transport) are torn down, along with the parallel-S3 worker pool
-        (whose workers hold attachments to those segments).  Safe to
-        call repeatedly and from any engine instance: the export
-        registry is process-wide, exactly like the segments themselves.
-        Also runs at interpreter exit via ``atexit``, so an un-shut-down
-        engine still cannot leak segments past the process.
+        transport) are torn down.  Safe to call repeatedly and from any
+        engine instance: the export registry is process-wide, exactly
+        like the segments themselves.  Also runs at interpreter exit via
+        ``atexit``, so an un-shut-down engine still cannot leak
+        segments past the process.
         """
-        from repro.api import parallel
-
-        parallel.shutdown()
         _PREPARED_EXPORTS.release_all()
 
     # ------------------------------------------------------------------
@@ -1149,16 +1141,6 @@ class MBBEngine:
         """Validate, build the shared context, run the backend."""
         solver = get_backend(backend)
         self._validate(solver, kernel, node_budget, time_budget)
-        if (
-            backend_options.get("parallel_s3") is not None
-            and not solver.info.supports_prepared
-        ):
-            # Parallel S3 is a property of the sparse framework's
-            # verification stage; only snapshot-consuming backends
-            # (sparse, auto) have one to parallelise.
-            raise InvalidParameterError(
-                f"backend {solver.info.name!r} does not support parallel_s3"
-            )
         # The time budget is expressed solely as an absolute deadline so
         # enter_node pays one clock read per search node, and so the
         # cutoff survives the context being handed across solver stages.

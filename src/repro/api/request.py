@@ -76,6 +76,14 @@ ERROR_KINDS = (
 )
 
 
+def _require_object(payload: object, what: str) -> None:
+    """Reject a payload that is not a JSON object (a ``dict``)."""
+    if not isinstance(payload, dict):
+        raise InvalidParameterError(
+            f"{what} must be a JSON object, got {type(payload).__name__}"
+        )
+
+
 @dataclass(frozen=True)
 class SolveError:
     """Structured failure attached to a non-``ok`` :class:`SolveReport`.
@@ -233,6 +241,7 @@ class GraphSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "GraphSpec":
         """Inverse of :meth:`to_dict`."""
+        _require_object(payload, "graph spec")
         known = {spec_field.name for spec_field in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -258,12 +267,6 @@ class SolveRequest:
     seed: int = 0
     #: Free-form caller label, echoed back in the report (batch bookkeeping).
     tag: Optional[str] = None
-    #: Fan the sparse framework's verification stage (S3) over a process
-    #: pool with a shared incumbent (``sparse``/``auto`` backends only;
-    #: ``None`` = the backend's default, currently off).  Same result
-    #: size as the serial stage, wall time scales with cores; see
-    #: :mod:`repro.api.parallel`.
-    parallel_s3: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form with ``None`` fields omitted."""
@@ -279,6 +282,7 @@ class SolveRequest:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SolveRequest":
         """Inverse of :meth:`to_dict`."""
+        _require_object(payload, "solve request")
         if "graph" not in payload:
             raise InvalidParameterError("solve request requires a 'graph' spec")
         known = {request_field.name for request_field in fields(cls)}
@@ -288,7 +292,7 @@ class SolveRequest:
                 f"unknown request fields {sorted(unknown)}; expected {sorted(known)}"
             )
         data = dict(payload)
-        data["graph"] = GraphSpec.from_dict(dict(data["graph"]))  # type: ignore[arg-type]
+        data["graph"] = GraphSpec.from_dict(data["graph"])  # type: ignore[arg-type]
         return cls(**data)  # type: ignore[arg-type]
 
     def to_json(self) -> str:
@@ -458,6 +462,13 @@ class SolveReport:
         data["left"] = tuple(data.get("left", ()))  # type: ignore[arg-type]
         data["right"] = tuple(data.get("right", ()))  # type: ignore[arg-type]
         data["stats"] = dict(data.get("stats", {}))  # type: ignore[arg-type]
+        known_stats = {stat.name for stat in fields(SearchStats)}
+        unknown_stats = set(data["stats"]) - known_stats
+        if unknown_stats:
+            raise InvalidParameterError(
+                f"unknown report stats {sorted(unknown_stats)}; "
+                f"not SearchStats fields"
+            )
         status = data.get("status", STATUS_OK)
         if status not in _STATUSES:
             raise InvalidParameterError(

@@ -144,20 +144,6 @@ DEFAULT_HANDOFF_DATASETS = DEFAULT_BRIDGE_DATASETS
 #: Single small stand-in for CI smoke runs of the handoff comparison.
 SMOKE_HANDOFF_DATASETS = ("unicodelang",)
 
-#: Stand-ins for the parallel-S3 comparison: the same five largest tough
-#: datasets, where the verification stage holds the most surviving
-#: subgraphs to fan out.
-DEFAULT_PARALLEL_S3_DATASETS = DEFAULT_BRIDGE_DATASETS
-
-#: Single small stand-in for CI smoke runs of the parallel-S3 rows.
-SMOKE_PARALLEL_S3_DATASETS = ("unicodelang",)
-
-#: Worker counts the parallel-S3 rows sweep (1 = the serial baseline).
-DEFAULT_PARALLEL_S3_WORKERS = (1, 2, 4, 8)
-
-#: Reduced worker sweep for CI smoke runs.
-SMOKE_PARALLEL_S3_WORKERS = (1, 2)
-
 #: Transports compared by the handoff rows: pickling the whole prepared
 #: bundle per worker (ablation baseline) vs exporting one shared-memory
 #: segment that every worker attaches zero-copy (what ``solve_many``
@@ -706,109 +692,6 @@ def run_handoff_comparison(
     return rows
 
 
-def run_parallel_s3_case(
-    dataset: str,
-    *,
-    workers: Sequence[int] = DEFAULT_PARALLEL_S3_WORKERS,
-    repeats: int = 3,
-    time_budget: Optional[float] = None,
-) -> List[Dict[str, object]]:
-    """Time the verification stage (S3) serial vs parallel on one stand-in.
-
-    The stage is isolated the way the bridge rows isolate S2, and run in
-    the same ``bd1``-style worst case: the snapshot, the bidegeneracy
-    order and the *full* vertex-centred family are computed once, and
-    each timed repeat re-runs only :func:`repro.mbb.verify.verify_mbb`
-    from an empty incumbent — S3 must establish the optimum itself, so
-    every subgraph the bounds cannot dismiss is searched.  ``workers=1``
-    is the serial loop — the baseline every other worker count is
-    compared against by :func:`parallel_s3_speedups` — and parallel rows
-    archive whether dispatch actually happened (``s3_tasks``) plus the
-    final side so ``sizes_match`` is checkable.  The minimum over
-    ``repeats`` runs is reported; ``time_budget`` bounds each repeat
-    through the context (an aborted repeat marks the row ``timed_out``).
-    Rows carry ``cpu_count`` because the comparison is wall-clock: on a
-    single-core host the parallel rows can only show dispatch overhead,
-    and the archived numbers are meaningless without that context.
-    """
-    import os
-
-    from repro.mbb.verify import ParallelVerifyOptions, verify_mbb
-
-    graph = load_dataset(dataset)
-    prepared = PreparedGraph.prepare(graph)
-    order = prepared.search_order(ORDER_BIDEGENERACY)
-    prepared.order_view(order)
-    surviving = list(iter_vertex_centred_subgraphs(graph, order))
-    density = round(graph.density, 5)
-    cpu_count = os.cpu_count() or 1
-    rows: List[Dict[str, object]] = []
-    for count in workers:
-        options = (
-            None
-            if count <= 1
-            else ParallelVerifyOptions(workers=count, threshold=1)
-        )
-        best_seconds = float("inf")
-        side = 0
-        tasks = 0
-        timed_out = False
-        spent = 0.0
-        for _ in range(max(1, repeats)):
-            context = SearchContext(time_budget=time_budget)
-            _, elapsed = timed(
-                verify_mbb,
-                surviving,
-                context,
-                prepared=prepared,
-                order_name=ORDER_BIDEGENERACY,
-                parallel=options,
-            )
-            best_seconds = min(best_seconds, elapsed)
-            side = max(side, context.best.side_size)
-            tasks = max(tasks, context.stats.s3_tasks)
-            timed_out = timed_out or context.aborted
-            spent += elapsed
-            if time_budget is not None and spent >= time_budget:
-                break
-        rows.append(
-            {
-                "stage": "parallel_s3",
-                "size": dataset,
-                "density": density,
-                "workers": count,
-                "cpu_count": cpu_count,
-                "seconds": best_seconds,
-                "survivors": len(surviving),
-                "s3_tasks": tasks,
-                "mbb_side": side,
-                "timed_out": timed_out,
-            }
-        )
-    return rows
-
-
-def run_parallel_s3_comparison(
-    datasets: Sequence[str] = DEFAULT_PARALLEL_S3_DATASETS,
-    *,
-    workers: Sequence[int] = DEFAULT_PARALLEL_S3_WORKERS,
-    repeats: int = 3,
-    time_budget: Optional[float] = None,
-) -> List[Dict[str, object]]:
-    """Produce all parallel-S3 rows, one per (dataset, worker count)."""
-    rows: List[Dict[str, object]] = []
-    for dataset in datasets:
-        rows.extend(
-            run_parallel_s3_case(
-                dataset,
-                workers=workers,
-                repeats=repeats,
-                time_budget=time_budget,
-            )
-        )
-    return rows
-
-
 def run_kernel_comparison(
     cases: Sequence[DenseCase] = DEFAULT_KERNEL_CASES,
     *,
@@ -999,56 +882,6 @@ def handoff_speedups(
     ]
 
 
-def parallel_s3_speedups(
-    rows: Sequence[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """Per-(dataset, worker-count) ``serial / parallel`` ratios.
-
-    Grouped by hand rather than through :func:`_paired_cases` because a
-    parallel-S3 case pairs one serial baseline (``workers == 1``) with
-    *several* parallel rows.  ``dispatched`` records whether the pool
-    actually ran (``s3_tasks > 0`` — a declined dispatch degrades to the
-    serial loop and its "speedup" is just noise), ``sizes_match`` that
-    the parallel stage reproduced the serial incumbent size, and a pair
-    with an aborted side carries ``timed_out=True`` — its ratio is a
-    truncated artifact, not a measurement.
-    """
-    by_case: Dict[tuple, Dict[int, Dict[str, object]]] = {}
-    for row in rows:
-        key = (row["size"], row["density"])
-        by_case.setdefault(key, {})[int(row["workers"])] = row  # type: ignore[arg-type]
-    result: List[Dict[str, object]] = []
-    for (size, density), group in by_case.items():
-        serial = group.get(1)
-        if serial is None:
-            continue
-        serial_s = float(serial["seconds"])  # type: ignore[arg-type]
-        for count in sorted(group):
-            if count == 1:
-                continue
-            row = group[count]
-            parallel_s = float(row["seconds"])  # type: ignore[arg-type]
-            result.append(
-                {
-                    "stage": "parallel_s3",
-                    "size": size,
-                    "density": density,
-                    "workers": count,
-                    "serial_seconds": serial_s,
-                    "parallel_seconds": parallel_s,
-                    "speedup": (
-                        serial_s / parallel_s if parallel_s > 0 else float("inf")
-                    ),
-                    "dispatched": int(row.get("s3_tasks", 0)) > 0,  # type: ignore[arg-type]
-                    "sizes_match": row["mbb_side"] == serial["mbb_side"],
-                    "timed_out": bool(
-                        serial.get("timed_out") or row.get("timed_out")
-                    ),
-                }
-            )
-    return result
-
-
 def format_kernel_comparison(
     rows: Sequence[Dict[str, object]],
     bridge_rows: Sequence[Dict[str, object]] = (),
@@ -1056,7 +889,6 @@ def format_kernel_comparison(
     subgraph_rows: Sequence[Dict[str, object]] = (),
     engine_cache_rows: Sequence[Dict[str, object]] = (),
     handoff_rows: Sequence[Dict[str, object]] = (),
-    parallel_s3_rows: Sequence[Dict[str, object]] = (),
 ) -> str:
     """Render raw rows (per stage) plus the speedup summaries."""
     summary = speedups(list(rows) + list(bridge_rows))
@@ -1071,8 +903,6 @@ def format_kernel_comparison(
         sections.append(format_table(list(engine_cache_rows)))
     if handoff_rows:
         sections.append(format_table(list(handoff_rows)))
-    if parallel_s3_rows:
-        sections.append(format_table(list(parallel_s3_rows)))
     sections.append(
         format_table(summary) if summary else "(no complete kernel pairs)"
     )
@@ -1104,13 +934,6 @@ def format_kernel_comparison(
             if handoff_summary
             else "(no complete handoff pairs)"
         )
-    if parallel_s3_rows:
-        parallel_summary = parallel_s3_speedups(parallel_s3_rows)
-        sections.append(
-            format_table(parallel_summary)
-            if parallel_summary
-            else "(no complete parallel S3 pairs)"
-        )
     return "\n\n".join(sections)
 
 
@@ -1122,7 +945,6 @@ def write_benchmark_json(
     subgraph_rows: Sequence[Dict[str, object]] = (),
     engine_cache_rows: Sequence[Dict[str, object]] = (),
     handoff_rows: Sequence[Dict[str, object]] = (),
-    parallel_s3_rows: Sequence[Dict[str, object]] = (),
 ) -> None:
     """Archive comparison rows (plus speedups) as a JSON document."""
     document = {
@@ -1132,13 +954,11 @@ def write_benchmark_json(
         "subgraph_rows": list(subgraph_rows),
         "engine_cache_rows": list(engine_cache_rows),
         "handoff_rows": list(handoff_rows),
-        "parallel_s3_rows": list(parallel_s3_rows),
         "speedups": speedups(list(rows) + list(bridge_rows)),
         "peel_speedups": peel_speedups(peel_rows),
         "subgraph_speedups": subgraph_speedups(subgraph_rows),
         "engine_cache_speedups": engine_cache_speedups(engine_cache_rows),
         "handoff_speedups": handoff_speedups(handoff_rows),
-        "parallel_s3_speedups": parallel_s3_speedups(parallel_s3_rows),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)

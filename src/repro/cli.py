@@ -95,12 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="seed for randomised backends (default: 0)"
     )
     solve.add_argument(
-        "--parallel-s3",
-        action="store_true",
-        help="fan the sparse verification stage over a process pool "
-        "(sparse/auto backends; same result, wall time scales with cores)",
-    )
-    solve.add_argument(
         "--json",
         action="store_true",
         help="emit the SolveReport as JSON instead of human-readable text",
@@ -306,7 +300,6 @@ def _command_solve(args: argparse.Namespace) -> int:
         node_budget=args.node_budget,
         time_budget=args.time_budget,
         seed=args.seed,
-        parallel_s3=True if args.parallel_s3 else None,
     )
     engine = MBBEngine()
     if args.json:
@@ -625,8 +618,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             subgraph_datasets = kernels.SMOKE_SUBGRAPH_DATASETS
             cache_datasets = kernels.SMOKE_ENGINE_CACHE_DATASETS
             handoff_datasets = kernels.SMOKE_HANDOFF_DATASETS
-            parallel_s3_datasets = kernels.SMOKE_PARALLEL_S3_DATASETS
-            parallel_s3_workers = kernels.SMOKE_PARALLEL_S3_WORKERS
             instances = 1
             peel_repeats = 1
         else:
@@ -636,8 +627,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             subgraph_datasets = kernels.DEFAULT_SUBGRAPH_DATASETS
             cache_datasets = kernels.DEFAULT_ENGINE_CACHE_DATASETS
             handoff_datasets = kernels.DEFAULT_HANDOFF_DATASETS
-            parallel_s3_datasets = kernels.DEFAULT_PARALLEL_S3_DATASETS
-            parallel_s3_workers = kernels.DEFAULT_PARALLEL_S3_WORKERS
             instances = 2
             peel_repeats = 3
         rows = kernels.run_kernel_comparison(
@@ -656,12 +645,6 @@ def _command_bench(args: argparse.Namespace) -> int:
         handoff_rows = kernels.run_handoff_comparison(
             handoff_datasets, repeats=peel_repeats, time_budget=budget
         )
-        parallel_s3_rows = kernels.run_parallel_s3_comparison(
-            parallel_s3_datasets,
-            workers=parallel_s3_workers,
-            repeats=peel_repeats,
-            time_budget=budget,
-        )
         print(
             kernels.format_kernel_comparison(
                 rows,
@@ -670,7 +653,6 @@ def _command_bench(args: argparse.Namespace) -> int:
                 subgraph_rows,
                 engine_cache_rows,
                 handoff_rows,
-                parallel_s3_rows,
             )
         )
         if args.write_json:
@@ -682,7 +664,6 @@ def _command_bench(args: argparse.Namespace) -> int:
                 subgraph_rows,
                 engine_cache_rows,
                 handoff_rows,
-                parallel_s3_rows,
             )
             print(f"\narchived rows to {args.write_json}")
     elif args.artefact == "table4":

@@ -1,8 +1,9 @@
 """The whole-project model behind reprolint's cross-file rules.
 
 Per-file AST rules (RPL001-RPL004) can enforce invariants whose evidence
-fits in one module.  The invariants gating the parallel-S3 work do not:
-"does every search entry point *reach* ``SearchContext.checkpoint()``
+fits in one module.  The invariants that keep ``solve_many``'s process
+pool safe do not: "does every search entry point *reach*
+``SearchContext.checkpoint()``
 through its callees", "is prepared/CSR state ever mutated after
 publication", "do kernel layers stay import-clean of the service layers
 above them".  Those need one model of the project as a whole, built in a

@@ -2,13 +2,14 @@
 
 RPL001 polices the *mechanics* per file (no hand-rolled budget math);
 this rule proves the *coverage* property that actually matters for
-cancellation and the shared-incumbent parallel-S3 plan: every search
+cancellation and for ``solve_many``'s pool watchdog: every search
 entry point in ``src/repro/mbb/`` whose work is unbounded — it reaches a
 loop or recursion through its call graph — must also reach
 ``SearchContext.checkpoint()`` (or its superset ``enter_node()``)
 through that same call graph.  An entry point that spins without
-polling can neither honour a deadline nor observe a cross-worker cancel
-hook; exactly this bug shipped twice before the per-seed/per-subgraph
+polling can neither honour a deadline nor observe a cancel hook, so a
+pool worker running it can only be stopped by killing the process;
+exactly this bug shipped twice before the per-seed/per-subgraph
 polls landed in PR 3.
 
 **Entry point** means a module-level function that marks a

@@ -3,9 +3,11 @@
 History: PR 4's bicore peel and its exact oracle diverged on tie-breaks
 because an ordering was derived from hash-ordered iteration; solver
 results must be a pure function of the input graph (plus an explicit
-seed), never of hash randomisation or the wall clock.  The upcoming
-parallel-S3 work raises the stakes: non-deterministic feeding orders
-across pool workers are close to undebuggable.
+seed), never of hash randomisation or the wall clock.  ``solve_many``'s
+process pool raises the stakes: under the ``spawn`` start method every
+worker draws its own hash seed, so a hash-ordered result can differ
+between workers and from the serial path, which is close to
+undebuggable.
 
 Three sub-checks, each scoped to where the hazard is real:
 

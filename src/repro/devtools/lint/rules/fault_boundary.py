@@ -50,7 +50,6 @@ HIT_FUNCTION = "hit"
 DESIGNATED_FAULT_MODULES = frozenset(
     {
         "src/repro/api/engine.py",
-        "src/repro/api/parallel.py",
         "src/repro/devtools/faults.py",
     }
 )

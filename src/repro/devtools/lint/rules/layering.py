@@ -6,8 +6,8 @@ testable, and picklable for pool workers) without dragging in the
 service layers above them.  A kernel module that imports ``repro.api``
 couples solver internals to engine policy, breaks the
 dependency-injection seam the engine registry provides, and — the
-concrete hazard for parallel S3 — makes worker processes import the
-whole service stack just to unpickle a kernel callable.
+concrete hazard for ``solve_many``'s pool — makes worker processes
+import the whole service stack just to unpickle a kernel callable.
 
 Two checks:
 

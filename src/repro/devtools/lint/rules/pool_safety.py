@@ -1,11 +1,10 @@
 """RPL004 — process-pool safety: submissions and hooks must pickle.
 
-History: the engine runs batches over a :class:`ProcessPoolExecutor`
-and the ROADMAP's parallel-S3 item fans a *single* solve's subgraphs
-over the pool with a shared incumbent.  Anything that crosses the
-process boundary must pickle: lambdas, closures and locally-defined
-functions do not, and the failure surfaces as an opaque
-``PicklingError`` inside a worker — far cheaper to catch statically.
+History: ``solve_many`` runs batches over a
+:class:`ProcessPoolExecutor`.  Anything that crosses the process
+boundary must pickle: lambdas, closures and locally-defined functions
+do not, and the failure surfaces as an opaque ``PicklingError`` inside
+a worker — far cheaper to catch statically.
 
 Sub-checks:
 
@@ -18,22 +17,14 @@ Sub-checks:
   contain ``lambda`` expressions; payloads are expected to be
   picklable/JSON-serialisable values (the engine ships requests as their
   JSON wire form for exactly this reason).
-* **synchronized primitives in payloads** — a ``submit`` argument that
-  constructs ``multiprocessing.Value`` / ``RawValue`` / ``Array`` /
-  ``RawArray`` is flagged: synchronized objects cross the process
-  boundary only through the pool *initializer*'s ``initargs``
-  inheritance (how :class:`repro.api.parallel.IncumbentChannel`
-  travels); pickling one in a payload raises ``RuntimeError: ...
-  should only be shared between processes through inheritance`` at
-  runtime, inside the pool.
 * **cancel hooks** — in library code (``src/repro/``), assigning a
   ``lambda`` (or passing ``cancel_hook=lambda ...``) to
   :attr:`repro.mbb.context.SearchContext.cancel_hook` is flagged: a
-  context carrying a closure can never be handed to a pool worker, which
-  is exactly what parallel S3 needs to do.  Module-level callable
-  *objects* (a class with ``__call__`` holding its state in attributes)
-  are the sanctioned replacement and pass.  Tests may use lambdas — a
-  test context never crosses a process boundary.
+  context carrying a closure can never be handed to ``solve_many``'s
+  pool workers.  Module-level callable *objects* (a class with
+  ``__call__`` holding its state in attributes) are the sanctioned
+  replacement and pass.  Tests may use lambdas — a test context never
+  crosses a process boundary.
 * **shm attach callables** — in library code, a function *nested inside
   another function* that attaches a shared-memory segment
   (``attach_shared_memory`` / ``from_shm``) is flagged.  Attach code is
@@ -76,28 +67,6 @@ def _contains_lambda(node: ast.AST) -> bool:
 #: Callee names that attach a shared-memory segment on the worker side.
 SHM_ATTACH_CALLEES = frozenset({"attach_shared_memory", "from_shm"})
 
-#: Constructors of synchronized/shared-ctypes objects: inheritance-only
-#: transport (pool initializer ``initargs``), never submit payloads.
-SYNCHRONIZED_CTORS = frozenset({"Value", "RawValue", "Array", "RawArray"})
-
-
-def _synchronized_ctor(node: ast.AST) -> str | None:
-    """Name of the first synchronized-primitive constructor called in
-    ``node``'s expression tree, or ``None``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            callee = sub.func
-            name = (
-                callee.id
-                if isinstance(callee, ast.Name)
-                else callee.attr
-                if isinstance(callee, ast.Attribute)
-                else None
-            )
-            if name in SYNCHRONIZED_CTORS:
-                return name
-    return None
-
 
 def _attaches_shared_memory(function: ast.AST) -> bool:
     """True when ``function``'s own body calls an shm attach callee."""
@@ -125,8 +94,8 @@ class PoolSafetyRule(Rule):
         "payloads; library cancel hooks must not be lambdas/closures"
     )
     rationale = (
-        "solve_many ships work to a ProcessPoolExecutor, and the parallel-S3 "
-        "plan ships cancel hooks with it: anything submitted must pickle. A "
+        "solve_many ships work to a ProcessPoolExecutor: anything submitted "
+        "must pickle, and so must any cancel hook a pooled search carries. A "
         "lambda or closure pickles on no platform, and the failure only "
         "surfaces at runtime inside the pool, far from the offending line. "
         "PR 6 replaced the engine's closure cancel hooks with the picklable "
@@ -197,16 +166,6 @@ class PoolSafetyRule(Rule):
                     payload,
                     "submit() payload contains a lambda; payloads must be "
                     "picklable (prefer the JSON wire form)",
-                )
-            ctor = _synchronized_ctor(payload)
-            if ctor is not None:
-                yield self.finding(
-                    ctx,
-                    payload,
-                    f"submit() payload constructs multiprocessing.{ctor}; "
-                    "synchronized primitives cross the process boundary only "
-                    "through the pool initializer's initargs inheritance, "
-                    "never a submit payload",
                 )
 
     # ------------------------------------------------------------------

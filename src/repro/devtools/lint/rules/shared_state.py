@@ -1,12 +1,13 @@
 """RPL005 — shared-state safety for published graph snapshots.
 
-The parallel-S3 plan (ROADMAP) shares one :class:`PreparedGraph` /
-:class:`CSRBipartite` bundle across pool workers and threads: the engine
-cache hands the *same* object to every solve of the same graph, and the
-whole design is sound only because those objects are immutable once
-published.  That contract is documented in
-``src/repro/graph/prepared.py`` / ``src/repro/graph/csr.py`` but was,
-until this rule, enforced by review only.
+``solve_many`` shares one :class:`PreparedGraph` /
+:class:`CSRBipartite` bundle across its pool workers through a
+shared-memory segment, and the engine cache hands the *same* object to
+every solve of the same graph: the whole design is sound only because
+those objects are immutable once published.  That contract is
+documented in ``src/repro/graph/prepared.py`` /
+``src/repro/graph/csr.py`` but was, until this rule, enforced by review
+only.
 
 The rule tracks every expression the project model can prove (or the
 repository's naming convention claims) to be a prepared/CSR object —
@@ -42,7 +43,7 @@ graph under every concurrent solve.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.devtools.lint.base import ProjectRule, register_rule
 from repro.devtools.lint.findings import Finding
@@ -144,10 +145,10 @@ class SharedStateRule(ProjectRule):
     )
     rationale = (
         "The engine cache publishes one PreparedGraph/CSRBipartite bundle to "
-        "every solve of the same graph, and the planned intra-solve parallel "
-        "S3 shares it across pool workers with no locking. That is only "
-        "sound because the objects are immutable once constructed; a single "
-        "post-publication mutation is a data race that surfaces as "
+        "every solve of the same graph, and solve_many maps it into every "
+        "pool worker through one shared-memory segment with no locking. That "
+        "is only sound because the objects are immutable once constructed; a "
+        "single post-publication mutation is a data race that surfaces as "
         "non-deterministic incumbents. This rule turns the written contract "
         "in graph/prepared.py into a machine-checked fact."
     )

@@ -67,42 +67,14 @@ class SearchContext:
     #: Returning ``True`` aborts the search exactly like an exhausted
     #: budget; the incumbent found so far is still reported.
     cancel_hook: Optional[Callable[[], bool]] = None
-    #: Size-only lower bound on the *global* incumbent, for searches that
-    #: participate in a fan-out (parallel S3 workers): the witness lives
-    #: in another process, but its side size still tightens every
-    #: Lemma-5/size bound here.  ``best_side`` folds it in; offers below
-    #: the floor are rejected because the parent already holds something
-    #: at least this large.
-    incumbent_floor: int = 0
-    #: Optional cross-process incumbent channel: any object exposing an
-    #: integer ``value`` (a ``multiprocessing.Value``).  ``checkpoint()``
-    #: polls it every :attr:`shared_poll_interval` checkpoints to raise
-    #: :attr:`incumbent_floor` mid-search, and incumbent improvements are
-    #: published back through it.  The channel is *advisory*: a stale or
-    #: unreadable value only weakens pruning, never correctness, so a
-    #: broken channel degrades to local-only bounds instead of raising.
-    shared_best_side: Optional[object] = None
-    #: Checkpoints between consecutive polls of :attr:`shared_best_side`
-    #: (counter-based, not time-based, so polling stays deterministic for
-    #: a fixed work sequence and costs nothing on the hot path).
-    shared_poll_interval: int = 64
-    _shared_poll_countdown: int = 0
     _start_time: float = field(default_factory=time.perf_counter)
     aborted: bool = False
     cancelled: bool = False
 
     @property
     def best_side(self) -> int:
-        """Side size of the incumbent, including the cross-process floor.
-
-        Every size bound in the library prunes against this property, so
-        a floor broadcast by another process tightens in-flight searches
-        exactly like a locally found incumbent would.
-        """
-        local = self.best.side_size
-        if self.incumbent_floor > local:
-            return self.incumbent_floor
-        return local
+        """Side size of the incumbent balanced biclique."""
+        return self.best.side_size
 
     @property
     def best_total(self) -> int:
@@ -122,45 +94,19 @@ class SearchContext:
         """Offer a biclique as a new incumbent.
 
         The offered pair is balanced by trimming the larger side.  Returns
-        ``True`` when the incumbent improved.  Offers are measured against
-        :attr:`best_side` — the local incumbent *or* the cross-process
-        floor, whichever is larger — and accepted improvements are
-        published back through :attr:`shared_best_side` when present.
-        """
-        candidate = Biclique.of(left, right).balanced()
-        if candidate.side_size > self.best_side:
-            self.best = candidate
-            self._publish_best_side()
-            return True
-        return False
-
-    def adopt_witness(
-        self,
-        left: Iterable[Vertex],
-        right: Iterable[Vertex],
-    ) -> bool:
-        """Adopt a biclique found by a cooperating search (a parallel-S3 task).
-
-        Unlike :meth:`offer`, the comparison ignores
-        :attr:`incumbent_floor`: the floor very likely echoes this same
-        biclique's own broadcast, and rejecting the witness behind one's
-        bound would leave the bound forever unconfirmed.  The adopted
-        witness is still published, which is a no-op when the floor
-        already carries its size.
+        ``True`` when the incumbent improved.
         """
         candidate = Biclique.of(left, right).balanced()
         if candidate.side_size > self.best.side_size:
             self.best = candidate
-            self._publish_best_side()
             return True
         return False
 
     def offer_biclique(self, biclique: Biclique) -> bool:
         """Offer an already-built :class:`Biclique` as a new incumbent."""
         balanced = biclique.balanced()
-        if balanced.side_size > self.best_side:
+        if balanced.side_size > self.best.side_size:
             self.best = balanced
-            self._publish_best_side()
             return True
         return False
 
@@ -188,15 +134,10 @@ class SearchContext:
         ``enforce_node_budget=True`` additionally aborts once the node
         budget has no headroom left (``stats.nodes >= node_budget``,
         still without recording a node).  Drivers that fan out child
-        searches — the size-constrained ``(k, k)`` ladder and the
-        parallel-S3 dispatcher — poll this form between children instead
-        of re-deriving the budget arithmetic themselves.
+        searches — the size-constrained ``(k, k)`` ladder — poll this
+        form between children instead of re-deriving the budget
+        arithmetic themselves.
         """
-        if self.shared_best_side is not None:
-            self._shared_poll_countdown -= 1
-            if self._shared_poll_countdown <= 0:
-                self._shared_poll_countdown = self.shared_poll_interval
-                self._poll_shared_incumbent()
         if self.cancelled or self._poll_cancel_hook():
             self.cancelled = True
             self.aborted = True
@@ -236,51 +177,6 @@ class SearchContext:
         except Exception:
             return True
 
-    def _poll_shared_incumbent(self) -> None:
-        """Raise :attr:`incumbent_floor` from the cross-process channel.
-
-        The channel is advisory supervision plumbing like the cancel
-        hook, but with the opposite failure posture: a hook that breaks
-        means the search can no longer be stopped (so we abort), while a
-        channel that breaks merely loses a pruning hint (so we fall back
-        to local bounds and keep searching).
-        """
-        channel = self.shared_best_side
-        try:
-            floor = int(channel.value)  # type: ignore[union-attr]
-        except Exception:
-            return
-        if floor > self.incumbent_floor:
-            self.incumbent_floor = floor
-            self.stats.incumbent_broadcasts += 1
-
-    def _publish_best_side(self) -> None:
-        """Publish the improved local incumbent's side size to the channel.
-
-        Writes go through the channel's lock (when it has one) so two
-        processes improving concurrently keep the published bound
-        monotone; like polling, a failed publish is silently dropped —
-        the bound is an optimisation, the witness travels with the task
-        result.
-        """
-        channel = self.shared_best_side
-        if channel is None:
-            return
-        side = self.best.side_size
-        try:
-            lock = getattr(channel, "get_lock", None)
-            if lock is None:
-                if side > channel.value:  # type: ignore[attr-defined]
-                    channel.value = side  # type: ignore[attr-defined]
-                    self.stats.incumbent_broadcasts += 1
-            else:
-                with lock():
-                    if side > channel.value:  # type: ignore[attr-defined]
-                        channel.value = side  # type: ignore[attr-defined]
-                        self.stats.incumbent_broadcasts += 1
-        except Exception:
-            return
-
     def remaining_node_budget(self) -> Optional[int]:
         """Search nodes left before the node budget trips (``None`` = unbounded).
 
@@ -303,24 +199,6 @@ class SearchContext:
         if self.time_budget is None:
             return None
         return max(0.0, self.time_budget - self.elapsed)
-
-    def remaining_wall_seconds(self) -> Optional[float]:
-        """Seconds until the earliest wall-clock cutoff (``None`` = none).
-
-        Folds the relative :attr:`time_budget` and the absolute
-        :attr:`deadline` into one relative allowance.  An absolute
-        deadline is meaningless in another process (``perf_counter`` has
-        no cross-process epoch guarantee), so this is the sanctioned way
-        to hand the remaining wall clock to a pool-worker child search —
-        the cross-process counterpart of :meth:`remaining_time_budget`'s
-        "simply copy the deadline" rule.
-        """
-        remaining = self.remaining_time_budget()
-        if self.deadline is not None:
-            until_deadline = max(0.0, self.deadline - time.perf_counter())
-            if remaining is None or until_deadline < remaining:
-                remaining = until_deadline
-        return remaining
 
     @contextmanager
     def timed_stat(self, stat: str) -> Iterator[None]:

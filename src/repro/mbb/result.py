@@ -122,17 +122,6 @@ class SearchStats:
     worker_retries: int = 0
     pool_rebuilds: int = 0
     handoff_fallbacks: int = 0
-    #: Parallel-S3 accounting (``repro.api.parallel``): pool tasks the
-    #: verification stage dispatched (``s3_tasks``), the worker count the
-    #: parallel stage ran with (``s3_parallel_workers``, 0 when S3 ran
-    #: serially), incumbent bounds sent or received over the
-    #: cross-process channel (``incumbent_broadcasts``) and surviving
-    #: subgraphs never dispatched because a broadcast incumbent already
-    #: beat their min-side bound (``s3_pruned_by_broadcast``).
-    s3_tasks: int = 0
-    s3_parallel_workers: int = 0
-    incumbent_broadcasts: int = 0
-    s3_pruned_by_broadcast: int = 0
 
     def record_node(self, depth: int) -> None:
         """Record entry into a branch-and-bound node at the given depth."""
@@ -185,12 +174,6 @@ class SearchStats:
         self.worker_retries += other.worker_retries
         self.pool_rebuilds += other.pool_rebuilds
         self.handoff_fallbacks += other.handoff_fallbacks
-        self.s3_tasks += other.s3_tasks
-        self.s3_parallel_workers = max(
-            self.s3_parallel_workers, other.s3_parallel_workers
-        )
-        self.incumbent_broadcasts += other.incumbent_broadcasts
-        self.s3_pruned_by_broadcast += other.s3_pruned_by_broadcast
 
 
 #: Step labels reported by the sparse framework (Table 5, column "hbvMBB").

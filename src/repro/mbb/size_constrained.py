@@ -182,8 +182,8 @@ class _ParentCancelled:
     """Hook polling a parent context's cooperative-cancellation state.
 
     A module-level callable object (not a closure) so a child context
-    carrying it stays picklable — the property parallel S3 relies on to
-    hand contexts to pool workers (reprolint RPL004).
+    carrying it stays picklable, as everything that may cross into a
+    pool worker must (reprolint RPL004).
     """
 
     __slots__ = ("parent",)

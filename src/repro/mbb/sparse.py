@@ -44,7 +44,7 @@ from repro.mbb.result import (
     STEP_HEURISTIC,
     STEP_VERIFY,
 )
-from repro.mbb.verify import ParallelVerifyOptions, verify_mbb
+from repro.mbb.verify import verify_mbb
 
 
 @dataclass(frozen=True)
@@ -72,23 +72,6 @@ class SparseConfig:
     #: Optional safety budgets forwarded to the search context.
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None
-    #: Fan the verification stage (S3) over a process pool with a shared
-    #: incumbent when enough subgraphs survive bridging.  Off by default:
-    #: parallel S3 is a service-layer optimisation (it needs the
-    #: registered ``repro.api.parallel`` verifier and a platform that
-    #: grants process pools) and every decline degrades to the serial
-    #: loop, so enabling it can change wall time but never the result
-    #: size.
-    parallel_s3: bool = False
-    #: Worker processes for parallel S3 (``None`` = one per CPU).
-    parallel_s3_workers: Optional[int] = None
-    #: Minimum surviving subgraphs before parallel dispatch pays for the
-    #: pool round trip.
-    parallel_s3_threshold: int = 4
-    #: Reproducible-witness mode for parallel S3 (results applied in
-    #: subgraph order, no mid-flight broadcasts); see
-    #: :class:`~repro.mbb.verify.ParallelVerifyOptions`.
-    parallel_s3_strict: bool = False
 
     @property
     def effective_order(self) -> str:
@@ -101,16 +84,6 @@ class SparseConfig:
     def branching(self) -> str:
         """Branching mode forwarded to the dense solver."""
         return BRANCH_TRIVIALITY_LAST if self.use_dense_branching else BRANCH_NAIVE
-
-    def parallel_verify_options(self) -> Optional[ParallelVerifyOptions]:
-        """The S3 parallel dispatch decision, ``None`` = serial."""
-        if not self.parallel_s3:
-            return None
-        return ParallelVerifyOptions(
-            workers=self.parallel_s3_workers,
-            threshold=self.parallel_s3_threshold,
-            strict=self.parallel_s3_strict,
-        )
 
 
 #: Ready-made configurations matching the paper's Table 3 variants.
@@ -259,18 +232,12 @@ def hbv_mbb(
     # ------------------------------------------------------------------
     # Step 3: verification with the dense solver.
     # ------------------------------------------------------------------
-    # The snapshot and order name travel with the call so a registered
-    # parallel verifier can hand workers the shared segment plus plain
-    # integer positions instead of pickled subgraphs.
     verify_mbb(
         bridge.surviving,
         context,
         branching=config.branching,
         use_core_pruning=config.use_core_pruning,
         kernel=config.kernel,
-        prepared=prepared,
-        order_name=config.effective_order,
-        parallel=config.parallel_verify_options(),
     )
     return MBBResult(
         biclique=context.best,

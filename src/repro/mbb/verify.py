@@ -20,31 +20,18 @@ dense, the exhaustive step behaves near-polynomially in practice, which is
 the crux of the paper's ``O*(1.3803^δ̈)`` claim.
 
 **Scheduling.**  Survivors are searched hardest-first — descending
-min-side bound, positions breaking ties — in both execution modes: the
-subgraphs most likely to improve the incumbent (and the slowest to
-search) go first, so the early-incumbent effect prunes the long tail and
-parallel stragglers start before the cheap work.
-
-**Parallel execution.**  The stage can fan the survivors over a process
-pool with a shared incumbent.  The machinery lives in the service layer
-(``repro.api.parallel`` — pools, shared memory and
-``multiprocessing.Value`` have no place in a kernel module) and installs
-itself through :func:`register_parallel_verifier`, the same dependency
-inversion ``repro.mbb.solver``/``repro.api.engine`` use for the layering
-contract (reprolint RPL007).  :func:`verify_mbb` dispatches to it when
-the caller passes :class:`ParallelVerifyOptions`; any decline or partial
-failure degrades to the serial loop below, which is the source of truth
-for what the stage computes.
+min-side bound, positions breaking ties: the subgraphs most likely to
+improve the incumbent go first, so the early-incumbent effect prunes the
+long tail.  The schedule is deterministic, and the work counters of a
+solve depend on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.graph.bipartite import LEFT
 from repro.graph.bitset import k_core_masks
-from repro.graph.prepared import PreparedGraph
 from repro.cores.core import k_core
 from repro.mbb.context import SearchAborted, SearchContext
 from repro.mbb.dense import (
@@ -58,50 +45,6 @@ from repro.mbb.result import Biclique
 from repro.mbb.vertex_centred import VertexCentredSubgraph
 
 
-@dataclass(frozen=True)
-class ParallelVerifyOptions:
-    """How the verification stage may fan out over a process pool.
-
-    ``workers``
-        Worker processes (``None`` = one per CPU).  Values below 2 make
-        parallel dispatch pointless; the verifier declines and the stage
-        runs serially.
-    ``threshold``
-        Minimum number of surviving subgraphs before dispatch pays for
-        the pool round trip; smaller families run serially.
-    ``strict``
-        Reproducible-witness mode: every task searches from the floor
-        the stage *started* with (no mid-flight broadcasts) and results
-        are applied in subgraph order, so the final witness is identical
-        across runs and worker counts.  The default mode broadcasts
-        improvements as they land — same final incumbent *size*, but the
-        witness may vary with scheduling.
-    ``max_pool_rebuilds``
-        Bounded recovery from worker deaths (``BrokenProcessPool``),
-        mirroring :class:`repro.api.engine.RetryPolicy`; once exhausted
-        the unfinished subgraphs degrade to the serial path.
-    """
-
-    workers: Optional[int] = None
-    threshold: int = 4
-    strict: bool = False
-    max_pool_rebuilds: int = 2
-
-
-#: Parallel verifier installed by the service layer (see module docstring).
-#: Signature: ``fn(ordered_subgraphs, context, *, branching,
-#: use_core_pruning, kernel, prepared, order_name, options) -> bool`` —
-#: ``True`` when the stage was fully handled (including any internal
-#: serial degradation), ``False`` to decline so the serial loop runs.
-_PARALLEL_VERIFIER: Optional[Callable[..., bool]] = None
-
-
-def register_parallel_verifier(verifier: Optional[Callable[..., bool]]) -> None:
-    """Install (or, with ``None``, remove) the parallel S3 verifier."""
-    global _PARALLEL_VERIFIER
-    _PARALLEL_VERIFIER = verifier
-
-
 def subgraph_hardness(sub: VertexCentredSubgraph) -> Tuple[int, int]:
     """Sort key: descending min-side bound, generation position as tie-break."""
     return (-sub.min_side, sub.position)
@@ -110,12 +53,7 @@ def subgraph_hardness(sub: VertexCentredSubgraph) -> Tuple[int, int]:
 def schedule_hardest_first(
     subgraphs: Iterable[VertexCentredSubgraph],
 ) -> List[VertexCentredSubgraph]:
-    """The shared S3 schedule: hardest survivors first, deterministically.
-
-    Both the serial loop and the parallel dispatcher consume this order,
-    so switching execution modes never changes which subgraph a given
-    schedule slot holds.
-    """
+    """The S3 schedule: hardest survivors first, deterministically."""
     return sorted(subgraphs, key=subgraph_hardness)
 
 
@@ -203,41 +141,24 @@ def _search_subgraph(
     )
 
 
-def search_subgraph(
-    sub: VertexCentredSubgraph,
-    context: SearchContext,
-    *,
-    branching: str = BRANCH_TRIVIALITY_LAST,
-    use_core_pruning: bool = True,
-    kernel: str = KERNEL_BITS,
-) -> None:
-    """Search one centred subgraph with its centre forced in.
-
-    The single-subgraph unit of work shared by the serial loop, the
-    parallel-S3 worker entry point and the parent-side degradation path,
-    so every execution mode runs the identical search.
-    """
-    if kernel == KERNEL_BITS:
-        _search_subgraph_bits(sub, context, branching, use_core_pruning)
-    else:
-        _search_subgraph(sub, context, branching, use_core_pruning)
-
-
-def verify_serial(
-    subgraphs: Sequence[VertexCentredSubgraph],
+def verify_mbb(
+    subgraphs: Iterable[VertexCentredSubgraph],
     context: SearchContext,
     *,
     branching: str = BRANCH_TRIVIALITY_LAST,
     use_core_pruning: bool = True,
     kernel: str = KERNEL_BITS,
 ) -> Biclique:
-    """The serial S3 loop over an already-scheduled subgraph sequence.
+    """Run the verification stage over all surviving centred subgraphs.
 
-    Factored out of :func:`verify_mbb` so the parallel dispatcher can
-    degrade any unfinished remainder to exactly this loop.
+    The incumbent stored in ``context`` is updated in place and also
+    returned.  When a budget is exhausted the incumbent found so far is
+    returned and ``context.aborted`` is set.  ``kernel`` selects the
+    bitset (default) or adjacency-set search implementation.  Survivors
+    are searched in :func:`schedule_hardest_first` order.
     """
     search = _search_subgraph_bits if kernel == KERNEL_BITS else _search_subgraph
-    for sub in subgraphs:
+    for sub in schedule_hardest_first(subgraphs):
         if context.aborted:
             break
         try:
@@ -249,54 +170,3 @@ def verify_serial(
         except SearchAborted:
             break
     return context.best
-
-
-def verify_mbb(
-    subgraphs: Iterable[VertexCentredSubgraph],
-    context: SearchContext,
-    *,
-    branching: str = BRANCH_TRIVIALITY_LAST,
-    use_core_pruning: bool = True,
-    kernel: str = KERNEL_BITS,
-    prepared: Optional[PreparedGraph] = None,
-    order_name: Optional[str] = None,
-    parallel: Optional[ParallelVerifyOptions] = None,
-) -> Biclique:
-    """Run the verification stage over all surviving centred subgraphs.
-
-    The incumbent stored in ``context`` is updated in place and also
-    returned.  When a budget is exhausted the incumbent found so far is
-    returned and ``context.aborted`` is set.  ``kernel`` selects the
-    bitset (default) or adjacency-set search implementation.
-
-    Survivors are scheduled hardest-first (:func:`schedule_hardest_first`)
-    in every mode.  When ``parallel`` options are passed *and* a parallel
-    verifier is registered (:func:`register_parallel_verifier`), the
-    stage is offered to it first — ``prepared`` (the snapshot whose order
-    generated the survivors) and ``order_name`` are what workers need to
-    regenerate their subgraphs from the shared segment.  A verifier that
-    declines (too few survivors, no pool, no snapshot) leaves the serial
-    loop to run unchanged, so parallel execution is always an
-    optimisation, never a requirement.
-    """
-    ordered = schedule_hardest_first(subgraphs)
-    if parallel is not None and _PARALLEL_VERIFIER is not None:
-        handled = _PARALLEL_VERIFIER(
-            ordered,
-            context,
-            branching=branching,
-            use_core_pruning=use_core_pruning,
-            kernel=kernel,
-            prepared=prepared,
-            order_name=order_name,
-            options=parallel,
-        )
-        if handled:
-            return context.best
-    return verify_serial(
-        ordered,
-        context,
-        branching=branching,
-        use_core_pruning=use_core_pruning,
-        kernel=kernel,
-    )

@@ -317,75 +317,6 @@ def iter_vertex_centred_subgraphs_csr(
         )
 
 
-def vertex_centred_subgraphs_at(
-    prepared: PreparedGraph,
-    order: Sequence[VertexKey],
-    positions: Sequence[int],
-) -> List[VertexCentredSubgraph]:
-    """Regenerate the centred subgraphs at the given order ``positions``.
-
-    The random-access counterpart of
-    :func:`iter_vertex_centred_subgraphs_csr` for consumers that own only
-    a *slice* of the family — parallel-S3 workers receive plain integer
-    positions over the pool boundary and rebuild exactly the subgraphs
-    their task names against the shared prepared snapshot.  The walk is
-    the same bounded-bisect CSR walk as the full generator (row bounds
-    come straight from ``row_ptr`` instead of the running cursor), so
-    the member sets are identical to the generator's at the same
-    position (property-tested).
-    """
-    from bisect import bisect_right
-
-    view = prepared.order_view(order if isinstance(order, list) else list(order))
-    rows = view.position_rows
-    row_ptr = view.row_ptr
-    flat_labels = view.flat_labels
-    is_left = view.is_left
-    order_ids = view.order_ids
-    labels = view.labels
-    keys = prepared.csr.keys
-    parent = prepared.graph
-    subgraphs: List[VertexCentredSubgraph] = []
-    for position in positions:
-        position = int(position)
-        start = int(row_ptr[position])
-        end = int(row_ptr[position + 1])
-        cut = bisect_right(rows, position, start, end)
-        if cut == end:
-            own_members = {labels[position]}
-            other_members: Set[Vertex] = set()
-        else:
-            other_members = set(flat_labels[cut:end])
-            own_members = set()
-            update = own_members.update
-            for neighbour in rows[cut:end]:
-                neighbour = int(neighbour)
-                neighbour_start = int(row_ptr[neighbour])
-                neighbour_end = int(row_ptr[neighbour + 1])
-                update(
-                    flat_labels[
-                        bisect_right(
-                            rows, position, neighbour_start, neighbour_end
-                        ) : neighbour_end
-                    ]
-                )
-            own_members.add(labels[position])
-        if is_left[position]:
-            left_members, right_members = own_members, other_members
-        else:
-            left_members, right_members = other_members, own_members
-        subgraphs.append(
-            VertexCentredSubgraph(
-                center=keys[order_ids[position]],
-                position=position,
-                left_members=left_members,
-                right_members=right_members,
-                parent=parent,
-            )
-        )
-    return subgraphs
-
-
 def total_subgraph_size(
     graph: BipartiteGraph,
     order: Sequence[VertexKey],

@@ -92,8 +92,11 @@ class TestSolveRequestRoundTrip:
         assert "node_budget" not in payload and "tag" not in payload
 
     def test_missing_graph_raises(self):
-        with pytest.raises(InvalidParameterError):
-            SolveRequest.from_dict({"backend": "dense"})
+        # No graph, a non-object request, and a non-object graph spec are
+        # all refused with the wire format's own error type.
+        for payload in ({"backend": "dense"}, 5, [5], {"graph": 5}):
+            with pytest.raises(InvalidParameterError):
+                SolveRequest.from_dict(payload)
 
     def test_unknown_field_raises(self):
         with pytest.raises(InvalidParameterError):
@@ -150,6 +153,12 @@ class TestSolveReportRoundTrip:
         payload = report.to_dict()
         payload["mystery"] = 1
         with pytest.raises(InvalidParameterError):
+            SolveReport.from_dict(payload)
+        # An unknown stats key is refused too, naming the key, instead of
+        # surfacing later as a TypeError from SearchStats(**stats).
+        payload = report.to_dict()
+        payload["stats"]["bogus"] = 1
+        with pytest.raises(InvalidParameterError, match="bogus"):
             SolveReport.from_dict(payload)
 
     def test_missing_request_raises(self):

@@ -13,12 +13,17 @@ from repro.graph.generators import (
     random_bipartite,
     random_power_law_bipartite,
 )
+from repro.graph.prepared import PreparedGraph
 from repro.cores.core import degeneracy
 from repro.cores.orders import ORDER_BIDEGENERACY, ORDER_DEGREE
 from repro.mbb.bridge import bridge_mbb
 from repro.mbb.context import SearchContext
 from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS
-from repro.mbb.verify import verify_mbb
+from repro.mbb.verify import (
+    schedule_hardest_first,
+    subgraph_hardness,
+    verify_mbb,
+)
 from repro.baselines.brute_force import brute_force_side_size
 
 
@@ -202,3 +207,47 @@ class TestVerifyMBB:
         # return a valid (possibly sub-optimal) incumbent.
         best = verify_mbb(outcome.surviving, context)
         assert best.is_valid_in(graph)
+
+
+def _surviving_family(graph):
+    """Bridge with the local heuristic off: a context plus the survivors
+    for driving ``verify_mbb`` directly."""
+    context = SearchContext()
+    prepared = PreparedGraph.prepare(graph)
+    bridge = bridge_mbb(
+        graph,
+        context,
+        prepared=prepared,
+        total_order=prepared.search_order(ORDER_BIDEGENERACY),
+        use_local_heuristic=False,
+    )
+    return context, bridge.surviving
+
+
+class TestSchedule:
+    def test_hardest_first_orders_by_descending_bound(self):
+        graph = random_bipartite(30, 30, 0.3, seed=1)
+        _context, surviving = _surviving_family(graph)
+        assert len(surviving) >= 2
+        ordered = schedule_hardest_first(surviving)
+        bounds = [sub.min_side for sub in ordered]
+        assert bounds == sorted(bounds, reverse=True)
+        # Deterministic: ties broken by generation position.
+        assert [subgraph_hardness(s) for s in ordered] == sorted(
+            subgraph_hardness(s) for s in surviving
+        )
+
+    def test_verify_mbb_consumes_the_schedule(self):
+        # verify_mbb reorders its input hardest-first itself, so the order
+        # the survivors arrive in changes neither the answer nor the work.
+        graph = random_bipartite(30, 30, 0.3, seed=2)
+        context, surviving = _surviving_family(graph)
+        baseline = SearchContext()
+        baseline.offer_biclique(context.best)
+        verify_mbb(list(reversed(surviving)), baseline)
+        other = SearchContext()
+        other.offer_biclique(context.best)
+        verify_mbb(surviving, other)
+        assert baseline.best == other.best
+        assert baseline.stats.nodes == other.stats.nodes
+        assert baseline.stats.subgraphs_searched == other.stats.subgraphs_searched

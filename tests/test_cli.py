@@ -193,6 +193,18 @@ class TestBatchCommand:
         assert exit_code == 2
         assert "valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", ["[5]", '[{"graph": 5}]'])
+    def test_batch_non_object_request_is_a_clean_error(
+        self, tmp_path, capsys, payload
+    ):
+        path = tmp_path / "requests.json"
+        path.write_text(payload, encoding="utf-8")
+        exit_code = main(["batch", str(path)])
+        err = capsys.readouterr().err
+        assert exit_code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_sweep_emits_batch_consumable_requests(self, capsys):

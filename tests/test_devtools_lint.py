@@ -457,45 +457,6 @@ class TestPoolSafetyRule:
         )
         assert codes(result) == []
 
-    def test_submit_synchronized_value_payload_fires(self, tmp_path):
-        source = """
-        import multiprocessing
-
-        def fan_out(pool, positions):
-            return pool.submit(solve, positions, multiprocessing.Value("q", 0))
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == ["RPL004"]
-        assert "initargs inheritance" in result.new_findings[0].message
-
-    def test_submit_synchronized_array_keyword_payload_fires(self, tmp_path):
-        source = """
-        from multiprocessing import RawArray
-
-        def fan_out(pool, task):
-            return pool.submit(solve, task, shared=RawArray("b", 8))
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == ["RPL004"]
-
-    def test_synchronized_ctor_outside_payload_passes(self, tmp_path):
-        source = """
-        import multiprocessing
-
-        def make_pool(workers, init):
-            best = multiprocessing.Value("q", 0)
-            pool = Executor(max_workers=workers, initializer=init, initargs=(best,))
-            return pool.submit(solve, "payload")
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == []
-
     def test_cancel_hook_lambda_in_library_fires(self, tmp_path):
         source = """
         def run(context, target):

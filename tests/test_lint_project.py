@@ -907,34 +907,6 @@ class TestFaultBoundaryRule:
         )
         assert codes(result) == []
 
-    def test_hit_in_parallel_s3_module_passes(self, tmp_path):
-        # src/repro/api/parallel.py is a designated fault module: its
-        # worker entry point probes worker.hang/worker.solve behind the
-        # same except-Exception boundary the engine workers use.
-        result = lint_fixture(
-            tmp_path,
-            {
-                "src/repro/__init__.py": "",
-                "src/repro/devtools/__init__.py": "",
-                "src/repro/devtools/faults.py": FAULTS_MODULE_FIXTURE,
-                "src/repro/api/parallel.py": """
-                    from repro.devtools import faults
-
-                    def _run_s3_task(task):
-                        try:
-                            faults.hit("worker.solve", key=task)
-                            return ("ok", task)
-                        except Exception as exc:
-                            return ("error", repr(exc))
-
-                    def dispatch(pool, task):
-                        return pool.submit(_run_s3_task, task)
-                    """,
-            },
-            rules=["RPL009"],
-        )
-        assert codes(result) == []
-
     def test_repo_fault_boundaries_are_covered(self):
         result = run_lint(["src"], root=str(REPO_ROOT), rules=["RPL009"])
         assert codes(result) == [], render_text(result)
