@@ -27,12 +27,7 @@ True
 """
 
 from repro.api import backends as _backends  # noqa: F401  (registers built-ins)
-from repro.api.engine import (
-    MBBEngine,
-    PreparedGraphCache,
-    RetryPolicy,
-    SharedPreparedExports,
-)
+from repro.api.engine import MBBEngine, PreparedGraphCache, RetryPolicy
 from repro.api.registry import (
     BackendInfo,
     FunctionBackend,
@@ -76,5 +71,4 @@ __all__ = [
     "MBBEngine",
     "PreparedGraphCache",
     "RetryPolicy",
-    "SharedPreparedExports",
 ]

@@ -30,22 +30,6 @@ amortisation reach the process-pool workers, each of which constructs a
 fresh engine per request — and each solve reports its hit/miss and
 ``prepare_seconds`` through :class:`~repro.mbb.result.SearchStats`.
 
-``solve_many`` extends the amortisation *across* the pool boundary: for
-each pool-bound request whose backend consumes snapshots, the engine
-prepares the graph once, publishes the bundle into a shared-memory
-segment (:meth:`~repro.graph.prepared.PreparedGraph.to_shm`) and ships
-the **segment name** with the request instead of letting every worker
-re-pickle or re-prepare the graph.  Workers attach zero-copy, re-verify
-the content fingerprint, and seed their process-local cache, so each
-worker pays one attach per graph instead of one preparation per
-request.  The engine end owns segment lifecycle through the module-wide
-:class:`SharedPreparedExports` registry: segments are destroyed when
-their snapshot is evicted from the cache LRU, on
-:meth:`MBBEngine.shutdown`, and in an ``atexit`` hook — so a crashed
-worker (or a crashed batch) can never leak a named segment, and the
-registry is pid-guarded so forked workers can never tear down their
-parent's segments.
-
 Batches are **fault-tolerant**: every worker entry point is a fault
 boundary (:func:`_guarded_solve`) converting exceptions into
 ``status="error"`` reports with a structured
@@ -64,16 +48,14 @@ keeps every pool-submitted callable behind one.
 
 from __future__ import annotations
 
-import atexit
 import os
 import time
-import warnings
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.registry import SolverBackend, get_backend
 from repro.api.request import (
@@ -86,7 +68,6 @@ from repro.api.request import (
     ERROR_KIND_WORKER_CRASH,
     STATUS_ABORTED,
     STATUS_ERROR,
-    STATUS_OK,
     GraphSpec,
     SolveError,
     SolveReport,
@@ -96,7 +77,7 @@ from repro.devtools import faults
 from repro.devtools.faults import InjectedFault
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.prepared import PreparedGraph, PreparedGraphShm, graph_fingerprint
+from repro.graph.prepared import PreparedGraph, graph_fingerprint
 from repro.mbb import solver as _solver
 from repro.mbb.context import SearchContext
 from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS
@@ -188,30 +169,19 @@ class PreparedGraphCache:
     overwrites the colliding entry — a collision can cost a
     re-preparation but never leaks one graph's arrays into another
     graph's solve.
-
-    ``on_evict`` (called with ``(fingerprint, prepared)`` whenever an
-    entry leaves the cache, including via :meth:`clear`) is the hook the
-    engine uses to tie shared-memory segment lifecycle to the LRU: when
-    a snapshot falls out of the cache, its published segment is
-    destroyed with it.
     """
 
-    def __init__(
-        self,
-        capacity: int = 8,
-        *,
-        on_evict: Optional[Callable[[str, PreparedGraph], None]] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise InvalidParameterError(
                 f"cache capacity must be positive, got {capacity}"
             )
         self.capacity = capacity
-        self.on_evict = on_evict
         self.hits = 0
         self.misses = 0
-        #: How often the shared-memory handoff around this cache degraded
-        #: to the plain JSON submit path (see ``MBBEngine._shm_handle_for``).
+        #: Always 0: batches no longer hand snapshots to workers, so there
+        #: is no handoff left to degrade.  Kept because existing callers
+        #: read it after each batch.
         self.handoff_degradations = 0
         self._entries: "OrderedDict[str, PreparedGraph]" = OrderedDict()
 
@@ -225,30 +195,15 @@ class PreparedGraphCache:
             return cached, True
         self.misses += 1
         prepared = PreparedGraph.prepare(graph)
-        self.seed(fingerprint, prepared)
-        return prepared, False
-
-    def seed(self, fingerprint: str, prepared: PreparedGraph) -> None:
-        """Insert a snapshot under a known fingerprint, no accounting.
-
-        The pool-worker attach path uses this: the fingerprint was
-        verified by ``from_shm`` against the attached content, so
-        re-deriving it here would just repeat that work.  Normal lookups
-        must go through :meth:`get`.
-        """
         self._entries[fingerprint] = prepared
         self._entries.move_to_end(fingerprint)
         while len(self._entries) > self.capacity:
-            evicted_fingerprint, evicted = self._entries.popitem(last=False)
-            if self.on_evict is not None:
-                self.on_evict(evicted_fingerprint, evicted)
+            self._entries.popitem(last=False)
+        return prepared, False
 
     def clear(self) -> None:
         """Drop every cached snapshot (counters are kept)."""
-        while self._entries:
-            fingerprint, prepared = self._entries.popitem(last=False)
-            if self.on_evict is not None:
-                self.on_evict(fingerprint, prepared)
+        self._entries.clear()
 
     def stats(self) -> Dict[str, int]:
         """Cumulative counters plus the current size, for observability."""
@@ -257,93 +212,23 @@ class PreparedGraphCache:
             "misses": self.misses,
             "size": len(self._entries),
             "capacity": self.capacity,
-            "handoff_degradations": self.handoff_degradations,
         }
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-class SharedPreparedExports:
-    """Owner-side registry of published :class:`PreparedGraph` segments.
-
-    One process-wide instance tracks every segment this process created
-    (keyed by content fingerprint, so one graph is published exactly
-    once no matter how many batches reference it).  Every removal path —
-    LRU eviction from the shared cache, :meth:`release`,
-    :meth:`release_all` from :meth:`MBBEngine.shutdown` or the
-    ``atexit`` hook — destroys the segment, so named segments cannot
-    outlive the process even when a worker or a batch crashes.
-
-    The registry is pid-guarded: a forked pool worker inherits the
-    parent's handle table, and acting on it would unlink segments the
-    *parent* still serves.  Any operation from a different pid first
-    resets the table (dropping the inherited handles without touching
-    the segments), making every mutation a no-op on borrowed state.
-    The table is also self-bounding: publishing beyond ``capacity``
-    destroys the oldest segment (workers already attached keep their
-    mappings — POSIX keeps attached memory alive past the unlink — and
-    later attach failures fall back to local preparation).
-    """
-
-    def __init__(self, capacity: int = 8) -> None:
-        self.capacity = capacity
-        self._owner_pid = os.getpid()
-        self._handles: "OrderedDict[str, PreparedGraphShm]" = OrderedDict()
-
-    def _guard_pid(self) -> None:
-        if os.getpid() != self._owner_pid:
-            self._owner_pid = os.getpid()
-            self._handles = OrderedDict()
-
-    def export(self, prepared: PreparedGraph) -> PreparedGraphShm:
-        """Publish ``prepared`` (once per fingerprint) and return its handle."""
-        self._guard_pid()
-        handle = self._handles.get(prepared.fingerprint)
-        if handle is None:
-            handle = prepared.to_shm()
-            self._handles[handle.fingerprint] = handle
-            while len(self._handles) > self.capacity:
-                _, oldest = self._handles.popitem(last=False)
-                oldest.destroy()
-        else:
-            self._handles.move_to_end(prepared.fingerprint)
-        return handle
-
-    def release(self, fingerprint: str) -> None:
-        """Destroy the segment published for ``fingerprint`` (idempotent)."""
-        self._guard_pid()
-        handle = self._handles.pop(fingerprint, None)
-        if handle is not None:
-            handle.destroy()
-
-    def release_all(self) -> None:
-        """Destroy every segment this process still owns."""
-        self._guard_pid()
-        while self._handles:
-            _, handle = self._handles.popitem(last=False)
-            handle.destroy()
-
-    def __len__(self) -> int:
-        self._guard_pid()
-        return len(self._handles)
-
-
-#: Process-wide segment registry; see :class:`SharedPreparedExports`.
-_PREPARED_EXPORTS = SharedPreparedExports()
-atexit.register(_PREPARED_EXPORTS.release_all)
-
-
-def _release_prepared_export(fingerprint: str, prepared: PreparedGraph) -> None:
-    """Cache-eviction hook: a snapshot leaving the LRU takes its segment."""
-    _PREPARED_EXPORTS.release(fingerprint)
-
-
 #: Process-wide default cache shared by every engine that is not given a
 #: private one.  Sharing at module level is what lets process-pool
 #: workers — which build a fresh ``MBBEngine`` per request — amortise
 #: preparation across the requests they each execute.
-_SHARED_PREPARED_CACHE = PreparedGraphCache(on_evict=_release_prepared_export)
+_SHARED_PREPARED_CACHE = PreparedGraphCache()
+
+
+def _check_max_workers(max_workers: Optional[int]) -> None:
+    """Reject a worker count below one (``None`` means the default)."""
+    if max_workers is not None and max_workers < 1:
+        raise InvalidParameterError(f"max_workers must be positive, got {max_workers}")
 
 
 def _classify_error(exc: BaseException) -> str:
@@ -380,10 +265,7 @@ def _with_stat_increments(report: SolveReport, **increments: int) -> SolveReport
 
 
 def _guarded_solve(
-    request: SolveRequest,
-    *,
-    graph: Optional[BipartiteGraph] = None,
-    engine: Optional["MBBEngine"] = None,
+    request: SolveRequest, *, engine: Optional["MBBEngine"] = None
 ) -> SolveReport:
     """The per-request fault boundary every execution path runs through.
 
@@ -398,9 +280,7 @@ def _guarded_solve(
         tag = request.tag or ""
         faults.hit("worker.hang", key=tag)
         faults.hit("worker.solve", key=tag)
-        return (engine if engine is not None else MBBEngine()).solve(
-            request, graph=graph
-        )
+        return (engine if engine is not None else MBBEngine()).solve(request)
     except Exception as exc:
         return _error_report(request, exc)
 
@@ -436,69 +316,6 @@ def _solve_request_json(payload: str) -> str:
     return _guarded_solve(request).to_json()
 
 
-#: Per-process memo of attached segments, keyed by segment name.  Lives
-#: at module level (not on an engine) because pool workers construct a
-#: fresh engine per request; bounded like the caches it feeds.
-_WORKER_ATTACHMENTS: "OrderedDict[str, PreparedGraph]" = OrderedDict()
-_MAX_WORKER_ATTACHMENTS = 8
-
-
-def _attach_prepared_shm(name: str, fingerprint: str) -> Optional[PreparedGraph]:
-    """Attach to a published snapshot segment, memoised per process.
-
-    Module-level by design (and by RPL004 machine check): attach
-    callables must pickle by reference into pool workers.  The attach
-    re-verifies the stored fingerprint against both the engine's
-    expectation and the actual graph content, then seeds the process's
-    shared :class:`PreparedGraphCache` so the ensuing solve scores a
-    cache hit with ``prepare_seconds`` ≈ one fingerprint computation.
-    Returns ``None`` when the segment is gone or fails verification —
-    callers fall back to preparing locally.
-    """
-    prepared = _WORKER_ATTACHMENTS.get(name)
-    if prepared is not None and prepared.fingerprint == fingerprint:
-        _WORKER_ATTACHMENTS.move_to_end(name)
-        return prepared
-    try:
-        faults.hit("shm.attach", key=name)
-        prepared = PreparedGraph.from_shm(name, fingerprint)
-    except (InvalidParameterError, OSError, ValueError, InjectedFault):
-        # Segment gone (evicted/unlinked between submit and execution),
-        # failed format/fingerprint verification, or an injected attach
-        # fault: all degrade to the JSON re-prepare path.  Anything else
-        # is a real bug and propagates into the worker fault boundary.
-        return None
-    _WORKER_ATTACHMENTS[name] = prepared
-    _WORKER_ATTACHMENTS.move_to_end(name)
-    while len(_WORKER_ATTACHMENTS) > _MAX_WORKER_ATTACHMENTS:
-        _WORKER_ATTACHMENTS.popitem(last=False)
-    _SHARED_PREPARED_CACHE.seed(prepared.fingerprint, prepared)
-    return prepared
-
-
-def _solve_request_shm_json(payload: str, shm_name: str, fingerprint: str) -> str:
-    """Worker-process entry point for shared-memory handed-off requests.
-
-    Same wire contract as :func:`_solve_request_json`, plus the attach
-    token: the worker attaches the published snapshot instead of
-    materialising and re-preparing the request's graph.  If the attach
-    fails (segment evicted between submit and execution, corrupted
-    content, an injected fault), the request falls back to the plain
-    JSON path and counts the degradation as ``handoff_fallbacks`` in its
-    report — the handoff is an optimisation, never a correctness
-    dependency.  A fault boundary like :func:`_solve_request_json`.
-    """
-    try:
-        request = SolveRequest.from_json(payload)
-    except Exception as exc:
-        return _invalid_request_report(payload, exc).to_json()
-    prepared = _attach_prepared_shm(shm_name, fingerprint)
-    if prepared is None:
-        report = _guarded_solve(request)
-        return _with_stat_increments(report, handoff_fallbacks=1).to_json()
-    return _guarded_solve(request, graph=prepared.graph).to_json()
-
-
 class MBBEngine:
     """Facade dispatching solves to registered backends.
 
@@ -520,10 +337,7 @@ class MBBEngine:
         max_workers: Optional[int] = None,
         prepared_cache: Optional[PreparedGraphCache] = None,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise InvalidParameterError(
-                f"max_workers must be positive, got {max_workers}"
-            )
+        _check_max_workers(max_workers)
         self.max_workers = max_workers
         self.prepared_cache = (
             prepared_cache if prepared_cache is not None else _SHARED_PREPARED_CACHE
@@ -592,7 +406,6 @@ class MBBEngine:
         *,
         max_workers: Optional[int] = None,
         parallel: bool = True,
-        share_prepared: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         watchdog_seconds: Optional[float] = None,
     ) -> List[SolveReport]:
@@ -600,8 +413,12 @@ class MBBEngine:
 
         Results are returned in request order regardless of which worker
         finishes first, so a batch is deterministic given deterministic
-        backends.  Each request enforces its own budgets inside its
-        worker.  With ``parallel=False`` (or a single-request batch, or a
+        backends.  Each request crosses to its worker as its JSON wire
+        form only; the worker materialises, fingerprints and prepares the
+        graph itself, through its process-wide :class:`PreparedGraphCache`,
+        so a graph repeated in a batch is prepared once per worker and the
+        parent does no per-request graph work.  Each request enforces its
+        own budgets inside its worker.  With ``parallel=False`` (or a single-request batch, or a
         platform where process pools are unavailable) the batch runs
         serially in-process and produces the same reports apart from
         timings.
@@ -628,22 +445,11 @@ class MBBEngine:
         it has a deadline*: a request with no ``time_budget`` in a
         batch run without ``watchdog_seconds`` is waited on
         indefinitely.  The accounting lands in each report's stats
-        (``worker_retries``, ``pool_rebuilds``, ``handoff_fallbacks``).
-
-        With ``share_prepared`` (the default), each pool-bound request
-        whose backend consumes prepared snapshots is prepared **once**
-        in this process and published to shared memory; its workers
-        receive the segment name and attach zero-copy instead of
-        re-pickling or re-preparing the graph per request (visible in
-        the reports as ``prepared_cache_hits == 1`` with near-zero
-        ``prepare_seconds``).  Published segments stay registered with
-        the process-wide :class:`SharedPreparedExports` — bounded by the
-        cache LRU and destroyed on eviction, :meth:`shutdown` or process
-        exit — so repeated batches over the same graphs keep amortising
-        and nothing leaks if a worker dies mid-batch.
+        (``worker_retries``, ``pool_rebuilds``).
         """
         batch: Sequence[SolveRequest] = list(requests)
         policy = retry_policy if retry_policy is not None else RetryPolicy()
+        _check_max_workers(max_workers)
         if watchdog_seconds is not None and watchdog_seconds <= 0:
             raise InvalidParameterError(
                 f"watchdog_seconds must be positive, got {watchdog_seconds}"
@@ -652,8 +458,7 @@ class MBBEngine:
             return []
         if not parallel or len(batch) == 1:
             return [self._solve_isolated(request) for request in batch]
-        workers = max_workers or self.max_workers or os.cpu_count() or 1
-        workers = max(1, min(workers, len(batch)))
+        workers = min(max_workers or self.max_workers or os.cpu_count() or 1, len(batch))
         pool = self._make_pool(workers)
         if pool is None:
             # Process pools need working semaphores/fork support; fall
@@ -664,7 +469,6 @@ class MBBEngine:
             pool,
             workers,
             policy=policy,
-            share_prepared=share_prepared,
             watchdog_seconds=watchdog_seconds,
         )
 
@@ -675,7 +479,6 @@ class MBBEngine:
         workers: int,
         *,
         policy: RetryPolicy,
-        share_prepared: bool,
         watchdog_seconds: Optional[float],
     ) -> List[SolveReport]:
         """The deadline-aware collection loop behind :meth:`solve_many`."""
@@ -696,16 +499,7 @@ class MBBEngine:
 
         def submit(idx: int, *, count_attempt: bool = True) -> None:
             request = batch[idx]
-            handle = self._shm_handle_for(request) if share_prepared else None
-            if handle is None:
-                future = pool.submit(_solve_request_json, request.to_json())
-            else:
-                future = pool.submit(
-                    _solve_request_shm_json,
-                    request.to_json(),
-                    handle.name,
-                    handle.fingerprint,
-                )
+            future = pool.submit(_solve_request_json, request.to_json())
             if count_attempt:
                 attempts[idx] += 1
             index_of[future] = idx
@@ -1057,72 +851,13 @@ class MBBEngine:
                 continue
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _shm_handle_for(self, request: SolveRequest) -> Optional[PreparedGraphShm]:
-        """Publish the request's prepared graph, or ``None`` to ship JSON.
-
-        Sharing only applies when the backend actually consumes prepared
-        snapshots (and ``auto`` would not resolve to the dense solver,
-        which ignores them).  Expected failures degrade to the plain
-        JSON path — an unknown backend or a spec that does not
-        materialise makes the worker produce the canonical error report,
-        and shm-filesystem pressure (``OSError``/``MemoryError``) just
-        costs a re-preparation — but each degradation is counted in
-        :meth:`PreparedGraphCache.stats`, and an *unexpected* exception
-        kind additionally emits a ``RuntimeWarning`` instead of being
-        swallowed: the handoff never changes what a batch computes, yet
-        a systematic failure must not stay silent.
-        """
-        try:
-            solver = get_backend(request.backend)
-        except InvalidParameterError:
-            # Unknown backend: the worker raises the canonical error.
-            return None
-        if not solver.info.supports_prepared:
-            return None
-        try:
-            faults.hit("shm.export", key=request.tag or "")
-            graph = request.graph.materialise()
-            resolved = request.backend
-            if resolved == "auto":
-                from repro.api.backends import resolve_auto
-
-                resolved = resolve_auto(graph)
-            if resolved == "dense":
-                return None
-            prepared, _ = self.prepared_cache.get(graph)
-            return _PREPARED_EXPORTS.export(prepared)
-        except (InvalidParameterError, InjectedFault):
-            # The spec does not materialise (the worker will report the
-            # canonical error) or an injected export fault.
-            self.prepared_cache.handoff_degradations += 1
-            return None
-        except (OSError, MemoryError):
-            # Shared-memory pressure (full /dev/shm, fd limits): the
-            # sanctioned degradation — workers re-prepare from JSON.
-            self.prepared_cache.handoff_degradations += 1
-            return None
-        except Exception as exc:
-            self.prepared_cache.handoff_degradations += 1
-            warnings.warn(
-                f"shared-memory handoff degraded to the JSON path on an "
-                f"unexpected {type(exc).__name__}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-
     def shutdown(self) -> None:
-        """Destroy every shared-memory segment this process published.
+        """Release engine resources; a no-op kept for existing callers.
 
-        Cached :class:`PreparedGraph` bundles stay usable — they own
-        their buffers; only the published segments (the cross-process
-        transport) are torn down.  Safe to call repeatedly and from any
-        engine instance: the export registry is process-wide, exactly
-        like the segments themselves.  Also runs at interpreter exit via
-        ``atexit``, so an un-shut-down engine still cannot leak
-        segments past the process.
+        Every batch shuts its own worker pool down before
+        :meth:`solve_many` returns, and cached snapshots are plain
+        in-process objects, so the engine holds nothing to release.
         """
-        _PREPARED_EXPORTS.release_all()
 
     # ------------------------------------------------------------------
     # internals

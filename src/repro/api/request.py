@@ -24,7 +24,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import DatasetError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.mbb.dense import KERNEL_BITS
 from repro.mbb.result import Biclique, MBBResult, SearchStats
@@ -82,6 +82,74 @@ def _require_object(payload: object, what: str) -> None:
         raise InvalidParameterError(
             f"{what} must be a JSON object, got {type(payload).__name__}"
         )
+
+
+#: Python types accepted for each JSON scalar type.  ``bool`` subclasses
+#: ``int`` but is rejected separately: ``true`` is never a number.
+_WIRE_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,)}
+
+
+#: JSON types of the scalar :class:`GraphSpec` fields.
+_SPEC_FIELD_TYPES = {
+    "kind": "a string",
+    "name": "a string",
+    "path": "a string",
+    "n_left": "an integer",
+    "n_right": "an integer",
+    "density": "a number",
+    "avg_degree": "a number",
+    "seed": "an integer",
+}
+
+
+#: JSON types of the scalar :class:`SolveRequest` fields.
+_REQUEST_FIELD_TYPES = {
+    "backend": "a string",
+    "kernel": "a string",
+    "node_budget": "an integer",
+    "time_budget": "a number",
+    "seed": "an integer",
+    "tag": "a string",
+}
+
+
+def _check_scalar_fields(
+    cls: type, data: Dict[str, object], types: Dict[str, str], what: str
+) -> None:
+    """Reject scalar fields of ``data`` whose JSON type is wrong.
+
+    ``types`` maps a field name to a key of :data:`_WIRE_TYPES`.  ``null``
+    passes only for fields of ``cls`` whose default is ``None``.
+    """
+    nullable = {cls_field.name for cls_field in fields(cls) if cls_field.default is None}
+    for name, wire_type in types.items():
+        value = data.get(name)
+        if value is None and (name not in data or name in nullable):
+            continue
+        if isinstance(value, bool) or not isinstance(value, _WIRE_TYPES[wire_type]):
+            raise InvalidParameterError(
+                f"{what} field {name!r} must be {wire_type}, got {value!r}"
+            )
+
+
+def _edges_from_wire(edges: object) -> Tuple[Tuple[Vertex, Vertex], ...]:
+    """Parse inline ``edges``: a list of ``[left, right]`` int/str pairs."""
+    expected = "a list of [left, right] pairs of integer or string labels"
+    if not isinstance(edges, (list, tuple)):
+        raise InvalidParameterError(f"graph spec 'edges' must be {expected}")
+    for edge in edges:
+        if not (
+            isinstance(edge, (list, tuple))
+            and len(edge) == 2
+            and all(
+                isinstance(label, (int, str)) and not isinstance(label, bool)
+                for label in edge
+            )
+        ):
+            raise InvalidParameterError(
+                f"graph spec 'edges' must be {expected}, got entry {edge!r}"
+            )
+    return tuple((u, v) for u, v in edges)
 
 
 @dataclass(frozen=True)
@@ -191,7 +259,10 @@ class GraphSpec:
 
             if self.name is None:
                 raise InvalidParameterError("dataset graph spec requires 'name'")
-            return load_dataset(self.name)
+            try:
+                return load_dataset(self.name)
+            except DatasetError as exc:
+                raise InvalidParameterError(str(exc)) from None
         if self.kind == SOURCE_PATH:
             from repro.graph.io import read_edge_list
 
@@ -248,9 +319,12 @@ class GraphSpec:
             raise InvalidParameterError(
                 f"unknown graph spec fields {sorted(unknown)}; expected {sorted(known)}"
             )
+        if "kind" not in payload:
+            raise InvalidParameterError("graph spec requires a 'kind'")
+        _check_scalar_fields(cls, payload, _SPEC_FIELD_TYPES, "graph spec")
         data = dict(payload)
-        if "edges" in data and data["edges"] is not None:
-            data["edges"] = tuple((u, v) for u, v in data["edges"])
+        if data.get("edges") is not None:
+            data["edges"] = _edges_from_wire(data["edges"])
         return cls(**data)  # type: ignore[arg-type]
 
 
@@ -291,6 +365,7 @@ class SolveRequest:
             raise InvalidParameterError(
                 f"unknown request fields {sorted(unknown)}; expected {sorted(known)}"
             )
+        _check_scalar_fields(cls, payload, _REQUEST_FIELD_TYPES, "solve request")
         data = dict(payload)
         data["graph"] = GraphSpec.from_dict(data["graph"])  # type: ignore[arg-type]
         return cls(**data)  # type: ignore[arg-type]

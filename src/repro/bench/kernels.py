@@ -28,8 +28,8 @@ Five comparisons are produced:
   ``prepare_seconds``/``order_seconds`` stage stats that the cache hit
   collapses;
 * **handoff rows** time moving one
-  :class:`~repro.graph.prepared.PreparedGraph` to a pool worker with
-  both transports ``solve_many`` can use: the pickle round-trip
+  :class:`~repro.graph.prepared.PreparedGraph` to another process with
+  two transports: the pickle round-trip
   (serialise + deserialise every flat array) against the shared-memory
   export/attach path (:meth:`~repro.graph.prepared.PreparedGraph.to_shm`
   / :meth:`~repro.graph.prepared.PreparedGraph.from_shm`), where workers
@@ -146,8 +146,7 @@ SMOKE_HANDOFF_DATASETS = ("unicodelang",)
 
 #: Transports compared by the handoff rows: pickling the whole prepared
 #: bundle per worker (ablation baseline) vs exporting one shared-memory
-#: segment that every worker attaches zero-copy (what ``solve_many``
-#: uses by default).
+#: segment that every worker attaches zero-copy.
 HANDOFF_PICKLE = "pickle"
 HANDOFF_SHM = "shm"
 HANDOFF_TRANSPORTS = (HANDOFF_PICKLE, HANDOFF_SHM)

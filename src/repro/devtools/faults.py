@@ -17,17 +17,6 @@ boundaries:
     sleeps for a bounded number of seconds — long enough to trip the
     engine watchdog, short enough that an escaped hang cannot wedge the
     test suite.
-``shm.attach``
-    Inside :func:`repro.api.engine._attach_prepared_shm`, keyed by the
-    segment name.  ``raise`` forces the attach to fail (exercising the
-    shm → JSON re-prepare degradation); ``corrupt`` damages a byte of
-    the named segment (idempotently, so concurrent workers cannot undo
-    each other) and the format/fingerprint verification itself rejects
-    it.
-``shm.export``
-    Parent-side, in :meth:`MBBEngine._shm_handle_for`, keyed by the
-    graph fingerprint.  ``raise`` forces the publish step to fail, which
-    must degrade to the plain JSON submit path.
 
 Every point is **inert in production**: :func:`hit` is two dict lookups
 when nothing is armed.  Tests arm faults either in-process via
@@ -68,9 +57,8 @@ ENV_VAR = "REPRO_FAULTS"
 ACTION_RAISE = "raise"
 ACTION_EXIT = "exit"
 ACTION_HANG = "hang"
-ACTION_CORRUPT = "corrupt"
 
-_ACTIONS = (ACTION_RAISE, ACTION_EXIT, ACTION_HANG, ACTION_CORRUPT)
+_ACTIONS = (ACTION_RAISE, ACTION_EXIT, ACTION_HANG)
 
 #: ``FaultSpec.scope`` values: fire anywhere, or only in pool workers.
 SCOPE_ANY = "any"
@@ -106,7 +94,7 @@ class FaultSpec:
     action: str = ACTION_RAISE
     nth: int = 1
     times: int = 1
-    #: Action argument: ``hang`` seconds (capped) or ``corrupt`` offset.
+    #: Action argument: ``hang`` seconds (capped).
     arg: float = 0.0
     match: Optional[str] = None
     scope: str = SCOPE_ANY
@@ -251,7 +239,7 @@ def _in_worker() -> bool:
 def hit(point: str, *, key: str = "") -> None:
     """Poll the injection point ``point``; a no-op unless a fault is armed.
 
-    ``key`` identifies the specific hit (request tag, segment name) for
+    ``key`` identifies the specific hit (the request tag) for
     ``match`` filtering.  Counters increment per matching spec, so
     ``nth`` means "the nth time *this spec's* filter matched in this
     process" — deterministic under retries and pool scheduling.
@@ -286,36 +274,7 @@ def _fire(spec: FaultSpec, point: str, key: str) -> None:
         raise InjectedFault(f"injected fault at {where}")
     if spec.action == ACTION_EXIT:
         # Simulates SIGKILL/OOM: no exception, no cleanup, the pool sees
-        # a dead worker.  os._exit skips atexit hooks by design — the
-        # pid-guarded export registry means a worker owns no segments.
+        # a dead worker.
         os._exit(EXIT_STATUS)
     if spec.action == ACTION_HANG:
         time.sleep(min(max(spec.arg, 0.0), MAX_HANG_SECONDS))
-        return
-    if spec.action == ACTION_CORRUPT:
-        _corrupt_segment(key, int(spec.arg))
-
-
-def _corrupt_segment(name: str, offset: int) -> None:
-    """Corrupt one byte of the named shared-memory segment.
-
-    Used by ``corrupt`` faults at ``shm.attach`` (where the hit key is
-    the segment name) to prove the attach-side format/fingerprint
-    verification rejects a damaged segment instead of solving garbage.
-    Destructive by design: every later attach of this segment must fall
-    back too.  The write sets the byte's high bit rather than XOR-ing
-    it, so the corruption is *idempotent*: two workers firing the same
-    fault back to back leave the segment corrupted, where a second XOR
-    would flip the byte back to valid mid-race.  Aim it at an ASCII
-    header field (magic, fingerprint) where the high bit is never set.
-    """
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        # A deliberate out-of-protocol segment write: this is the one
-        # sanctioned exception to the RPL005 to_shm/from_shm confinement,
-        # existing precisely to test that readers survive corruption.
-        segment.buf[offset] |= 0x80  # reprolint: disable=RPL005
-    finally:
-        segment.close()

@@ -25,15 +25,6 @@ Sub-checks:
   ``__call__`` holding its state in attributes) are the sanctioned
   replacement and pass.  Tests may use lambdas — a test context never
   crosses a process boundary.
-* **shm attach callables** — in library code, a function *nested inside
-  another function* that attaches a shared-memory segment
-  (``attach_shared_memory`` / ``from_shm``) is flagged.  Attach code is
-  what pool workers run, and the shared-memory handoff exists precisely
-  so it can be submitted across the process boundary; a nested attach
-  helper cannot pickle by reference, so it can only ever run in the
-  parent — a landmine for the next person wiring it into ``submit``.
-  Methods (functions nested in a class body) are module-addressable and
-  pass.
 """
 
 from __future__ import annotations
@@ -62,27 +53,6 @@ def _locally_defined_callables(function: ast.AST) -> Set[str]:
 
 def _contains_lambda(node: ast.AST) -> bool:
     return any(isinstance(sub, ast.Lambda) for sub in ast.walk(node))
-
-
-#: Callee names that attach a shared-memory segment on the worker side.
-SHM_ATTACH_CALLEES = frozenset({"attach_shared_memory", "from_shm"})
-
-
-def _attaches_shared_memory(function: ast.AST) -> bool:
-    """True when ``function``'s own body calls an shm attach callee."""
-    for node in ast.walk(function):
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = (
-                callee.id
-                if isinstance(callee, ast.Name)
-                else callee.attr
-                if isinstance(callee, ast.Attribute)
-                else None
-            )
-            if name in SHM_ATTACH_CALLEES:
-                return True
-    return False
 
 
 @register_rule
@@ -114,7 +84,6 @@ class PoolSafetyRule(Rule):
         yield from self._check_submissions(ctx)
         if ctx.is_library_code():
             yield from self._check_cancel_hooks(ctx)
-            yield from self._check_attach_callables(ctx)
 
     # ------------------------------------------------------------------
     # pool submissions
@@ -169,31 +138,8 @@ class PoolSafetyRule(Rule):
                 )
 
     # ------------------------------------------------------------------
-    # shm attach callables
+    # cancel hooks
     # ------------------------------------------------------------------
-    def _check_attach_callables(self, ctx: FileContext) -> Iterator[Finding]:
-        # Recurse with an explicit "inside a function" flag so methods
-        # (functions nested in a ClassDef) stay module-addressable and
-        # only genuinely function-local definitions are flagged.
-        def visit(node: ast.AST, inside_function: bool) -> Iterator[Finding]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if inside_function and _attaches_shared_memory(child):
-                        yield self.finding(
-                            ctx,
-                            child,
-                            f"shm attach callable {child.name!r} is defined "
-                            "inside another function; attach code is the pool "
-                            "workers' entry path and must live at module "
-                            "level so it pickles by reference",
-                        )
-                    yield from visit(child, True)
-                else:
-                    # ClassDef bodies keep the enclosing flag: methods of
-                    # a module-level class are module-addressable.
-                    yield from visit(child, inside_function)
-
-        yield from visit(ctx.tree, False)
     def _check_cancel_hooks(self, ctx: FileContext) -> Iterator[Finding]:
         message = (
             "cancel_hook bound to a lambda/closure is unpicklable across "

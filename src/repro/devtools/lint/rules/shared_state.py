@@ -1,13 +1,12 @@
 """RPL005 — shared-state safety for published graph snapshots.
 
-``solve_many`` shares one :class:`PreparedGraph` /
-:class:`CSRBipartite` bundle across its pool workers through a
-shared-memory segment, and the engine cache hands the *same* object to
-every solve of the same graph: the whole design is sound only because
-those objects are immutable once published.  That contract is
-documented in ``src/repro/graph/prepared.py`` /
-``src/repro/graph/csr.py`` but was, until this rule, enforced by review
-only.
+The engine cache hands the *same* :class:`PreparedGraph` /
+:class:`CSRBipartite` bundle to every solve of the same graph, and
+``PreparedGraph.to_shm`` lets other processes map one bundle at once:
+the whole design is sound only because those objects are immutable
+once published.  That contract is documented in
+``src/repro/graph/prepared.py`` / ``src/repro/graph/csr.py`` but was,
+until this rule, enforced by review only.
 
 The rule tracks every expression the project model can prove (or the
 repository's naming convention claims) to be a prepared/CSR object —
@@ -145,8 +144,8 @@ class SharedStateRule(ProjectRule):
     )
     rationale = (
         "The engine cache publishes one PreparedGraph/CSRBipartite bundle to "
-        "every solve of the same graph, and solve_many maps it into every "
-        "pool worker through one shared-memory segment with no locking. That "
+        "every solve of the same graph, and PreparedGraph.to_shm lets other "
+        "processes map it through one shared-memory segment with no locking. That "
         "is only sound because the objects are immutable once constructed; a "
         "single post-publication mutation is a data race that surfaces as "
         "non-deterministic incumbents. This rule turns the written contract "

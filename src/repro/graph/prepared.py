@@ -156,9 +156,9 @@ class PreparedGraphShm:
 
     Returned by :meth:`PreparedGraph.to_shm`.  The creator of a segment
     owns its lifecycle: :meth:`destroy` (or ``close`` + ``unlink``) must
-    run exactly once when the graph leaves service — the engine calls it
-    from its eviction/shutdown hooks inside ``finally`` blocks so worker
-    crashes cannot leak segments.  All teardown methods are idempotent.
+    run exactly once when the graph leaves service, ideally inside a
+    ``finally`` block so a crashed consumer cannot leak the segment.  All
+    teardown methods are idempotent.
     """
 
     __slots__ = ("_segment", "_closed", "_unlinked", "name", "fingerprint", "nbytes")

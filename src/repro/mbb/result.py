@@ -115,13 +115,10 @@ class SearchStats:
     prepared_cache_misses: int = 0
     #: Fault-tolerance accounting, stamped by the engine's batch layer
     #: (``MBBEngine.solve_many``), never by solvers: resubmissions this
-    #: request needed beyond its first (``worker_retries``), pool
-    #: rebuilds its attempts lived through (``pool_rebuilds``), and how
-    #: often the shared-memory handoff degraded to re-materialising the
-    #: graph from the JSON wire form (``handoff_fallbacks``).
+    #: request needed beyond its first (``worker_retries``) and pool
+    #: rebuilds its attempts lived through (``pool_rebuilds``).
     worker_retries: int = 0
     pool_rebuilds: int = 0
-    handoff_fallbacks: int = 0
 
     def record_node(self, depth: int) -> None:
         """Record entry into a branch-and-bound node at the given depth."""
@@ -173,7 +170,6 @@ class SearchStats:
         self.prepared_cache_misses += other.prepared_cache_misses
         self.worker_retries += other.worker_retries
         self.pool_rebuilds += other.pool_rebuilds
-        self.handoff_fallbacks += other.handoff_fallbacks
 
 
 #: Step labels reported by the sparse framework (Table 5, column "hbvMBB").

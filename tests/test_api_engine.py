@@ -63,8 +63,15 @@ class TestSolveGraph:
         assert result.stats.nodes <= 4
 
     def test_invalid_max_workers_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            MBBEngine(max_workers=0)
+        requests = [
+            SolveRequest(graph=GraphSpec.random(4, 4, 0.5, seed=seed), backend="dense")
+            for seed in range(2)
+        ]
+        for max_workers in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                MBBEngine(max_workers=max_workers)
+            with pytest.raises(InvalidParameterError):
+                MBBEngine().solve_many(requests, max_workers=max_workers)
 
 
 class TestCooperativeCancellation:
@@ -176,21 +183,43 @@ class TestSolveMany:
             f"req-{seed}" for seed in range(8)
         ]
 
-    def test_pool_matches_serial(self):
-        # Acceptance criterion: >= 8 requests through the process pool,
-        # deterministic and identical to the serial execution.
-        requests = self._requests(8)
+    def _assert_pool_matches_serial(self, requests):
         engine = MBBEngine(max_workers=4)
         parallel = engine.solve_many(requests)
         serial = engine.solve_many(requests, parallel=False)
-        assert len(parallel) == len(serial) == 8
+        assert len(parallel) == len(serial) == len(requests)
         for left, right in zip(parallel, serial, strict=True):
             assert left.request == right.request
             assert left.side_size == right.side_size
             assert left.left == right.left
             assert left.right == right.right
             assert left.optimal == right.optimal
+            assert left.terminated_at == right.terminated_at
             assert left.backend == right.backend
+            for stat in (
+                "nodes",
+                "subgraphs_generated",
+                "subgraphs_pruned",
+                "subgraphs_searched",
+            ):
+                assert left.stats[stat] == right.stats[stat], stat
+
+    def test_pool_matches_serial(self):
+        # Acceptance criterion: >= 8 requests through the process pool,
+        # deterministic and identical to the serial execution.
+        self._assert_pool_matches_serial(self._requests(8))
+
+    def test_sparse_pool_matches_serial(self):
+        # The same contract on the sparse backend, whose workers prepare
+        # each graph through their own caches: every graph appears twice,
+        # so some requests hit a snapshot an earlier request left behind.
+        specs = [GraphSpec.power_law(40, 40, 3.0, seed=seed) for seed in range(3)]
+        self._assert_pool_matches_serial(
+            [
+                SolveRequest(graph=spec, backend="sparse", tag=f"pl-{index}")
+                for index, spec in enumerate(specs + specs)
+            ]
+        )
 
     def test_empty_batch(self):
         assert MBBEngine().solve_many([]) == []
@@ -244,6 +273,20 @@ class TestSolveMany:
         assert not failed.optimal and failed.side_size == 0
         # The wire codec carries the error losslessly (RPL008 contract).
         assert SolveReport.from_json(failed.to_json()) == failed
+
+    def test_unknown_dataset_is_an_invalid_parameter(self):
+        # A dataset spec that does not materialise is the caller's error,
+        # not an internal one.
+        requests = [
+            SolveRequest(graph=GraphSpec.dataset("nope"), backend="sparse"),
+            SolveRequest(graph=GraphSpec.random(6, 6, 0.5, seed=1), backend="dense"),
+        ]
+        reports = MBBEngine(max_workers=2).solve_many(requests)
+        assert [report.status for report in reports] == ["error", "ok"]
+        failed = reports[0]
+        assert failed.error is not None
+        assert failed.error.kind == "invalid_parameter"
+        assert "nope" in failed.error.message
 
     def test_serial_batch_over_one_graph_amortises_preparation(self):
         from repro.api import PreparedGraphCache

@@ -92,9 +92,22 @@ class TestSolveRequestRoundTrip:
         assert "node_budget" not in payload and "tag" not in payload
 
     def test_missing_graph_raises(self):
-        # No graph, a non-object request, and a non-object graph spec are
-        # all refused with the wire format's own error type.
-        for payload in ({"backend": "dense"}, 5, [5], {"graph": 5}):
+        # No graph, a non-object request, a non-object graph spec, a spec
+        # without a kind, malformed inline edges and mistyped scalar fields
+        # are all refused with the wire format's own error type.
+        for payload in (
+            {"backend": "dense"},
+            5,
+            [5],
+            {"graph": 5},
+            {"graph": {}},
+            {"graph": {"kind": "edges", "edges": [5]}},
+            {"graph": {"kind": "edges", "edges": [[1]]}},
+            {"graph": {"kind": "random", "n_left": 4, "n_right": 4, "density": "x"}},
+            {"graph": {"kind": "random", "n_left": True, "n_right": 4, "density": 0.5}},
+            {"graph": {"kind": "dataset", "name": "unicodelang"}, "node_budget": "5"},
+            {"graph": {"kind": "dataset", "name": "unicodelang"}, "time_budget": False},
+        ):
             with pytest.raises(InvalidParameterError):
                 SolveRequest.from_dict(payload)
 

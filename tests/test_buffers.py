@@ -1,4 +1,4 @@
-"""Flat-buffer backends: selection, round-trips, equivalence, shm lifecycle."""
+"""Flat-buffer backends: selection, round-trips, equivalence, shm round trips."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ from array import array
 
 import pytest
 
-from repro.api import (
-    GraphSpec,
-    MBBEngine,
-    PreparedGraphCache,
-    SharedPreparedExports,
-    SolveRequest,
-)
+from repro.api import MBBEngine, PreparedGraphCache
 from repro.exceptions import InvalidParameterError
 from repro.graph import buffers
 from repro.graph.bipartite import BipartiteGraph
@@ -281,51 +275,3 @@ class TestShmRoundTrip:
         handle.destroy()
         with pytest.raises(FileNotFoundError):
             attach_shared_memory(name)
-
-
-class TestShmLifecycle:
-    def test_lru_eviction_destroys_published_segment(self):
-        exports = SharedPreparedExports()
-
-        def release(fingerprint: str, prepared: PreparedGraph) -> None:
-            exports.release(fingerprint)
-
-        cache = PreparedGraphCache(capacity=1, on_evict=release)
-        first, _ = cache.get(random_bipartite(8, 8, 0.4, seed=1))
-        handle = exports.export(first)
-        attach_shared_memory(handle.name).close()
-        # A second graph evicts the first; its segment must die with it.
-        cache.get(random_bipartite(8, 8, 0.4, seed=2))
-        assert len(exports) == 0
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(handle.name)
-
-    def test_solve_many_attaches_and_shutdown_unlinks(self):
-        from repro.api.engine import _PREPARED_EXPORTS
-
-        spec = GraphSpec.random(24, 24, 0.2, seed=9)
-        requests = [
-            SolveRequest(graph=spec, backend="sparse", seed=i) for i in range(3)
-        ]
-        engine = MBBEngine(prepared_cache=PreparedGraphCache(), max_workers=2)
-        try:
-            reports = engine.solve_many(requests)
-            assert len(reports) == 3
-            sides = {report.side_size for report in reports}
-            assert len(sides) == 1
-            # One export serves the whole batch; every worker report shows
-            # the attach seeding its cache (hit, not a re-prepare).
-            assert len(_PREPARED_EXPORTS) >= 1
-            names = [
-                handle.name
-                for handle in _PREPARED_EXPORTS._handles.values()  # noqa: SLF001
-            ]
-            for report in reports:
-                assert int(report.stats.get("prepared_cache_hits", 0)) >= 1
-                assert int(report.stats.get("prepared_cache_misses", 1)) == 0
-        finally:
-            engine.shutdown()
-        assert len(_PREPARED_EXPORTS) == 0
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                attach_shared_memory(name)

@@ -193,7 +193,18 @@ class TestBatchCommand:
         assert exit_code == 2
         assert "valid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", ["[5]", '[{"graph": 5}]'])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[5]",
+            '[{"graph": 5}]',
+            '[{"graph": {}}]',
+            '[{"graph": {"kind": "edges", "edges": [5]}}]',
+            '[{"graph": {"kind": "edges", "edges": [[1]]}}]',
+            '[{"graph": {"kind": "random", "n_left": 4, "n_right": 4, "density": "x"}}]',
+            '[{"graph": {"kind": "dataset", "name": "unicodelang"}, "node_budget": "5"}]',
+        ],
+    )
     def test_batch_non_object_request_is_a_clean_error(
         self, tmp_path, capsys, payload
     ):

@@ -504,59 +504,6 @@ class TestPoolSafetyRule:
         )
         assert codes(result) == []
 
-    def test_nested_shm_attach_callable_fires(self, tmp_path):
-        source = """
-        def make_worker(name, fingerprint):
-            def attach():
-                return attach_shared_memory(name)
-
-            return attach
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == ["RPL004"]
-        assert "attach" in result.new_findings[0].message
-        assert "module level" in result.new_findings[0].message
-
-    def test_nested_from_shm_callable_fires(self, tmp_path):
-        source = """
-        def handoff(handle):
-            def receive():
-                return PreparedGraph.from_shm(handle.name, handle.fingerprint)
-
-            return receive
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == ["RPL004"]
-
-    def test_module_level_attach_callable_passes(self, tmp_path):
-        source = """
-        def attach_prepared(name, fingerprint):
-            return PreparedGraph.from_shm(name, fingerprint)
-
-        class Engine:
-            def receive(self, handle):
-                return PreparedGraph.from_shm(handle.name, handle.fingerprint)
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == []
-
-    def test_nested_attach_callable_in_tests_passes(self, tmp_path):
-        source = """
-        def test_attach(handle):
-            def receive():
-                return PreparedGraph.from_shm(handle.name, handle.fingerprint)
-
-            assert receive() is not None
-        """
-        result = lint_fixture(tmp_path, "tests/fixture.py", source, rules=["RPL004"])
-        assert codes(result) == []
-
 
 # ----------------------------------------------------------------------
 # suppressions

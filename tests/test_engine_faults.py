@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.api import (
     STATUS_OK,
     GraphSpec,
     MBBEngine,
-    PreparedGraphCache,
     RetryPolicy,
     SolveRequest,
 )
@@ -35,7 +33,6 @@ from repro.api.request import (
 )
 from repro.devtools import faults
 from repro.devtools.faults import (
-    ACTION_CORRUPT,
     ACTION_EXIT,
     ACTION_HANG,
     ACTION_RAISE,
@@ -100,7 +97,7 @@ class TestFaultSpecs:
         assert FaultSpec.from_entry(spec.to_entry()) == spec
 
     def test_entry_omits_defaults(self):
-        assert FaultSpec(point="shm.attach").to_entry() == "point=shm.attach"
+        assert FaultSpec(point="worker.solve").to_entry() == "point=worker.solve"
 
     def test_plan_env_round_trip(self):
         plan = FaultPlan.of(
@@ -422,95 +419,3 @@ class TestWorkerFaults:
         others = [r for i, r in enumerate(reports) if i != 1]
         assert all(r.status == STATUS_OK for r in others)
         _assert_no_new_shm_segments(before)
-
-
-class TestHandoffFaults:
-    def _prepared_requests(self, count=3):
-        # One power-law graph shared by the batch: the sparse backend
-        # consumes PreparedGraph, so the shm handoff is in play.
-        spec = GraphSpec.power_law(24, 24, 3.0, seed=5)
-        return [
-            SolveRequest(graph=spec, backend="sparse", tag=f"g{i}", seed=i)
-            for i in range(count)
-        ]
-
-    def test_attach_failure_degrades_to_json_reprepare(self, monkeypatch):
-        plan = FaultPlan.of(
-            FaultSpec(point="shm.attach", action=ACTION_RAISE, scope=SCOPE_WORKER)
-        )
-        monkeypatch.setenv(faults.ENV_VAR, plan.to_env())
-        before = _shm_entries()
-        engine = MBBEngine(prepared_cache=PreparedGraphCache(), max_workers=2)
-        try:
-            reports = engine.solve_many(self._prepared_requests())
-        finally:
-            engine.shutdown()
-        assert all(r.status == STATUS_OK for r in reports)
-        assert len({r.side_size for r in reports}) == 1
-        assert sum(r.stats.get("handoff_fallbacks", 0) for r in reports) >= 1
-        _assert_no_new_shm_segments(before)
-
-    def test_corrupted_segment_is_rejected_not_solved(self, monkeypatch):
-        # Corrupt the first header byte (the magic) before the first
-        # attach: format verification must reject the segment and every
-        # request must fall back to re-preparing from JSON — same
-        # answers, no solve over garbage.
-        plan = FaultPlan.of(
-            FaultSpec(
-                point="shm.attach",
-                action=ACTION_CORRUPT,
-                arg=0.0,
-                scope=SCOPE_WORKER,
-            )
-        )
-        monkeypatch.setenv(faults.ENV_VAR, plan.to_env())
-        before = _shm_entries()
-        engine = MBBEngine(prepared_cache=PreparedGraphCache(), max_workers=2)
-        try:
-            reports = engine.solve_many(self._prepared_requests())
-        finally:
-            engine.shutdown()
-        assert all(r.status == STATUS_OK for r in reports)
-        assert sum(r.stats.get("handoff_fallbacks", 0) for r in reports) >= 1
-        baseline = MBBEngine().solve_many(self._prepared_requests(), parallel=False)
-        assert [r.side_size for r in reports] == [r.side_size for r in baseline]
-        _assert_no_new_shm_segments(before)
-
-    def test_export_failure_degrades_to_plain_json_submit(self):
-        # Parent-side fault: arm in-process (no env, no worker scope).
-        engine = MBBEngine(prepared_cache=PreparedGraphCache(), max_workers=2)
-        try:
-            with FaultPlan.of(
-                FaultSpec(point="shm.export", action=ACTION_RAISE, times=99)
-            ):
-                reports = engine.solve_many(self._prepared_requests())
-            stats = engine.prepared_cache.stats()
-        finally:
-            engine.shutdown()
-        assert all(r.status == STATUS_OK for r in reports)
-        assert stats["handoff_degradations"] >= 1
-
-    def test_unexpected_export_failure_warns_and_degrades(self):
-        engine = MBBEngine(prepared_cache=PreparedGraphCache())
-        request = self._prepared_requests(1)[0]
-
-        def explode(graph):
-            raise RuntimeError("disk on fire")
-
-        engine.prepared_cache.get = explode
-        with pytest.warns(RuntimeWarning, match="RuntimeError"):
-            handle = engine._shm_handle_for(request)
-        assert handle is None
-        assert engine.prepared_cache.stats()["handoff_degradations"] == 1
-        engine.shutdown()
-
-    def test_expected_export_failure_is_silent(self):
-        engine = MBBEngine(prepared_cache=PreparedGraphCache())
-        request = self._prepared_requests(1)[0]
-        with FaultPlan.of(FaultSpec(point="shm.export", action=ACTION_RAISE)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                handle = engine._shm_handle_for(request)
-        assert handle is None
-        assert engine.prepared_cache.stats()["handoff_degradations"] == 1
-        engine.shutdown()
