@@ -122,7 +122,9 @@ def heuristic_gaps(
     global_side = outcome.best.side_size
     local_side = global_side
     if not outcome.proven_optimal:
-        bridge = bridge_mbb(outcome.reduced_graph, context)
+        bridge = bridge_mbb(
+            outcome.reduced_graph, context, prepared=outcome.residual
+        )
         local_side = max(local_side, bridge.best.side_size)
     if optimum is None:
         exact: MBBResult = hbv_mbb(

@@ -6,8 +6,12 @@ subgraph of minimum degree ``k``.  The implementation is the linear-time
 bucket-peeling algorithm of Batagelj and Zaveršnik, which the paper relies
 on for its Lemma 4/5 reductions and its degeneracy-order ablation (``bd5``).
 
-Vertices are addressed as ``(side, label)`` pairs throughout this module so
-left/right label collisions cannot occur.
+Vertices are addressed as ``(side, label)`` pairs in the label-keyed
+functions so left/right label collisions cannot occur.
+:func:`flat_core_numbers` runs the same peel over the dense ids of a
+:class:`~repro.graph.csr.CSRBipartite` snapshot instead; it is what
+:meth:`repro.graph.prepared.PreparedGraph.core_numbers` memoises for the
+sparse framework's S1 stage.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
+from repro.graph.buffers import as_int_list
+from repro.graph.csr import CSRBipartite
 
 VertexKey = Tuple[str, Vertex]
 
@@ -87,6 +93,56 @@ def core_numbers(graph: BipartiteGraph) -> Dict[VertexKey, int]:
         if pointer > 0:
             pointer -= 1
     return core
+
+
+def flat_core_numbers(csr: CSRBipartite) -> List[int]:
+    """Core number of every dense id of a CSR snapshot, as an id-indexed list.
+
+    The flat counterpart of :func:`core_numbers`: the same linear-time
+    peel, with the buckets kept as one id array ``vert`` sorted by
+    remaining degree, each id's slot ``pos`` in it and each bucket's
+    first slot ``start``.  Lowering a neighbour's degree swaps it to the
+    front of its bucket and moves that bucket's start one slot right, so
+    every update is O(1) list work: no tuple keys, no hashing, no stale
+    bucket entries.  Core numbers are unique, so the result equals
+    :func:`core_numbers` read in ``csr.keys`` order.
+    """
+    n = csr.num_vertices
+    indptr = as_int_list(csr.indptr)
+    indices = as_int_list(csr.indices)
+    degree = [indptr[i + 1] - indptr[i] for i in range(n)]
+    max_degree = max(degree, default=0)
+    start = [0] * (max_degree + 2)
+    for d in degree:
+        start[d + 1] += 1
+    for d in range(max_degree + 1):
+        start[d + 1] += start[d]
+    free = start[:]
+    pos = [0] * n
+    vert = [0] * n
+    for v, d in enumerate(degree):
+        slot = free[d]
+        free[d] = slot + 1
+        pos[v] = slot
+        vert[slot] = v
+    for v in vert:
+        # ``vert`` is rearranged only at slots after the one being read,
+        # so iterating it in place visits the ids in peel order.
+        dv = degree[v]
+        for u in indices[indptr[v] : indptr[v + 1]]:
+            du = degree[u]
+            if du > dv:
+                slot = pos[u]
+                first = start[du]
+                w = vert[first]
+                if w != u:
+                    vert[first] = u
+                    pos[u] = first
+                    vert[slot] = w
+                    pos[w] = slot
+                start[du] = first + 1
+                degree[u] = du - 1
+    return degree
 
 
 def degeneracy(graph: BipartiteGraph) -> int:

@@ -39,11 +39,13 @@ IndexedBitGraph` (and by machine check — RPL005).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
 from repro.graph.buffers import (
     IntBuffer,
+    as_int_list,
     buffer_view,
     freeze_buffer,
     pickleable_buffer,
@@ -123,6 +125,37 @@ class CSRBipartite:
             indices.extend(sorted(left_id[u] for u in graph.neighbors_right(v)))
             indptr[num_left + j + 1] = len(indices)
         return cls(keys, indptr, indices, num_left)
+
+    def induced(self, keep: Sequence[bool]) -> "CSRBipartite":
+        """The snapshot of the subgraph induced by the ids flagged in ``keep``.
+
+        Kept ids are renumbered in ascending order, so the child's id
+        order is the parent's restricted to the survivors — exactly the
+        ``(side, repr(label))`` order :meth:`from_bipartite` would assign
+        to the induced subgraph — and every row stays sorted because the
+        renumbering is monotone.  One pass over the flat arrays; nothing
+        is re-sorted or hashed.
+        """
+        indptr = as_int_list(self.indptr)
+        rows = as_int_list(self.indices)
+        new_id = [-1] * len(self.keys)
+        kept = [i for i, flag in enumerate(keep) if flag]
+        for new, old in enumerate(kept):
+            new_id[old] = new
+        child_indptr = [0] * (len(kept) + 1)
+        child_indices: List[int] = []
+        for new, old in enumerate(kept):
+            child_indices.extend(
+                new_id[j] for j in rows[indptr[old] : indptr[old + 1]] if keep[j]
+            )
+            child_indptr[new + 1] = len(child_indices)
+        keys = self.keys
+        return CSRBipartite(
+            [keys[i] for i in kept],
+            child_indptr,
+            child_indices,
+            bisect_left(kept, self.num_left),
+        )
 
     # ------------------------------------------------------------------
     # queries

@@ -17,9 +17,13 @@ bundle:
   re-peels;
 * the position-space adjacency views (:meth:`PreparedGraph.order_view`)
   the CSR centred-subgraph generator walks;
-* prepared snapshots of core-reduction residuals
-  (:meth:`PreparedGraph.for_subgraph`), so S1's Lemma 4 reduction only
-  triggers a re-index when it actually shrinks the graph.
+* the core number of every vertex (:meth:`PreparedGraph.core_numbers`),
+  from one flat bucket peel: S1's degree and core seeds, its Lemma 5
+  degeneracy exit and its Lemma 4 reductions all read this one list;
+* the ``k``-core residual snapshots (:meth:`PreparedGraph.for_subgraph`),
+  memoised by ``k``.  A residual's CSR is cut from the parent's arrays
+  and it inherits the parent's core numbers, so a warm solve runs no
+  peel and builds no graph in S1, and a cold one peels once.
 
 All flat arrays live in the typed buffers of :mod:`repro.graph.buffers`,
 which is what makes a bundle *shippable*: :meth:`PreparedGraph.to_shm`
@@ -58,6 +62,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import struct
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
@@ -97,11 +102,10 @@ def ensure_prepared_for(
             "one passed alongside it"
         )
 
-#: How many core-reduction residual snapshots one bundle memoises.  The
-#: residual chain of a deterministic solve has very few distinct sizes
-#: (the heuristic finds the same incumbent every time), so a handful of
-#: slots amortises repeated solves without letting an adversarial caller
-#: grow the bundle without bound.
+#: How many ``k``-core residual snapshots one bundle memoises.  A
+#: deterministic solve asks for the same one or two ``k`` every time (the
+#: heuristic finds the same incumbent), so a handful of slots amortises
+#: repeated solves without letting a caller grow the bundle without bound.
 _MAX_CHILDREN = 4
 
 #: Segment format tag; bump on any layout change so a stale attacher
@@ -207,6 +211,7 @@ class PreparedGraph:
         "_orders",
         "_views",
         "_bicore",
+        "_cores",
         "_children",
         "_shm",
     )
@@ -225,7 +230,8 @@ class PreparedGraph:
         self._bicore: Optional[
             Tuple[Dict[VertexKey, int], List[VertexKey]]
         ] = None
-        self._children: Dict[Tuple[int, int, int], "PreparedGraph"] = {}
+        self._cores: Optional[List[int]] = None
+        self._children: Dict[int, "PreparedGraph"] = {}
         #: The attached shared-memory segment keeping this bundle's
         #: zero-copy buffers alive, when it came from :meth:`from_shm`.
         #: Declared *after* every buffer-holding slot so refcount
@@ -277,6 +283,20 @@ class PreparedGraph:
 
             self._bicore = flat_bicore_decomposition(self)
         return self._bicore
+
+    def core_numbers(self) -> List[int]:
+        """Core number of every dense id (one flat bucket peel, cached).
+
+        :func:`repro.cores.core.flat_core_numbers` over this bundle's CSR,
+        run at most once per bundle; a :meth:`for_subgraph` residual is
+        born with its list already set.  The returned list is the
+        memoised object: treat it as immutable.
+        """
+        if self._cores is None:
+            from repro.cores.core import flat_core_numbers
+
+            self._cores = flat_core_numbers(self.csr)
+        return self._cores
 
     def search_order(self, order: str) -> List[VertexKey]:
         """The requested total search order (memoised per order name).
@@ -345,33 +365,48 @@ class PreparedGraph:
     # ------------------------------------------------------------------
     # residual snapshots
     # ------------------------------------------------------------------
-    def for_subgraph(self, residual: BipartiteGraph) -> "PreparedGraph":
-        """A prepared snapshot for a reduction residual of this graph.
+    def for_subgraph(self, k: int) -> "PreparedGraph":
+        """The prepared snapshot of this graph's ``k``-core (a Lemma 4 residual).
 
-        Returns ``self`` when ``residual`` has this graph's exact shape
-        (the Lemma 4 reduction removed nothing — induced subgraphs of one
-        graph are determined by their vertex sets, so equal counts mean
-        equal content).  Otherwise the residual's own snapshot is
-        prepared and memoised, keyed by its shape: the ``k``-cores of one
-        graph are nested, so within one reduction chain the shape
-        identifies the residual — and a full equality check guards the
-        lookup anyway, because this bundle may outlive a single solve in
-        the engine cache.
+        Returns ``self`` when every vertex has core number at least ``k``
+        (the reduction removes nothing).  Otherwise the residual is built
+        once and memoised by ``k``; a ``k``-core of one graph is unique, so
+        the key alone identifies it.
+
+        * Its CSR is :meth:`CSRBipartite.induced` on the vertices with
+          core number ``>= k``: the child's ids are this bundle's
+          surviving ids in the same order.
+        * It inherits ``[c for c in cores if c >= k]`` as its core
+          numbers: a vertex of the ``k``-core has the same core number
+          there as in the whole graph, so it never needs a peel.
+        * Its label-keyed graph is built exactly like
+          :func:`repro.cores.core.k_core` builds it from this bundle's
+          graph (a set comprehension over the vertices in insertion
+          order, then ``induced_subgraph``).  The ``sets`` kernel and the
+          degeneracy order iterate that graph in insertion order, so a
+          chain of reductions is taken as ``for_subgraph`` on the
+          previous residual, never on the root.
         """
-        shape = (residual.num_left, residual.num_right, residual.num_edges)
-        if shape == (
-            self.graph.num_left,
-            self.graph.num_right,
-            self.graph.num_edges,
-        ):
+        cores = self.core_numbers()
+        if k <= min(cores, default=k):
             return self
-        child = self._children.get(shape)
-        if child is not None and child.graph == residual:
-            return child
-        child = PreparedGraph.prepare(residual)
-        if len(self._children) >= _MAX_CHILDREN:
-            self._children.pop(next(iter(self._children)))
-        self._children[shape] = child
+        child = self._children.get(k)
+        if child is None:
+            keep = [core >= k for core in cores]
+            num_left = self.csr.num_left
+            labels = self.labels
+            left = set(compress(labels[:num_left], keep[:num_left]))
+            right = set(compress(labels[num_left:], keep[num_left:]))
+            graph = self.graph
+            residual = graph.induced_subgraph(
+                {u for u in graph.left_vertices() if u in left},
+                {v for v in graph.right_vertices() if v in right},
+            )
+            child = PreparedGraph(residual, self.csr.induced(keep))
+            child._cores = [core for core in cores if core >= k]
+            if len(self._children) >= _MAX_CHILDREN:
+                self._children.pop(next(iter(self._children)))
+            self._children[k] = child
         return child
 
     # ------------------------------------------------------------------

@@ -11,6 +11,16 @@ Two greedy seeds are provided, following the paper: the global maximum
 extension routine, which grows the lagging side of the biclique by the
 candidate that preserves the most opposite-side candidates.
 
+:func:`h_mbb` runs on the :class:`~repro.graph.prepared.PreparedGraph`
+snapshot the engine already holds.  One memoised core peel answers the
+core seeds, the Lemma 5 degeneracy test and every Lemma 4 residual, and
+each residual is a snapshot memoised by ``k`` on its parent, so a warm
+solve runs no peel and builds no graph in S1.  The greedy itself stays on
+the label-keyed graph's C-level set intersections (:func:`greedy_extend`),
+for both kernels.  The label-keyed seed helpers (:func:`degree_heuristic`,
+:func:`core_heuristic`) rank seeds the same way and serve the ``sets``
+ablation of the bridging stage, the adapted baselines and the benches.
+
 The greedy extension and the core-seeded heuristic also exist in a
 mask-native form (:func:`greedy_extend_bits` / :func:`core_heuristic_bits`)
 operating on :class:`~repro.graph.bitset.IndexedBitGraph` rows; the
@@ -22,14 +32,18 @@ extensions.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import islice
+from operator import neg, sub
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
 from repro.graph.bitset import IndexedBitGraph, core_numbers_masks, iter_bits
-from repro.cores.core import core_numbers, degeneracy
+from repro.graph.prepared import PreparedGraph, ensure_prepared_for
+from repro.cores.core import core_numbers
 from repro.mbb.context import SearchAborted, SearchContext
-from repro.mbb.reductions import core_reduce
 from repro.mbb.result import Biclique
 
 VertexKey = Tuple[str, Vertex]
@@ -280,13 +294,20 @@ class HMBBOutcome:
     """Result of the heuristic-and-reduction stage (Algorithm 5)."""
 
     best: Biclique
-    reduced_graph: BipartiteGraph
+    #: Prepared snapshot of the residual graph after the Lemma 4
+    #: reductions (the input's own snapshot when nothing was removed).
+    residual: PreparedGraph
     proven_optimal: bool
+
+    @property
+    def reduced_graph(self) -> BipartiteGraph:
+        """The residual graph itself (the label-keyed graph of :attr:`residual`)."""
+        return self.residual.graph
 
     @property
     def exhausted(self) -> bool:
         """True when the reduction removed the entire residual graph."""
-        return self.reduced_graph.num_vertices == 0
+        return self.residual.csr.num_vertices == 0
 
 
 def h_mbb(
@@ -294,12 +315,13 @@ def h_mbb(
     *,
     top_r: int = 5,
     context: Optional[SearchContext] = None,
+    prepared: Optional[PreparedGraph] = None,
 ) -> HMBBOutcome:
     """Algorithm 5: heuristics, Lemma 4 reductions and Lemma 5 early exit.
 
-    Returns the best balanced biclique found, the residual graph after the
-    core-based reductions, and whether the Lemma 5 condition already proves
-    the incumbent optimal.
+    Returns the best balanced biclique found, the prepared snapshot of the
+    residual graph after the core-based reductions, and whether the
+    Lemma 5 condition already proves the incumbent optimal.
 
     Lemma 5 states that a balanced biclique with side size ``k`` forces
     degeneracy at least ``k``, so ``δ(G) <= |A*|`` certifies the incumbent
@@ -311,52 +333,104 @@ def h_mbb(
     dead code.  With the pre-reduction comparison, S1 can terminate the
     whole search while the residual graph is still nonempty.
 
+    The stage runs on ``prepared`` (prepared here when not given, and
+    charged to the ``prepare_seconds`` stat): one memoised core peel
+    (:meth:`~repro.graph.prepared.PreparedGraph.core_numbers`) gives the
+    degeneracy and the core seeds, and each Lemma 4 residual is the
+    memoised :meth:`~repro.graph.prepared.PreparedGraph.for_subgraph`
+    snapshot, so a repeated solve of one graph re-derives nothing here.
+    Seeds rank by ``(-degree, id)`` and ``(-core, id)``; dense ids are the
+    ``(side, repr(label))`` order, the tie-break of :func:`degree_heuristic`
+    and :func:`core_heuristic`.  Each seed is grown by the set-based
+    :func:`greedy_extend` on the label-keyed graph of its snapshot.
+
     Budgets are enforced: every greedy seed polls ``context.checkpoint()``,
     so an engine deadline or cancellation hook stops the stage between two
-    seed extensions.  On abort the incumbent found so far is returned with
-    ``proven_optimal=False`` and ``context.aborted`` set — callers such as
-    :func:`repro.mbb.sparse.hbv_mbb` report ``optimal=False`` from it.
+    seed extensions, and every seed's biclique is offered to the incumbent
+    as soon as it is found.  On abort the incumbent found so far is
+    returned with ``proven_optimal=False`` and ``context.aborted`` set —
+    callers such as :func:`repro.mbb.sparse.hbv_mbb` report
+    ``optimal=False`` from it.
     """
+    if top_r < 0:
+        raise InvalidParameterError(f"top_r must be non-negative, got {top_r}")
     if context is None:
         context = SearchContext()
+    if prepared is None:
+        with context.timed_stat("prepare_seconds"):
+            prepared = PreparedGraph.prepare(graph)
+    else:
+        ensure_prepared_for(prepared, graph)
     try:
-        return _h_mbb(graph, top_r, context)
+        return _h_mbb(prepared, top_r, context)
     except SearchAborted:
-        return HMBBOutcome(context.best, graph, False)
+        return HMBBOutcome(context.best, prepared, False)
+
+
+def _extend_seeds(
+    prepared: PreparedGraph,
+    negated_scores: Iterable[int],
+    top_r: int,
+    context: SearchContext,
+) -> None:
+    """Grow a greedy biclique from each of the ``top_r`` best-scored ids.
+
+    ``negated_scores`` holds ``-score`` per dense id, so plain
+    ``(-score, id)`` tuple order ranks seeds by descending score with ties
+    to the smallest id, with no per-vertex key function.  Each seed polls
+    the checkpoint first and offers its biclique as soon as it is found.
+    """
+    graph = prepared.graph
+    keys = prepared.csr.keys
+    ranked = zip(negated_scores, range(len(keys)), strict=True)
+    for _, seed in heapq.nsmallest(top_r, ranked):
+        context.checkpoint()
+        side, label = keys[seed]
+        context.offer_biclique(greedy_extend(graph, side, label))
+
+
+def _reduce(
+    prepared: PreparedGraph, context: SearchContext
+) -> PreparedGraph:
+    """Lemma 4: the ``(best_side + 1)``-core snapshot of ``prepared``."""
+    with context.timed_stat("prepare_seconds"):
+        return prepared.for_subgraph(context.best_side + 1)
 
 
 def _h_mbb(
-    graph: BipartiteGraph, top_r: int, context: SearchContext
+    prepared: PreparedGraph, top_r: int, context: SearchContext
 ) -> HMBBOutcome:
     """Budget-unaware body of :func:`h_mbb` (checkpoints may raise)."""
-    # Degree-based heuristic; Lemma 5 check on the *input* graph.
-    best = degree_heuristic(graph, top_r=top_r, context=context)
-    context.offer_biclique(best)
+    # Degree-seeded heuristic; Lemma 5 check on the *input* graph, whose
+    # degeneracy is its maximum core number.
+    indptr = prepared.csr.indptr
+    _extend_seeds(
+        prepared, map(sub, indptr, islice(indptr, 1, None)), top_r, context
+    )
     context.stats.heuristic_side = max(
         context.stats.heuristic_side, context.best_side
     )
-    if context.best_side > 0 and degeneracy(graph) <= context.best_side:
-        return HMBBOutcome(context.best, graph, True)
-    reduced = core_reduce(graph, context.best_side)
-    if reduced.num_vertices == 0:
-        return HMBBOutcome(context.best, reduced, True)
+    degeneracy = max(prepared.core_numbers(), default=0)
+    if context.best_side > 0 and degeneracy <= context.best_side:
+        return HMBBOutcome(context.best, prepared, True)
+    residual = _reduce(prepared, context)
+    if residual.csr.num_vertices == 0:
+        return HMBBOutcome(context.best, residual, True)
 
-    # Core-based heuristic on the reduced graph; Lemma 5 check against the
-    # degeneracy of that (pre-second-reduction) graph, then reduce again.
-    # The heuristic offers its seeds to the context as it goes, so an
-    # improvement is detected by comparing side sizes, not by the offer.
-    cores = core_numbers(reduced)
+    # Core-seeded heuristic on the residual.  A nonempty residual keeps the
+    # vertices of maximum core number, so its degeneracy is still
+    # ``degeneracy``: the Lemma 5 check is repeated against the improved
+    # incumbent before the second reduction.
     side_before = context.best_side
-    improved = core_heuristic(reduced, top_r=top_r, cores=cores, context=context)
-    context.offer_biclique(improved)
+    _extend_seeds(residual, map(neg, residual.core_numbers()), top_r, context)
     if context.best_side > side_before:
         context.stats.heuristic_side = max(
             context.stats.heuristic_side, context.best_side
         )
-        if max(cores.values(), default=0) <= context.best_side:
-            return HMBBOutcome(context.best, reduced, True)
-        reduced = core_reduce(reduced, context.best_side)
-        if reduced.num_vertices == 0:
-            return HMBBOutcome(context.best, reduced, True)
+        if degeneracy <= context.best_side:
+            return HMBBOutcome(context.best, residual, True)
+        residual = _reduce(residual, context)
+        if residual.csr.num_vertices == 0:
+            return HMBBOutcome(context.best, residual, True)
 
-    return HMBBOutcome(context.best, reduced, False)
+    return HMBBOutcome(context.best, residual, False)

@@ -3,12 +3,18 @@
 The framework chains three stages that share a single incumbent:
 
 * **S1 — heuristic and reduction** (:func:`repro.mbb.heuristics.h_mbb`):
-  greedy heuristics, Lemma 4 core reductions and the Lemma 5 early exit.
+  greedy heuristics, Lemma 4 core reductions and the Lemma 5 early exit,
+  all answered by one memoised core peel of the prepared snapshot.
 * **S2 — bridging** (:func:`repro.mbb.bridge.bridge_mbb`): vertex-centred
   subgraphs along the bidegeneracy order, pruned by size / degeneracy and
   refined by a local heuristic.
 * **S3 — verification** (:func:`repro.mbb.verify.verify_mbb`): the dense
   solver applied to every surviving subgraph with its centre forced in.
+
+The stages share one :class:`~repro.graph.prepared.PreparedGraph`: the
+caller's (the engine cache's) or one prepared on entry.  S1 reduces it to
+a residual snapshot memoised on the bundle, and S2 and S3 run on that
+snapshot's graph, CSR arrays and memoised search order.
 
 Every switch the paper ablates in Table 6 is exposed through
 :class:`SparseConfig`: the heuristic stage (``bd1``), core/bicore based
@@ -21,9 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.prepared import PreparedGraph, ensure_prepared_for
 from repro.cores.orders import (
+    ALL_ORDERS,
     ORDER_BIDEGENERACY,
     ORDER_DEGENERACY,
     ORDER_DEGREE,
@@ -34,9 +42,9 @@ from repro.mbb.dense import (
     BRANCH_NAIVE,
     BRANCH_TRIVIALITY_LAST,
     KERNEL_BITS,
+    _check_kernel,
 )
 from repro.mbb.heuristics import h_mbb
-from repro.mbb.reductions import core_reduce
 from repro.mbb.result import (
     Biclique,
     MBBResult,
@@ -72,6 +80,19 @@ class SparseConfig:
     #: Optional safety budgets forwarded to the search context.
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # Validate up front: S1 alone can end a solve, so a bad order or
+        # kernel would otherwise pass silently whenever S2 never runs.
+        if self.order not in ALL_ORDERS:
+            raise InvalidParameterError(
+                f"unknown search order {self.order!r}; expected one of {ALL_ORDERS}"
+            )
+        _check_kernel(self.kernel)
+        if self.heuristic_seeds < 0:
+            raise InvalidParameterError(
+                f"heuristic_seeds must be non-negative, got {self.heuristic_seeds}"
+            )
 
     @property
     def effective_order(self) -> str:
@@ -128,12 +149,14 @@ def hbv_mbb(
     prepared:
         Optional :class:`~repro.graph.prepared.PreparedGraph` of exactly
         ``graph`` (what :class:`~repro.api.engine.MBBEngine` hands in
-        from its per-graph cache).  The bridging stage then reuses the
-        snapshot's memoised order and CSR arrays; a fresh snapshot is
-        prepared only when the S1 core reduction actually shrank the
-        graph (and is memoised on the bundle, so repeated solves skip
-        even that).  The time spent locating/re-preparing snapshots is
-        recorded as the ``prepare_seconds`` stage stat.
+        from its per-graph cache); prepared here when not given.  S1
+        runs on its memoised core numbers, and each Lemma 4 reduction
+        is a residual snapshot memoised on the bundle
+        (:meth:`~repro.graph.prepared.PreparedGraph.for_subgraph`) that
+        goes straight to S2, so a repeated solve re-derives nothing
+        before the bridging stage.  The time spent preparing or
+        locating snapshots is recorded as the ``prepare_seconds`` stage
+        stat.
 
     Returns
     -------
@@ -141,23 +164,33 @@ def hbv_mbb(
         The best balanced biclique with ``terminated_at`` set to ``"S1"``,
         ``"S2"`` or ``"S3"`` depending on which stage proved optimality.
     """
-    if prepared is not None:
-        ensure_prepared_for(prepared, graph)
     if context is None:
         context = SearchContext(
             node_budget=config.node_budget, time_budget=config.time_budget
         )
+    if prepared is None:
+        with context.timed_stat("prepare_seconds"):
+            prepared = PreparedGraph.prepare(graph)
+    else:
+        ensure_prepared_for(prepared, graph)
     if initial_best is not None:
         context.offer_biclique(initial_best)
 
     # ------------------------------------------------------------------
     # Step 1: heuristics and reduction.
     # ------------------------------------------------------------------
-    residual = graph
+    # One prepared snapshot backs the whole solve: S1 reduces it to a
+    # residual snapshot (memoised on the bundle), and that snapshot's own
+    # graph, CSR arrays and memoised order feed S2 and S3.
+    residual = prepared
     if config.use_heuristic:
-        outcome = h_mbb(graph, top_r=config.heuristic_seeds, context=context)
-        context.offer_biclique(outcome.best)
-        residual = outcome.reduced_graph
+        outcome = h_mbb(
+            prepared.graph,
+            top_r=config.heuristic_seeds,
+            context=context,
+            prepared=prepared,
+        )
+        residual = outcome.residual
         if context.aborted:
             # A budget or cancellation fired between greedy seeds; the
             # incumbent is best-effort, not proven optimal.
@@ -177,29 +210,14 @@ def hbv_mbb(
                 elapsed_seconds=context.elapsed,
             )
     elif config.use_core_pruning and context.best_side > 0:
-        residual = core_reduce(graph, context.best_side)
+        with context.timed_stat("prepare_seconds"):
+            residual = prepared.for_subgraph(context.best_side + 1)
 
     # ------------------------------------------------------------------
     # Step 2: bridge to small dense subgraphs.
     # ------------------------------------------------------------------
-    # One prepared snapshot backs the whole stage.  A caller-supplied
-    # bundle (the engine cache) is reused as long as the S1 reduction
-    # removed nothing; when it did shrink the graph, the residual's own
-    # snapshot is prepared — and memoised on the bundle, so a repeated
-    # solve of the same graph re-prepares nothing.  Either way the wall
-    # time of locating/building the snapshot is the ``prepare_seconds``
-    # stage stat.
     total_order = None
-    if residual.num_vertices:
-        with context.timed_stat("prepare_seconds"):
-            if prepared is None:
-                prepared = PreparedGraph.prepare(residual)
-            else:
-                prepared = prepared.for_subgraph(residual)
-            # Generate from the snapshot's own graph: content-equal to the
-            # residual, and it keeps every stage downstream of S2 (member
-            # sets, bitgraphs, verification) on one consistent parent object.
-            residual = prepared.graph
+    if residual.csr.num_vertices:
         # The total search order is the stage's kernel-independent fixed
         # cost; compute it once here (memoised on the snapshot — the raw
         # memoised list is used on purpose, so the bridging stage's order
@@ -207,15 +225,15 @@ def hbv_mbb(
         # reports break the ordering overhead out of the per-subgraph
         # work (the ``bdegOrder`` column of Table 6).
         with context.timed_stat("order_seconds"):
-            total_order = prepared.search_order(config.effective_order)
+            total_order = residual.search_order(config.effective_order)
     bridge = bridge_mbb(
-        residual,
+        residual.graph,
         context,
         order=config.effective_order,
         use_core_pruning=config.use_core_pruning,
         kernel=config.kernel,
         total_order=total_order,
-        prepared=prepared,
+        prepared=residual,
     )
     if context.aborted or bridge.exhausted:
         # Either every subgraph was pruned away (exhaustion proves the

@@ -6,13 +6,21 @@ import networkx as nx
 import pytest
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph
+from repro.graph.csr import CSRBipartite
 from repro.graph.generators import (
     complete_bipartite,
     path_bipartite,
     random_bipartite,
+    random_power_law_bipartite,
     star_bipartite,
 )
-from repro.cores.core import core_numbers, degeneracy, degeneracy_order, k_core
+from repro.cores.core import (
+    core_numbers,
+    degeneracy,
+    degeneracy_order,
+    flat_core_numbers,
+    k_core,
+)
 
 
 def _to_networkx(graph: BipartiteGraph) -> nx.Graph:
@@ -55,6 +63,46 @@ class TestCoreNumbers:
         graph = BipartiteGraph(left=[1], right=[2])
         numbers = core_numbers(graph)
         assert numbers == {(LEFT, 1): 0, (RIGHT, 2): 0}
+
+
+def _assert_flat_matches(graph: BipartiteGraph) -> None:
+    csr = CSRBipartite.from_bipartite(graph)
+    numbers = core_numbers(graph)
+    assert flat_core_numbers(csr) == [numbers[key] for key in csr.keys]
+
+
+class TestFlatCoreNumbers:
+    """The CSR bucket peel equals the label-keyed peel, id by id."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, seed):
+        _assert_flat_matches(random_bipartite(12, 15, 0.3, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_power_law_graphs(self, seed):
+        _assert_flat_matches(random_power_law_bipartite(80, 60, 4.0, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_label_graphs(self, seed):
+        base = random_bipartite(10, 10, 0.35, seed=seed)
+        graph = BipartiteGraph()
+        for u, v in base.edges():
+            left = u if u % 3 == 0 else (f"u{u}" if u % 3 == 1 else ("t", u))
+            # Labels shared across sides must not collide.
+            right = v if v % 2 else f"u{v}"
+            graph.add_edge(left, right)
+        _assert_flat_matches(graph)
+
+    def test_edgeless_and_empty_graphs(self):
+        _assert_flat_matches(BipartiteGraph(left=[1, 2, 3], right=["a"]))
+        assert flat_core_numbers(CSRBipartite.from_bipartite(BipartiteGraph())) == []
+
+    def test_isolated_vertices_next_to_a_dense_block(self):
+        graph = complete_bipartite(4, 4)
+        graph.add_left_vertex("lonely")
+        graph.add_right_vertex(99)
+        graph.add_edge("lonely", 0)
+        _assert_flat_matches(graph)
 
 
 class TestDegeneracy:

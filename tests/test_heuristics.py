@@ -10,8 +10,12 @@ from repro.graph.generators import (
     complete_bipartite,
     planted_balanced_biclique,
     random_bipartite,
+    random_power_law_bipartite,
     star_bipartite,
 )
+from repro.cores.core import core_numbers, degeneracy
+from repro.exceptions import InvalidParameterError
+from repro.graph.prepared import PreparedGraph
 from repro.mbb.context import SearchAborted, SearchContext
 from repro.mbb.heuristics import (
     core_heuristic,
@@ -21,7 +25,51 @@ from repro.mbb.heuristics import (
     greedy_extend_bits,
     h_mbb,
 )
+from repro.mbb.reductions import core_reduce
 from repro.baselines.brute_force import brute_force_side_size
+
+
+def reference_h_mbb(graph: BipartiteGraph, top_r: int, context: SearchContext):
+    """The label-keyed hMBB body, kept as the oracle of the flat one.
+
+    Built only from the public label-keyed helpers: every step re-peels
+    and rebuilds the dict graph.  Returns ``(best, residual graph,
+    proven_optimal)``.
+    """
+    context.offer_biclique(degree_heuristic(graph, top_r=top_r, context=context))
+    context.stats.heuristic_side = max(
+        context.stats.heuristic_side, context.best_side
+    )
+    if context.best_side > 0 and degeneracy(graph) <= context.best_side:
+        return context.best, graph, True
+    reduced = core_reduce(graph, context.best_side)
+    if reduced.num_vertices == 0:
+        return context.best, reduced, True
+    cores = core_numbers(reduced)
+    side_before = context.best_side
+    context.offer_biclique(
+        core_heuristic(reduced, top_r=top_r, cores=cores, context=context)
+    )
+    if context.best_side > side_before:
+        context.stats.heuristic_side = max(
+            context.stats.heuristic_side, context.best_side
+        )
+        if max(cores.values(), default=0) <= context.best_side:
+            return context.best, reduced, True
+        reduced = core_reduce(reduced, context.best_side)
+        if reduced.num_vertices == 0:
+            return context.best, reduced, True
+    return context.best, reduced, False
+
+
+def _mixed_labels(graph: BipartiteGraph) -> BipartiteGraph:
+    """``graph`` relabelled with ints, strings and tuples on both sides."""
+    mixed = BipartiteGraph()
+    for u, v in graph.edges():
+        left = u if u % 3 == 0 else (f"a{u}" if u % 3 == 1 else ("t", u))
+        right = v if v % 2 else f"a{v}"
+        mixed.add_edge(left, right)
+    return mixed
 
 
 class TestGreedyExtend:
@@ -133,6 +181,61 @@ class TestHeuristicBudgets:
         # not discard that work.
         assert outcome.best.side_size > 0
         assert context.best_side == outcome.best.side_size
+
+
+class TestFlatHMBBMatchesLabelKeyedReference:
+    """The flat S1 equals the label-keyed reference step for step."""
+
+    @staticmethod
+    def _graphs():
+        yield BipartiteGraph(left=range(3), right=range(2))
+        for seed in range(12):
+            yield random_bipartite(14, 12, 0.15 + 0.03 * seed, seed=seed)
+            yield random_power_law_bipartite(60, 50, 4.0, seed=seed)
+            yield planted_balanced_biclique(
+                25, 25, 4, background_density=0.08, seed=seed
+            )
+
+    @pytest.mark.parametrize("labels", ["int", "mixed"])
+    @pytest.mark.parametrize("top_r", [0, 1, 5])
+    def test_same_witness_proof_residual_and_heuristic_side(self, labels, top_r):
+        for graph in self._graphs():
+            if labels == "mixed":
+                graph = _mixed_labels(graph)
+            expected_context = SearchContext()
+            best, residual, proven = reference_h_mbb(
+                graph, top_r, expected_context
+            )
+            context = SearchContext()
+            outcome = h_mbb(graph, top_r=top_r, context=context)
+            assert outcome.best == best
+            assert outcome.proven_optimal == proven
+            assert outcome.reduced_graph.left == residual.left
+            assert outcome.reduced_graph.right == residual.right
+            assert (
+                context.stats.heuristic_side
+                == expected_context.stats.heuristic_side
+            )
+
+    def test_residual_is_a_snapshot_of_the_reduced_graph(self):
+        graph = random_power_law_bipartite(60, 50, 4.0, seed=0)
+        prepared = PreparedGraph.prepare(graph)
+        outcome = h_mbb(graph, prepared=prepared)
+        assert not outcome.proven_optimal
+        assert outcome.residual is not prepared
+        assert outcome.reduced_graph is outcome.residual.graph
+        # A repeated call finds the memoised residual.
+        assert h_mbb(graph, prepared=prepared).residual is outcome.residual
+
+    def test_negative_top_r_is_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            h_mbb(complete_bipartite(3, 3), top_r=-1)
+
+    def test_foreign_snapshot_is_rejected(self):
+        graph = complete_bipartite(3, 3)
+        other = PreparedGraph.prepare(complete_bipartite(3, 4))
+        with pytest.raises(InvalidParameterError):
+            h_mbb(graph, prepared=other)
 
 
 class TestHMBB:

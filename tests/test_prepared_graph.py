@@ -13,8 +13,13 @@ from repro.api import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.generators import random_bipartite, random_power_law_bipartite
-from repro.graph.prepared import PreparedGraph, graph_fingerprint
+from repro.graph.generators import (
+    complete_bipartite,
+    random_bipartite,
+    random_power_law_bipartite,
+)
+from repro.graph.prepared import _MAX_CHILDREN, PreparedGraph, graph_fingerprint
+from repro.cores.core import flat_core_numbers, k_core
 from repro.cores.bicore import (
     ALL_IMPLS,
     bicore_decomposition,
@@ -118,34 +123,57 @@ class TestPreparedGraph:
             )
 
     def test_for_subgraph_returns_self_on_identical_shape(self):
-        graph = random_bipartite(8, 8, 0.4, seed=5)
+        # A k-core that removes nothing has the graph's own shape: the
+        # bundle itself is the residual snapshot.
+        graph = complete_bipartite(3, 4)
         prepared = PreparedGraph.prepare(graph)
-        assert prepared.for_subgraph(graph.copy()) is prepared
+        for k in (0, 1, 3):
+            assert prepared.for_subgraph(k) is prepared
+        assert prepared.for_subgraph(4).csr.num_vertices == 0
 
     def test_for_subgraph_prepares_and_memoises_residuals(self):
         graph = random_bipartite(10, 10, 0.4, seed=6)
         prepared = PreparedGraph.prepare(graph)
-        from repro.cores.core import k_core
-
-        residual = k_core(graph, 2)
-        assert residual.num_vertices < graph.num_vertices
-        child = prepared.for_subgraph(residual)
+        child = prepared.for_subgraph(2)
         assert child is not prepared
-        assert child.graph == residual
-        # A content-equal residual from a later solve reuses the child.
-        assert prepared.for_subgraph(k_core(graph, 2)) is child
+        assert child.graph == k_core(graph, 2)
+        # A later solve asking for the same k reuses the child.
+        assert prepared.for_subgraph(2) is child
 
-    def test_for_subgraph_rejects_content_mismatch_same_shape(self):
-        # A same-shape but different-content graph must not reuse the
-        # memoised child (the equality check must fire).
-        graph = BipartiteGraph(edges=[(1, "a"), (2, "b"), (3, "c")])
+    def test_for_subgraph_memo_is_keyed_by_k(self):
+        # A k-core of one graph is unique, so k alone keys the memo: each
+        # k gets the snapshot of exactly its own core, and the memo stays
+        # bounded however many k a caller asks for.
+        graph = random_power_law_bipartite(60, 60, 6, seed=3)
         prepared = PreparedGraph.prepare(graph)
-        first = BipartiteGraph(edges=[(1, "a"), (2, "b")])
-        other = BipartiteGraph(edges=[(1, "a"), (3, "c")])
-        child = prepared.for_subgraph(first)
-        mismatched = prepared.for_subgraph(other)
-        assert mismatched is not child
-        assert mismatched.graph == other
+        top = max(prepared.core_numbers())
+        assert top + 1 > _MAX_CHILDREN
+        children = {k: prepared.for_subgraph(k) for k in range(1, top + 2)}
+        for k, child in children.items():
+            assert child.graph == k_core(graph, k)
+        assert len(prepared._children) <= _MAX_CHILDREN
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_inherits_cores_and_csr_of_a_fresh_prepare(self, seed):
+        # A residual snapshot's CSR and inherited core numbers equal what
+        # preparing and peeling its graph from scratch gives, down a chain
+        # of two reductions, on int- and mixed-labelled graphs alike.
+        for graph in (
+            random_power_law_bipartite(70, 50, 5.0, seed=seed),
+            mixed_label_graph(seed),
+        ):
+            bundle = PreparedGraph.prepare(graph)
+            for k in (2, 3):
+                child = bundle.for_subgraph(k)
+                if child is bundle:
+                    continue
+                fresh = PreparedGraph.prepare(child.graph)
+                assert child.csr.keys == fresh.csr.keys
+                assert list(child.csr.indptr) == list(fresh.csr.indptr)
+                assert list(child.csr.indices) == list(fresh.csr.indices)
+                assert child.core_numbers() == flat_core_numbers(fresh.csr)
+                bundle = child
 
 
 class TestFingerprint:
@@ -378,6 +406,49 @@ class TestEngineCacheIntegration:
         assert warm.stats["prepare_seconds"] < 0.05
         assert warm.side_size == cold.side_size
         assert warm.left == cold.left and warm.right == cold.right
+
+    def test_warm_solve_rederives_nothing_in_s1(self, monkeypatch):
+        # jester's S1 shrinks the graph to a residual that S2 and S3 then
+        # search.  The second solve must reuse that residual snapshot
+        # without peeling or building any graph.
+        from repro.cores import core as core_module
+        from repro.mbb import sparse
+
+        engine = MBBEngine(prepared_cache=PreparedGraphCache())
+        request = SolveRequest(graph=GraphSpec.dataset("jester"), backend="sparse")
+        residuals = []
+        h_mbb = sparse.h_mbb
+
+        def recording_h_mbb(*args, **kwargs):
+            outcome = h_mbb(*args, **kwargs)
+            residuals.append(outcome.residual)
+            return outcome
+
+        monkeypatch.setattr(sparse, "h_mbb", recording_h_mbb)
+        cold = engine.solve(request)
+        graph = request.graph.materialise()
+
+        calls = []
+        peel = core_module.flat_core_numbers
+        induced = BipartiteGraph.induced_subgraph
+
+        def counting_peel(csr):
+            calls.append("peel")
+            return peel(csr)
+
+        def counting_induced(self, left, right):
+            calls.append("induced_subgraph")
+            return induced(self, left, right)
+
+        monkeypatch.setattr(core_module, "flat_core_numbers", counting_peel)
+        monkeypatch.setattr(BipartiteGraph, "induced_subgraph", counting_induced)
+        warm = engine.solve(request, graph=graph)
+        assert calls == []
+        assert warm.stats["prepared_cache_hits"] == 1
+        assert len(residuals) == 2 and residuals[1] is residuals[0]
+        assert residuals[0].csr.num_vertices < graph.num_vertices
+        assert warm.terminated_at == cold.terminated_at == "S3"
+        assert (warm.left, warm.right) == (cold.left, cold.right)
 
     def test_cache_does_not_leak_across_graphs(self):
         engine = MBBEngine(prepared_cache=PreparedGraphCache())

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import asdict, replace
+
 import pytest
 
+from repro.api import MBBEngine
+from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import (
     complete_bipartite,
@@ -12,6 +17,7 @@ from repro.graph.generators import (
     random_bipartite,
     random_power_law_bipartite,
 )
+from repro.graph.prepared import PreparedGraph
 from repro.mbb.context import SearchContext
 from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS
 from repro.mbb.result import STEP_BRIDGE, STEP_HEURISTIC, STEP_VERIFY
@@ -24,6 +30,7 @@ from repro.mbb.sparse import (
     variant,
     variant_with_budget,
 )
+from repro.workloads.datasets import load_dataset
 from repro.baselines.brute_force import brute_force_side_size
 
 
@@ -184,6 +191,78 @@ class TestSparseConfigOptions:
 
     def test_full_config_is_default(self):
         assert CONFIG_FULL == SparseConfig()
+
+
+def _shuffled_int_graph(seed: int) -> BipartiteGraph:
+    """A dense random graph with scattered int labels, edges added shuffled.
+
+    Its insertion order differs from its set order, which is what used to
+    make a solve without a snapshot diverge from one with a snapshot.
+    """
+    rng = random.Random(seed)
+    base = random_bipartite(
+        rng.randint(10, 26), rng.randint(10, 26), rng.uniform(0.35, 0.7), seed=seed
+    )
+    left = dict(
+        zip(base.left_vertices(), rng.sample(range(10**6), base.num_left), strict=True)
+    )
+    right = dict(
+        zip(base.right_vertices(), rng.sample(range(10**6), base.num_right), strict=True)
+    )
+    edges = list(base.edges())
+    rng.shuffle(edges)
+    return BipartiteGraph(edges=[(left[u], right[v]) for u, v in edges])
+
+
+def _timing_free(result):
+    stats = asdict(result.stats)
+    del stats["order_seconds"], stats["prepare_seconds"]
+    return result.biclique, result.optimal, result.terminated_at, stats
+
+
+class TestPreparedSnapshotEquivalence:
+    # Seeds include graphs on which the two paths used to disagree: a
+    # Lemma 4 reduction that removed nothing still rebuilt the graph in
+    # set order when no snapshot was passed.
+    @pytest.mark.parametrize("seed", [5, 12, 16, 17, 26, 33])
+    def test_with_and_without_snapshot_agree(self, seed):
+        graph = _shuffled_int_graph(seed)
+        for variant_config in VARIANT_CONFIGS.values():
+            for kernel in (KERNEL_BITS, KERNEL_SETS):
+                config = replace(variant_config, kernel=kernel)
+                plain = hbv_mbb(graph, config=config)
+                prepared = hbv_mbb(
+                    graph, config=config, prepared=PreparedGraph.prepare(graph)
+                )
+                assert _timing_free(plain) == _timing_free(prepared)
+
+
+class TestSparseConfigValidation:
+    """Bad values fail at construction, even where S1 alone ends the solve."""
+
+    BAD_VALUES = [{"order": "nope"}, {"kernel": "gpu"}, {"heuristic_seeds": -1}]
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_hbv_mbb_rejects(self, bad):
+        with pytest.raises(InvalidParameterError):
+            hbv_mbb(complete_bipartite(4, 4), config=SparseConfig(**bad))
+        with pytest.raises(InvalidParameterError):
+            replace(CONFIG_FULL, **bad)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_engine_solve_graph_rejects(self, bad):
+        # edit-frwiktionary ends at S1, where the bad values used to pass.
+        graph = load_dataset("edit-frwiktionary")
+        with pytest.raises(InvalidParameterError):
+            MBBEngine().solve_graph(
+                graph, backend="sparse", sparse_config=SparseConfig(**bad)
+            )
+
+    def test_zero_seeds_is_valid(self):
+        result = hbv_mbb(
+            complete_bipartite(4, 4), config=SparseConfig(heuristic_seeds=0)
+        )
+        assert result.side_size == 4 and result.optimal
 
 
 class TestOrderStageStat:
