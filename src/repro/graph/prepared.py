@@ -640,7 +640,6 @@ class OrderView:
     """
 
     __slots__ = (
-        "prepared",
         "order_ids",
         "positions",
         "row_ptr",
@@ -655,7 +654,6 @@ class OrderView:
         csr = prepared.csr
         indptr = buffer_view(csr.indptr)
         indices = buffer_view(csr.indices)
-        self.prepared = prepared
         order_ids, positions = positions_of(csr, order)
         self.order_ids: List[int] = order_ids
         self.positions: List[int] = positions

@@ -14,6 +14,20 @@ The solver computes, for each complement component, the Pareto frontier of
 sets, combines the components with a dynamic program over the frontier
 (the paper's table ``t``), adds back the "trivial" vertices with no missing
 neighbour, and returns the best achievable balanced biclique.
+
+The bitset solver bounds a node before any of that work.  By König's
+theorem an independent set of a bipartite graph has at most ``|V| - nu``
+vertices, ``nu`` being the maximum matching: ``ceil(n/2)`` on an
+``n``-vertex complement path and ``n/2`` on an (even) cycle.  With ``alpha``
+the sum of these over the components, no extension of the node has a side
+above ``(base_left + base_right + alpha) // 2``, where the bases count the
+partial sides plus the trivial candidates.  Most nodes the search hands
+over cannot beat the incumbent even by that bound, and they return
+``None`` without building a frontier.  Every frontier point picks an
+independent set, so no point exceeds the bound: a node the exit rejects
+would have returned ``None`` anyway, and every other node runs the
+unchanged program.  The label-keyed :func:`solve_polynomial_case` always
+runs the full program and serves as the reference.
 """
 
 from __future__ import annotations
@@ -328,6 +342,14 @@ def solve_polynomial_case_bits(
     as two integer masks.  No per-vertex hash sets or label tuples are
     built, which matters because dense searches spend a large share of
     their time in this polynomial case.
+
+    Before the dynamic program runs, the node is bounded from the
+    component lengths alone (see the module docstring): it returns
+    ``None`` when ``(base_left + base_right + alpha) // 2`` does not beat
+    the incumbent, ``alpha`` being the König independence number of the
+    complement.  No frontier point exceeds that bound, so the result,
+    witness included, is the one the full program gives; the exit only
+    skips the frontiers of nodes that cannot win.
     """
     adj_left = graph.adj_left
     adj_right = graph.adj_right
@@ -375,6 +397,36 @@ def solve_polynomial_case_bits(
             is_left = not is_left
         # unreachable
 
+    paths: List[List[Tuple[bool, int]]] = []
+    for i, missing in miss_left.items():
+        if visited_left >> i & 1 or missing.bit_count() > 1:
+            continue
+        paths.append(walk(True, i))
+    for j, missing in miss_right.items():
+        if visited_right >> j & 1 or missing.bit_count() > 1:
+            continue
+        paths.append(walk(False, j))
+    cycles: List[List[Tuple[bool, int]]] = []
+    for i in miss_left:
+        if not visited_left >> i & 1:
+            cycles.append(walk(True, i))
+    for j in miss_right:
+        if not visited_right >> j & 1:
+            cycles.append(walk(False, j))
+
+    base_left_mask = state.a | trivial_left_mask
+    base_right_mask = state.b | trivial_right_mask
+    base_left = base_left_mask.bit_count()
+    base_right = base_right_mask.bit_count()
+    best_side = context.best_side
+    # König exit: an independent set holds at most ceil(n/2) vertices of
+    # an n-vertex complement path and n/2 of an (even) cycle, and the
+    # balanced side is at most half the vertices picked.
+    independent = sum((len(path) + 1) // 2 for path in paths)
+    independent += sum(len(cycle) // 2 for cycle in cycles)
+    if (base_left + base_right + independent) // 2 <= best_side:
+        return None
+
     frontier: List[_MaskChoice] = [_EMPTY_MASK_CHOICE]
 
     def fold(options: List[_MaskChoice]) -> None:
@@ -387,26 +439,11 @@ def solve_polynomial_case_bits(
             ]
         )
 
-    for i, missing in miss_left.items():
-        if visited_left >> i & 1 or missing.bit_count() > 1:
-            continue
-        fold(_path_frontier_masks(walk(True, i)))
-    for j, missing in miss_right.items():
-        if visited_right >> j & 1 or missing.bit_count() > 1:
-            continue
-        fold(_path_frontier_masks(walk(False, j)))
-    for i in miss_left:
-        if not visited_left >> i & 1:
-            fold(_cycle_frontier_masks(walk(True, i)))
-    for j in miss_right:
-        if not visited_right >> j & 1:
-            fold(_cycle_frontier_masks(walk(False, j)))
+    for path in paths:
+        fold(_path_frontier_masks(path))
+    for cycle in cycles:
+        fold(_cycle_frontier_masks(cycle))
 
-    base_left_mask = state.a | trivial_left_mask
-    base_right_mask = state.b | trivial_right_mask
-    base_left = base_left_mask.bit_count()
-    base_right = base_right_mask.bit_count()
-    best_side = context.best_side
     best_choice: Optional[_MaskChoice] = None
     for choice in frontier:
         side = min(base_left + choice[0], base_right + choice[1])

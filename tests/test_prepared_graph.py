@@ -450,6 +450,27 @@ class TestEngineCacheIntegration:
         assert warm.terminated_at == cold.terminated_at == "S3"
         assert (warm.left, warm.right) == (cold.left, cold.right)
 
+    def test_cold_bundle_leaves_no_cyclic_garbage(self):
+        # The search-order view is built in S2.  A bundle and its views
+        # must be freed by reference counting alone when the engine goes,
+        # not left for the cyclic collector.
+        import gc
+
+        request = SolveRequest(
+            graph=GraphSpec.power_law(80, 80, 4.0, seed=2), backend="sparse"
+        )
+        MBBEngine(prepared_cache=PreparedGraphCache()).solve(request)
+        gc.collect()
+        gc.disable()
+        try:
+            engine = MBBEngine(prepared_cache=PreparedGraphCache())
+            report = engine.solve(request)
+            assert report.terminated_at in ("S2", "S3")
+            del engine, report
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_cache_does_not_leak_across_graphs(self):
         engine = MBBEngine(prepared_cache=PreparedGraphCache())
         reports = [
