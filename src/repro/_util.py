@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 
@@ -20,3 +21,11 @@ def ensure_recursion_limit(minimum: int) -> None:
 def recursion_headroom_for(num_vertices: int) -> int:
     """Recursion limit needed for a solver run on ``num_vertices`` vertices."""
     return 4 * num_vertices + 1000
+
+
+def is_finite_number(value: float) -> bool:
+    """``False`` for NaN, an infinity or an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._util import is_finite_number
 from repro.api.registry import SolverBackend, get_backend
 from repro.api.request import (
     ERROR_KIND_INJECTED_FAULT,
@@ -133,6 +134,9 @@ class RetryPolicy:
     in_process_fallback: bool = False
 
     def __post_init__(self) -> None:
+        _check_finite("backoff_seconds", self.backoff_seconds)
+        _check_finite("backoff_cap_seconds", self.backoff_cap_seconds)
+        _check_finite("watchdog_grace_seconds", self.watchdog_grace_seconds)
         if self.max_attempts < 1:
             raise InvalidParameterError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
@@ -229,6 +233,12 @@ def _check_max_workers(max_workers: Optional[int]) -> None:
     """Reject a worker count below one (``None`` means the default)."""
     if max_workers is not None and max_workers < 1:
         raise InvalidParameterError(f"max_workers must be positive, got {max_workers}")
+
+
+def _check_finite(name: str, seconds: Optional[float]) -> None:
+    """Reject a NaN or infinite duration (``None`` means unset)."""
+    if seconds is not None and not is_finite_number(seconds):
+        raise InvalidParameterError(f"{name} must be a finite number, got {seconds}")
 
 
 def _classify_error(exc: BaseException) -> str:
@@ -450,6 +460,7 @@ class MBBEngine:
         batch: Sequence[SolveRequest] = list(requests)
         policy = retry_policy if retry_policy is not None else RetryPolicy()
         _check_max_workers(max_workers)
+        _check_finite("watchdog_seconds", watchdog_seconds)
         if watchdog_seconds is not None and watchdog_seconds <= 0:
             raise InvalidParameterError(
                 f"watchdog_seconds must be positive, got {watchdog_seconds}"
@@ -619,7 +630,17 @@ class MBBEngine:
             return timeout
 
         try:
-            pending.extend((idx, True) for idx in range(len(batch)))
+            for idx, request in enumerate(batch):
+                try:
+                    # The watchdog limit is ``time_budget`` plus grace, so a
+                    # non-finite budget is refused here, before it reaches
+                    # the deadline arithmetic.
+                    _check_finite("time_budget", request.time_budget)
+                except InvalidParameterError as exc:
+                    attempts[idx] = 1
+                    finish(idx, _error_report(request, exc))
+                else:
+                    pending.append((idx, True))
             while index_of or pending:
                 pump()
                 if not index_of:
@@ -931,6 +952,7 @@ class MBBEngine:
             raise InvalidParameterError(
                 f"node_budget must be non-negative, got {node_budget}"
             )
+        _check_finite("time_budget", time_budget)
         if time_budget is not None and time_budget < 0:
             raise InvalidParameterError(
                 f"time_budget must be non-negative, got {time_budget}"

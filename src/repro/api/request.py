@@ -24,6 +24,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
+from repro._util import is_finite_number
 from repro.exceptions import DatasetError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.mbb.dense import KERNEL_BITS
@@ -119,7 +120,9 @@ def _check_scalar_fields(
     """Reject scalar fields of ``data`` whose JSON type is wrong.
 
     ``types`` maps a field name to a key of :data:`_WIRE_TYPES`.  ``null``
-    passes only for fields of ``cls`` whose default is ``None``.
+    passes only for fields of ``cls`` whose default is ``None``.  A number
+    must be finite: ``NaN``, ``Infinity`` and overflowing literals such
+    as ``1e400`` are rejected.
     """
     nullable = {cls_field.name for cls_field in fields(cls) if cls_field.default is None}
     for name, wire_type in types.items():
@@ -129,6 +132,10 @@ def _check_scalar_fields(
         if isinstance(value, bool) or not isinstance(value, _WIRE_TYPES[wire_type]):
             raise InvalidParameterError(
                 f"{what} field {name!r} must be {wire_type}, got {value!r}"
+            )
+        if wire_type == "a number" and not is_finite_number(value):
+            raise InvalidParameterError(
+                f"{what} field {name!r} must be a finite number, got {value!r}"
             )
 
 

@@ -32,15 +32,14 @@ Five comparisons are produced:
   two transports: the pickle round-trip
   (serialise + deserialise every flat array) against the shared-memory
   export/attach path (:meth:`~repro.graph.prepared.PreparedGraph.to_shm`
-  / :meth:`~repro.graph.prepared.PreparedGraph.from_shm`), where workers
-  map the typed buffers zero-copy.  ``seconds`` is the cold cost (build
-  the transport artifact *and* receive through it); ``warm_seconds`` is
-  the receive-only cost every additional worker or batch pays once the
-  blob/segment exists; ``bytes`` is the wire size of each transport.
-  The cold export pays one extra full copy into the segment, so it only
-  pays off from the second consumer on — the pool-relevant numbers are
-  ``warm_speedup`` (attach vs deserialise) and ``roundtrip_vs_attach``
-  (what a per-task pickling pool pays vs an attaching worker).
+  / :meth:`~repro.graph.prepared.PreparedGraph.from_shm`), whose attach
+  copies the flat arrays out of the segment into lists.  ``seconds`` is
+  the cold cost (build the transport artifact *and* receive through it);
+  ``warm_seconds`` is the receive-only cost every additional consumer
+  pays once the blob/segment exists; ``bytes`` is the wire size of each
+  transport.  No solve path uses either transport (batch workers
+  receive the JSON request and prepare the graph themselves); the rows
+  go with ``to_shm`` in the benchmark change of ROADMAP item 5.
 
 Each pair runs the same algorithm with the same tie-breaking, so dense
 rows find the same optimum (node counts differ by a few percent), bridge
@@ -64,7 +63,6 @@ from statistics import mean
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import format_table, run_backend, timed
-from repro.graph.buffers import buffer_to_bytes
 from repro.graph.prepared import PreparedGraph
 from repro.cores.bicore import IMPL_BUCKET, IMPL_HEAP, bicore_decomposition
 from repro.cores.orders import ORDER_BIDEGENERACY
@@ -145,8 +143,8 @@ DEFAULT_HANDOFF_DATASETS = DEFAULT_BRIDGE_DATASETS
 SMOKE_HANDOFF_DATASETS = ("unicodelang",)
 
 #: Transports compared by the handoff rows: pickling the whole prepared
-#: bundle per worker (ablation baseline) vs exporting one shared-memory
-#: segment that every worker attaches zero-copy.
+#: bundle per consumer vs exporting one shared-memory segment that every
+#: consumer attaches.
 HANDOFF_PICKLE = "pickle"
 HANDOFF_SHM = "shm"
 HANDOFF_TRANSPORTS = (HANDOFF_PICKLE, HANDOFF_SHM)
@@ -546,25 +544,20 @@ def run_engine_cache_comparison(
 
 
 def _handoff_equal(original: PreparedGraph, received: PreparedGraph) -> bool:
-    """True when a received bundle is byte-identical to the original.
+    """True when a received bundle equals the original.
 
     Compares the content fingerprint, the canonical vertex-key order and
-    the raw bytes of every flat array (CSR adjacency plus the
-    ``N_{<=2}`` pair) — the artifacts whose transfer the handoff rows
-    time, and exactly what downstream peels and generators consume.
+    every flat array (CSR adjacency plus the ``N_{<=2}`` pair) — the
+    artifacts whose transfer the handoff rows time, and exactly what
+    downstream peels and generators consume.
     """
-    original_ptr, original_le2 = original.n_le2
-    received_ptr, received_le2 = received.n_le2
     return (
         received.fingerprint == original.fingerprint
         and received.csr.keys == original.csr.keys
         and received.csr.num_left == original.csr.num_left
-        and buffer_to_bytes(received.csr.indptr)
-        == buffer_to_bytes(original.csr.indptr)
-        and buffer_to_bytes(received.csr.indices)
-        == buffer_to_bytes(original.csr.indices)
-        and buffer_to_bytes(received_ptr) == buffer_to_bytes(original_ptr)
-        and buffer_to_bytes(received_le2) == buffer_to_bytes(original_le2)
+        and received.csr.indptr == original.csr.indptr
+        and received.csr.indices == original.csr.indices
+        and received.n_le2 == original.n_le2
     )
 
 

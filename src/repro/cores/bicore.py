@@ -57,7 +57,6 @@ from typing import Dict, List, Set, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
-from repro.graph.buffers import IntBuffer, buffer_view, mutable_int_buffer
 from repro.graph.csr import CSRBipartite
 from repro.cores.two_hop import n_le2_adjacency, n_le2_flat
 
@@ -89,7 +88,7 @@ def _tie_break(key: VertexKey) -> Tuple[str, str]:
 # the flat engine (bucket peel and the id-space oracle)
 # ----------------------------------------------------------------------
 def _peel_bucket_flat(
-    csr: CSRBipartite, le2_ptr: IntBuffer, le2: IntBuffer
+    csr: CSRBipartite, le2_ptr: List[int], le2: List[int]
 ) -> Tuple[List[int], List[int]]:
     """Two-level bucket peel over flat arrays; returns id-space results.
 
@@ -115,21 +114,14 @@ def _peel_bucket_flat(
     """
     n = csr.num_vertices
     num_left = csr.num_left
-    indptr = buffer_view(csr.indptr)
-    le2_ptr = buffer_view(le2_ptr)
-    le2 = buffer_view(le2)
-    # Working arrays follow the active backend; every value read back out
-    # is int()-coerced before it feeds a shift or a dict key (numpy int64
-    # would overflow `1 << d` past 62 — the cells are Python bignums).
-    size = mutable_int_buffer(
-        int(le2_ptr[i + 1]) - int(le2_ptr[i]) for i in range(n)
-    )
-    deg = mutable_int_buffer(int(indptr[i + 1]) - int(indptr[i]) for i in range(n))
+    indptr = csr.indptr
+    size = [le2_ptr[i + 1] - le2_ptr[i] for i in range(n)]
+    deg = [indptr[i + 1] - indptr[i] for i in range(n)]
 
     cells: Dict[int, Dict[int, int]] = {}
     deg_mask: Dict[int, int] = {}
     for i in range(n):
-        s, d = int(size[i]), int(deg[i])
+        s, d = size[i], deg[i]
         level = cells.setdefault(s, {})
         cell = level.get(d, 0)
         if not cell:
@@ -164,11 +156,10 @@ def _peel_bucket_flat(
         processed += 1
         i_left = i < num_left
         for j in le2[le2_ptr[i] : le2_ptr[i + 1]]:
-            j = int(j)
             if not alive[j]:
                 continue
-            sj = int(size[j])
-            dj = int(deg[j])
+            sj = size[j]
+            dj = deg[j]
             level = cells[sj]
             cell = level[dj] & ~(1 << j)
             level[dj] = cell
@@ -190,7 +181,7 @@ def _peel_bucket_flat(
 
 
 def _peel_exact_flat(
-    csr: CSRBipartite, le2_ptr: IntBuffer, le2: IntBuffer
+    csr: CSRBipartite, le2_ptr: List[int], le2: List[int]
 ) -> Tuple[List[int], List[int]]:
     """Oracle peel: recount every remaining key from scratch per step.
 
@@ -199,10 +190,8 @@ def _peel_exact_flat(
     the bucket and heap peels.
     """
     n = csr.num_vertices
-    indptr = buffer_view(csr.indptr)
-    indices = buffer_view(csr.indices)
-    le2_ptr = buffer_view(le2_ptr)
-    le2 = buffer_view(le2)
+    indptr = csr.indptr
+    indices = csr.indices
     alive = bytearray([1]) * n
     bicore = [0] * n
     order: List[int] = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
-from repro.graph.buffers import as_int_list
 from repro.graph.csr import CSRBipartite
 
 VertexKey = Tuple[str, Vertex]
@@ -108,8 +107,8 @@ def flat_core_numbers(csr: CSRBipartite) -> List[int]:
     :func:`core_numbers` read in ``csr.keys`` order.
     """
     n = csr.num_vertices
-    indptr = as_int_list(csr.indptr)
-    indices = as_int_list(csr.indices)
+    indptr = csr.indptr
+    indices = csr.indices
     degree = [indptr[i + 1] - indptr[i] for i in range(n)]
     max_degree = max(degree, default=0)
     start = [0] * (max_degree + 2)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
-from repro.graph.buffers import IntBuffer, buffer_view, freeze_buffer
 from repro.graph.csr import CSRBipartite
 
 VertexKey = Tuple[str, Vertex]
@@ -81,8 +80,8 @@ def n_le2_sizes(graph: BipartiteGraph) -> Dict[VertexKey, int]:
     return sizes
 
 
-def n_le2_flat(csr: CSRBipartite) -> Tuple[IntBuffer, IntBuffer]:
-    """The ``N_{<=2}`` adjacency as flat CSR int buffers ``(indptr, indices)``.
+def n_le2_flat(csr: CSRBipartite) -> Tuple[List[int], List[int]]:
+    """The ``N_{<=2}`` adjacency as flat CSR int lists ``(indptr, indices)``.
 
     ``indices[indptr[u]:indptr[u + 1]]`` holds the dense ids of
     ``N_{<=2}(u)`` for every vertex id ``u`` of the snapshot — 1-hop
@@ -91,35 +90,28 @@ def n_le2_flat(csr: CSRBipartite) -> Tuple[IntBuffer, IntBuffer]:
     stamped with the current centre instead of a per-vertex set, so the
     whole materialisation allocates nothing but the output arrays.
 
-    The result is canonicalised through
-    :func:`~repro.graph.buffers.freeze_buffer`, so under the typed
-    backends the two arrays are flat int64 storage ready for zero-copy
-    shared-memory handoff.
-
     Time is ``O(sum_u sum_{w in N(u)} |N(w)|)`` — the common-neighbour
     multiplicity bound the paper charges for the bicore preprocessing —
     and memory is ``O(M)`` with ``M = sum_u |N_{<=2}(u)|``.
     """
     n = csr.num_vertices
-    indptr = buffer_view(csr.indptr)
-    indices = buffer_view(csr.indices)
+    indptr = csr.indptr
+    indices = csr.indices
     out_ptr = [0] * (n + 1)
     out: List[int] = []
     mark = [-1] * n
     for u in range(n):
         mark[u] = u
         for w in indices[indptr[u] : indptr[u + 1]]:
-            w = int(w)
             if mark[w] != u:
                 mark[w] = u
                 out.append(w)
             for z in indices[indptr[w] : indptr[w + 1]]:
-                z = int(z)
                 if mark[z] != u:
                     mark[z] = u
                     out.append(z)
         out_ptr[u + 1] = len(out)
-    return freeze_buffer(out_ptr), freeze_buffer(out)
+    return out_ptr, out
 
 
 def n_le2_adjacency(graph: BipartiteGraph) -> Dict[VertexKey, Set[VertexKey]]:

@@ -22,21 +22,21 @@ repository's naming convention claims) to be a prepared/CSR object —
 
 — and flags post-construction mutation through them: attribute
 assignment/``del``, element stores into the flat arrays (``keys``,
-``indptr``, ``indices``, ``labels`` and the flat-buffer order-view
-arrays), and in-place mutator calls (``append``/``sort``/``update`` …)
-on object or array alike.
+``indptr``, ``indices``, ``labels`` and the order-view arrays), and
+in-place mutator calls (``append``/``sort``/``update`` …) on object or
+array alike.
 
 The *defining* modules are exempt: constructors, factories, the
-flat-buffer backends and the internal memoisation caches
+shared-memory segment helpers and the internal memoisation caches
 (``_orders``/``_views``/``_children``) live there by design, and
 confining them is exactly what makes the contract checkable everywhere
 else.
 
 One check holds even inside the defining modules: element stores
 through a ``SharedMemory.buf`` view are allowed only in the
-``to_shm``/``from_shm`` protocol functions — an attached segment is
-mapped into every pool worker at once, so a stray write corrupts the
-graph under every concurrent solve.
+``to_shm``/``from_shm`` protocol functions — every process that
+attaches a segment reads the same bytes, so a stray write corrupts the
+graph each of them rebuilds.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ TRACKED_CLASSES = (
 )
 
 #: Files allowed to mutate: the classes' own constructors/factories,
-#: memoisation caches and the flat-buffer backends live here.
+#: memoisation caches and the shared-memory segment helpers live here.
 DEFINING_MODULES = frozenset(
     {
         "src/repro/graph/prepared.py",
@@ -74,10 +74,9 @@ SCOPE_PREFIXES = ("src/", "benchmarks/", "examples/")
 #: Conventional receiver names treated as tracked without proof.
 CONVENTION_NAMES = frozenset({"prepared", "csr"})
 
-#: Flat-array attributes shared with pool workers: the CSR adjacency,
-#: the label table, and the flat-buffer order-view arrays that
-#: ``OrderView`` publishes (typed buffers may be shared-memory views, so
-#: a store through them corrupts *every* attached process at once).
+#: Flat-array attributes shared by every solve of a cached snapshot: the
+#: CSR adjacency, the label table, and the order-view arrays that
+#: ``OrderView`` publishes.
 ARRAY_ATTRS = frozenset(
     {
         "keys",
@@ -87,7 +86,6 @@ ARRAY_ATTRS = frozenset(
         "row_ptr",
         "flat_positions",
         "flat_labels",
-        "position_rows",
         "order_ids",
         "positions",
     }
@@ -181,13 +179,12 @@ class SharedStateRule(ProjectRule):
     def _check_shm_writes(self, info: ModuleInfo) -> Iterator[Finding]:
         """Flag stores through a ``SharedMemory.buf`` view.
 
-        Attached segments are mapped into every pool worker at once, so
+        Every process that attaches a segment reads the same bytes, so
         the only sanctioned writers are the export/attach protocol
         functions (:data:`SHM_WRITER_FUNCTIONS`); a store anywhere else
-        silently corrupts the graph under every concurrently attached
-        solve.  Both ``<segment>.buf[...]`` receivers and the
-        conventional ``buf`` local a protocol function binds are
-        recognised.
+        silently corrupts the graph every attacher rebuilds.  Both
+        ``<segment>.buf[...]`` receivers and the conventional ``buf``
+        local a protocol function binds are recognised.
         """
 
         def is_buf(node: ast.AST) -> bool:
@@ -223,8 +220,8 @@ class SharedStateRule(ProjectRule):
                                     f"{_receiver_text(sub.value)}[...] writes a "
                                     f"shared-memory segment outside "
                                     f"to_shm/from_shm; segment bytes are owned "
-                                    f"by the export/attach protocol (attached "
-                                    f"workers map them zero-copy)",
+                                    f"by the export/attach protocol (every "
+                                    f"attacher reads them)",
                                 )
                             )
             for child in ast.iter_child_nodes(node):

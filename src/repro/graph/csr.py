@@ -23,14 +23,8 @@ bicore engine (:mod:`repro.cores.bicore`): comparing two vertices by id is
 exactly comparing them by ``(side, repr(label))``, which is what lets the
 bucket, heap and oracle peels agree on one total order.
 
-The arrays are flat int buffers from :mod:`repro.graph.buffers` —
-``array('q')`` by default, numpy or plain lists by backend selection.
-The typed backends store eight bytes per element in one contiguous
-allocation, ship through :mod:`multiprocessing.shared_memory` as raw
-bytes, and make :meth:`CSRBipartite.neighbors` a zero-copy
-``memoryview`` window instead of a fresh list per call.  The pure-list
-backend (``REPRO_BUFFER_BACKEND=list``) keeps the historical
-representation as the no-deps fallback.
+Both arrays are plain Python lists, the container pure-Python index
+loops run fastest on.
 
 A snapshot is immutable by convention: it does not track later mutations
 of the source graph, exactly like :class:`~repro.graph.bitset.
@@ -40,16 +34,9 @@ IndexedBitGraph` (and by machine check — RPL005).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
-from repro.graph.buffers import (
-    IntBuffer,
-    as_int_list,
-    buffer_view,
-    freeze_buffer,
-    pickleable_buffer,
-)
 
 VertexKey = Tuple[str, Vertex]
 
@@ -80,28 +67,21 @@ class CSRBipartite:
         "num_left",
         "num_right",
         "_index",
-        "_rows",
     )
 
     def __init__(
         self,
         keys: List[VertexKey],
-        indptr: Sequence[int],
-        indices: Sequence[int],
+        indptr: List[int],
+        indices: List[int],
         num_left: int,
-        *,
-        backend: Optional[str] = None,
     ) -> None:
         self.keys = keys
-        self.indptr: IntBuffer = freeze_buffer(indptr, backend)
-        self.indices: IntBuffer = freeze_buffer(indices, backend)
+        self.indptr = indptr
+        self.indices = indices
         self.num_left = num_left
         self.num_right = len(keys) - num_left
         self._index: Dict[VertexKey, int] = {key: i for i, key in enumerate(keys)}
-        # One cached slice-cheap view over the neighbour array: typed
-        # backends slice it zero-copy, the list backend falls back to
-        # list-slice semantics.
-        self._rows = buffer_view(self.indices)
 
     # ------------------------------------------------------------------
     # construction
@@ -136,8 +116,8 @@ class CSRBipartite:
         renumbering is monotone.  One pass over the flat arrays; nothing
         is re-sorted or hashed.
         """
-        indptr = as_int_list(self.indptr)
-        rows = as_int_list(self.indices)
+        indptr = self.indptr
+        rows = self.indices
         new_id = [-1] * len(self.keys)
         kept = [i for i, flag in enumerate(keep) if flag]
         for new, old in enumerate(kept):
@@ -184,34 +164,25 @@ class CSRBipartite:
 
     def degree(self, vertex: int) -> int:
         """Degree of the vertex with the given dense id."""
-        return int(self.indptr[vertex + 1]) - int(self.indptr[vertex])
+        return self.indptr[vertex + 1] - self.indptr[vertex]
 
-    def neighbors(self, vertex: int) -> Sequence[int]:
-        """Neighbour ids of ``vertex``, ascending.
+    def neighbors(self, vertex: int) -> List[int]:
+        """Neighbour ids of ``vertex``, ascending, as a fresh list.
 
-        Under the typed backends this is a zero-copy view into the flat
-        neighbour array (a ``memoryview``/ndarray slice) — iterate,
-        index or ``list(...)`` it, but do not assume list identity or
-        mutate it.  Under the list backend it is a fresh list slice, the
-        historical semantics.
+        The list is a copy: a caller may keep or mutate it without
+        touching the shared snapshot.
         """
-        return self._rows[int(self.indptr[vertex]) : int(self.indptr[vertex + 1])]
+        indptr = self.indptr
+        return self.indices[indptr[vertex] : indptr[vertex + 1]]
 
     def __len__(self) -> int:
         return len(self.keys)
 
     # ------------------------------------------------------------------
-    # pickling — drops the derived index/view state and converts any
-    # zero-copy shared-memory views back to owned arrays, so a snapshot
-    # attached via shm still crosses process boundaries when it must.
+    # pickling — drops the derived id index, which rebuilds on load.
     # ------------------------------------------------------------------
     def __getstate__(self):
-        return (
-            self.keys,
-            pickleable_buffer(self.indptr),
-            pickleable_buffer(self.indices),
-            self.num_left,
-        )
+        return (self.keys, self.indptr, self.indices, self.num_left)
 
     def __setstate__(self, state) -> None:
         keys, indptr, indices, num_left = state

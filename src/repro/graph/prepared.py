@@ -25,16 +25,16 @@ bundle:
   and it inherits the parent's core numbers, so a warm solve runs no
   peel and builds no graph in S1, and a cold one peels once.
 
-All flat arrays live in the typed buffers of :mod:`repro.graph.buffers`,
-which is what makes a bundle *shippable*: :meth:`PreparedGraph.to_shm`
+All flat arrays are plain Python lists.  :meth:`PreparedGraph.to_shm`
 publishes the CSR arrays, the ``N_{<=2}`` arrays and a pickled copy of
 the source graph into one :mod:`multiprocessing.shared_memory` segment,
-and :meth:`PreparedGraph.from_shm` attaches in another process and
-rebuilds the bundle with **zero-copy** views over the segment (under the
-typed backends; the pure-list fallback copies once and detaches).  The
-fingerprint stored in the segment is re-verified against the attached
-graph content, so a stale or mixed-up segment name can cost an error,
-never a wrong answer.
+and :meth:`PreparedGraph.from_shm` copies them back out in another
+process and closes its mapping.  The fingerprint stored in the segment
+is re-verified on attach, so a stale or mixed-up segment name can cost
+an error, never a wrong answer.  No solve path uses this transport: it
+stays only for the end-to-end benchmark's tracer and the ``bench
+kernels`` handoff rows, and goes with them in the benchmark change of
+ROADMAP item 5.
 
 The bundle is immutable in the same by-convention sense as
 :class:`CSRBipartite` and :class:`~repro.graph.bitset.IndexedBitGraph`:
@@ -68,15 +68,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.graph.buffers import (
-    IntBuffer,
-    SegmentKeepalive,
     attach_shared_memory,
     buffer_to_bytes,
-    buffer_view,
     create_shared_memory,
-    freeze_buffer,
     ints_from_buffer,
-    pickleable_buffer,
     unlink_shared_memory,
 )
 from repro.graph.csr import CSRBipartite, sorted_vertex_keys
@@ -162,7 +157,8 @@ class PreparedGraphShm:
     owns its lifecycle: :meth:`destroy` (or ``close`` + ``unlink``) must
     run exactly once when the graph leaves service, ideally inside a
     ``finally`` block so a crashed consumer cannot leak the segment.  All
-    teardown methods are idempotent.
+    teardown methods are idempotent.  Kept only for the end-to-end
+    benchmark's tracer; it goes with ``to_shm`` (ROADMAP item 5).
     """
 
     __slots__ = ("_segment", "_closed", "_unlinked", "name", "fingerprint", "nbytes")
@@ -213,7 +209,6 @@ class PreparedGraph:
         "_bicore",
         "_cores",
         "_children",
-        "_shm",
     )
 
     def __init__(self, graph: BipartiteGraph, csr: CSRBipartite) -> None:
@@ -224,7 +219,7 @@ class PreparedGraph:
         #: generator, precomputed so the hot loop never indexes tuples.
         self.labels: List[Vertex] = [key[1] for key in csr.keys]
         self._fingerprint: Optional[str] = None
-        self._le2: Optional[Tuple[IntBuffer, IntBuffer]] = None
+        self._le2: Optional[Tuple[List[int], List[int]]] = None
         self._orders: Dict[str, List[VertexKey]] = {}
         self._views: Dict[str, "OrderView"] = {}
         self._bicore: Optional[
@@ -232,11 +227,6 @@ class PreparedGraph:
         ] = None
         self._cores: Optional[List[int]] = None
         self._children: Dict[int, "PreparedGraph"] = {}
-        #: The attached shared-memory segment keeping this bundle's
-        #: zero-copy buffers alive, when it came from :meth:`from_shm`.
-        #: Declared *after* every buffer-holding slot so refcount
-        #: teardown releases the views before the segment unmaps.
-        self._shm = None
 
     # ------------------------------------------------------------------
     # construction
@@ -257,7 +247,7 @@ class PreparedGraph:
         return self._fingerprint
 
     @property
-    def n_le2(self) -> Tuple[IntBuffer, IntBuffer]:
+    def n_le2(self) -> Tuple[List[int], List[int]]:
         """The flat ``N_{<=2}`` adjacency ``(indptr, indices)`` (cached)."""
         if self._le2 is None:
             from repro.cores.two_hop import n_le2_flat
@@ -426,7 +416,10 @@ class PreparedGraph:
 
         The caller owns the returned handle's lifecycle (see
         :class:`PreparedGraphShm`); on a partially written segment the
-        segment is destroyed before the error propagates.
+        segment is destroyed before the error propagates.  No solve path
+        exports: the method stays only because the end-to-end
+        benchmark's tracer wraps it, and goes in the benchmark change of
+        ROADMAP item 5.
         """
         csr = self.csr
         le2_ptr, le2 = self.n_le2
@@ -472,26 +465,22 @@ class PreparedGraph:
         name: str,
         expected_fingerprint: Optional[str] = None,
         *,
-        backend: Optional[str] = None,
         verify_content: bool = False,
     ) -> "PreparedGraph":
         """Attach to a published segment and rebuild the bundle.
 
-        Under the typed backends the CSR and ``N_{<=2}`` buffers are
-        **views over the segment** — no per-element copy, and the
-        attached segment stays referenced by the bundle for as long as
-        the bundle lives.  The pure-list backend copies the arrays once
-        and detaches immediately.
+        The CSR and ``N_{<=2}`` arrays are copied out of the segment into
+        lists and the mapping is closed before this returns, so the
+        bundle owns its data and outlives the segment.
 
-        ``expected_fingerprint`` (the value the engine ships alongside
-        the segment name) must match the fingerprint stored in the
-        header, so attaching a stale, recycled or mixed-up segment
-        raises instead of silently solving the wrong graph.  Passing
-        ``verify_content=True`` additionally recomputes the fingerprint
-        from the attached graph itself — a full content re-hash that
-        costs as much as preparing the order arrays, so it is opt-in
-        (tests use it; the per-worker attach path, whose whole point is
-        being cheaper than a pickle round-trip, does not).  Dense ids
+        ``expected_fingerprint`` (the handle's
+        :attr:`PreparedGraphShm.fingerprint`) must match the fingerprint
+        stored in the header, so attaching a stale, recycled or mixed-up
+        segment raises instead of silently solving the wrong graph.
+        Passing ``verify_content=True`` additionally recomputes the
+        fingerprint from the attached graph itself — a full content
+        re-hash that costs as much as preparing the order arrays, so it
+        is opt-in (tests use it; the timed handoff rows do not).  Dense ids
         are rebuilt with the same canonical key sort the owner used, so
         both sides agree on every id.
         """
@@ -531,11 +520,11 @@ class PreparedGraph:
                 )
                 offset = _SHM_HEADER_LEN
 
-                def int_region(count: int) -> IntBuffer:
+                def int_region(count: int) -> List[int]:
                     nonlocal offset
                     region = buf[offset : offset + count * 8]
                     offset += count * 8
-                    return ints_from_buffer(region, backend)
+                    return ints_from_buffer(region)
 
                 indptr = int_region(n + 1)
                 indices = int_region(len_indices)
@@ -572,18 +561,10 @@ class PreparedGraph:
                     f"shared-memory segment {name!r} shape disagrees with "
                     "its graph payload"
                 )
-            csr = CSRBipartite(keys, indptr, indices, num_left, backend=backend)
-            prepared = cls(graph, csr)
-            prepared._le2 = (
-                freeze_buffer(le2_ptr, backend),
-                freeze_buffer(le2, backend),
-            )
+            prepared = cls(graph, CSRBipartite(keys, indptr, indices, num_left))
+            prepared._le2 = (le2_ptr, le2)
             prepared._fingerprint = fingerprint
-            if isinstance(indptr, list):
-                # List backend: everything was copied out; detach now.
-                segment.close()
-            else:
-                prepared._shm = SegmentKeepalive(segment)
+            segment.close()
             return prepared
         except BaseException:
             try:
@@ -594,14 +575,11 @@ class PreparedGraph:
 
     # ------------------------------------------------------------------
     # pickling — the handoff *baseline*.  Ships the graph plus the CSR
-    # and N_<=2 arrays (converting any segment views to owned arrays);
-    # memoised orders/views/residuals are derived data and rebuild lazily.
+    # and N_<=2 arrays; memoised orders/views/residuals are derived data
+    # and rebuild lazily.
     # ------------------------------------------------------------------
     def __getstate__(self):
-        le2 = self._le2
-        if le2 is not None:
-            le2 = (pickleable_buffer(le2[0]), pickleable_buffer(le2[1]))
-        return (self.graph, self.csr, self._fingerprint, le2)
+        return (self.graph, self.csr, self._fingerprint, self._le2)
 
     def __setstate__(self, state) -> None:
         graph, csr, fingerprint, le2 = state
@@ -627,12 +605,11 @@ class OrderView:
     with a comparison (on average half the neighbourhood volume, with no
     per-element test).
 
-    The rows are packed CSR-style into one flat positions buffer
+    The rows are packed CSR-style into one flat positions list
     (:attr:`flat_positions`, row ``p`` at
     ``row_ptr[p]:row_ptr[p + 1]``), with :attr:`flat_labels` the
     element-aligned label translation: a later-tail of labels is one
-    slice that feeds ``set.update`` directly, and under the typed
-    backends a later-tail of *positions* is a zero-copy view slice.
+    slice that feeds ``set.update`` directly.
 
     Building a view costs one pass over the adjacency plus per-row sorts
     (``O(|E| log dmax)``); :meth:`PreparedGraph.order_view` memoises it
@@ -644,7 +621,6 @@ class OrderView:
         "positions",
         "row_ptr",
         "flat_positions",
-        "position_rows",
         "flat_labels",
         "is_left",
         "labels",
@@ -652,8 +628,8 @@ class OrderView:
 
     def __init__(self, prepared: "PreparedGraph", order: List[VertexKey]) -> None:
         csr = prepared.csr
-        indptr = buffer_view(csr.indptr)
-        indices = buffer_view(csr.indices)
+        indptr = csr.indptr
+        indices = csr.indices
         order_ids, positions = positions_of(csr, order)
         self.order_ids: List[int] = order_ids
         self.positions: List[int] = positions
@@ -667,10 +643,8 @@ class OrderView:
                 )
             )
             row_ptr[p + 1] = len(flat_positions)
-        self.row_ptr: IntBuffer = freeze_buffer(row_ptr)
-        self.flat_positions: IntBuffer = freeze_buffer(flat_positions)
-        #: Slice-cheap view of :attr:`flat_positions` for the generator.
-        self.position_rows = buffer_view(self.flat_positions)
+        self.row_ptr: List[int] = row_ptr
+        self.flat_positions: List[int] = flat_positions
         num_left = csr.num_left
         self.is_left: List[bool] = [
             vertex < num_left for vertex in self.order_ids

@@ -261,7 +261,7 @@ def iter_vertex_centred_subgraphs_csr(
     from bisect import bisect_right
 
     view = prepared.order_view(order if isinstance(order, list) else list(order))
-    rows = view.position_rows
+    rows = view.flat_positions
     row_ptr = view.row_ptr
     flat_labels = view.flat_labels
     is_left = view.is_left
@@ -274,7 +274,7 @@ def iter_vertex_centred_subgraphs_csr(
     end = 0
     for position in range(total):
         start = end
-        end = int(row_ptr[position + 1])
+        end = row_ptr[position + 1]
         cut = bisect_right(rows, position, start, end)
         if cut == end:
             # No later neighbours: the centred subgraph is the bare
@@ -285,17 +285,15 @@ def iter_vertex_centred_subgraphs_csr(
         else:
             other_members = set(flat_labels[cut:end])
             # The 2-hop union runs entirely in C: per later neighbour,
-            # one binary search (bounded to the neighbour's row inside
-            # the flat buffer — no row is ever materialised) plus one
-            # set.update over the later-tail slice of the element-aligned
-            # label array.  Positions are only read through `rows`, the
-            # zero-copy view, so nothing row-shaped is copied per centre.
+            # one binary search bounded to the neighbour's row inside the
+            # flat positions list (the row itself is never sliced out)
+            # plus one set.update over the later-tail slice of the
+            # element-aligned label array.
             own_members = set()
             update = own_members.update
             for neighbour in rows[cut:end]:
-                neighbour = int(neighbour)
-                neighbour_start = int(row_ptr[neighbour])
-                neighbour_end = int(row_ptr[neighbour + 1])
+                neighbour_start = row_ptr[neighbour]
+                neighbour_end = row_ptr[neighbour + 1]
                 update(
                     flat_labels[
                         bisect_right(

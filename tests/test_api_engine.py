@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import solve_mbb
-from repro.api import GraphSpec, MBBEngine, SolveReport, SolveRequest
+from repro.api import GraphSpec, MBBEngine, RetryPolicy, SolveReport, SolveRequest
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import random_bipartite
 from repro.mbb.context import SearchAborted, SearchContext
@@ -55,6 +57,19 @@ class TestSolveGraph:
         graph = random_bipartite(4, 4, 0.5, seed=1)
         with pytest.raises(InvalidParameterError):
             MBBEngine().solve_graph(graph, node_budget=-1)
+        for budget in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError):
+                MBBEngine().solve_graph(graph, time_budget=budget)
+        requests = [
+            SolveRequest(graph=GraphSpec.random(4, 4, 0.5, seed=seed), backend="dense")
+            for seed in range(2)
+        ]
+        for seconds in (math.nan, math.inf):
+            for field in ("watchdog_grace_seconds", "backoff_seconds", "backoff_cap_seconds"):
+                with pytest.raises(InvalidParameterError):
+                    RetryPolicy(**{field: seconds})
+            with pytest.raises(InvalidParameterError):
+                MBBEngine().solve_many(requests, watchdog_seconds=seconds)
 
     def test_node_budget_is_enforced(self):
         graph = random_bipartite(20, 20, 0.5, seed=2)
@@ -287,6 +302,23 @@ class TestSolveMany:
         assert failed.error is not None
         assert failed.error.kind == "invalid_parameter"
         assert "nope" in failed.error.message
+
+    def test_non_finite_budget_is_an_invalid_parameter_report(self):
+        requests = [
+            SolveRequest(
+                graph=GraphSpec.random(6, 6, 0.5, seed=1),
+                backend="dense",
+                time_budget=math.inf,
+            ),
+            SolveRequest(graph=GraphSpec.random(6, 6, 0.5, seed=1), backend="dense"),
+        ]
+        reports = MBBEngine(max_workers=2).solve_many(requests)
+        assert [report.status for report in reports] == ["error", "ok"]
+        failed = reports[0]
+        assert failed.error is not None
+        assert failed.error.kind == "invalid_parameter"
+        assert "time_budget" in failed.error.message
+        assert reports[1].optimal
 
     def test_serial_batch_over_one_graph_amortises_preparation(self):
         from repro.api import PreparedGraphCache

@@ -65,6 +65,12 @@ class TestGraphSpec:
         with pytest.raises(InvalidParameterError):
             GraphSpec(kind="random", n_left=3).materialise()
 
+    def test_non_finite_parameter_raises(self):
+        for value in (float("nan"), float("inf")):
+            payload = {"kind": "power_law", "n_left": 4, "n_right": 4, "avg_degree": value}
+            with pytest.raises(InvalidParameterError, match="finite"):
+                GraphSpec.from_dict(payload)
+
 
 class TestSolveRequestRoundTrip:
     @pytest.mark.parametrize(
@@ -110,6 +116,16 @@ class TestSolveRequestRoundTrip:
         ):
             with pytest.raises(InvalidParameterError):
                 SolveRequest.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "int-beyond-float"],
+    )
+    def test_non_finite_number_raises(self, literal):
+        payload = '{"graph": {"kind": "dataset", "name": "unicodelang"}, "time_budget": %s}'
+        with pytest.raises(InvalidParameterError, match="finite"):
+            SolveRequest.from_json(payload % literal)
 
     def test_unknown_field_raises(self):
         with pytest.raises(InvalidParameterError):

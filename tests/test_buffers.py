@@ -1,47 +1,23 @@
-"""Flat-buffer backends: selection, round-trips, equivalence, shm round trips."""
+"""Flat int arrays are plain lists; the shared-memory round trip copies them."""
 
 from __future__ import annotations
 
-import pickle
-from array import array
-
 import pytest
 
-from repro.api import MBBEngine, PreparedGraphCache
 from repro.exceptions import InvalidParameterError
-from repro.graph import buffers
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.buffers import (
-    BACKEND_ARRAY,
-    BACKEND_LIST,
-    BACKEND_NUMPY,
     attach_shared_memory,
     available_backends,
-    as_int_list,
-    buffer_backend,
-    buffer_nbytes,
     buffer_to_bytes,
-    buffer_view,
     default_backend,
-    freeze_buffer,
     ints_from_buffer,
-    mutable_int_buffer,
-    pickleable_buffer,
-    set_default_backend,
 )
 from repro.graph.generators import random_bipartite, random_power_law_bipartite
 from repro.graph.prepared import PreparedGraph
 from repro.cores.bicore import bicore_decomposition
 from repro.cores.orders import ORDER_BIDEGENERACY
-from repro.cores.two_hop import n_le2_flat
 from repro.mbb.vertex_centred import iter_vertex_centred_subgraphs_csr
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Every test leaves the process-wide default backend untouched."""
-    yield
-    set_default_backend(None)
 
 
 def mixed_label_graph(seed: int) -> BipartiteGraph:
@@ -65,177 +41,66 @@ PROPERTY_GRAPHS = [
 ]
 
 
-class TestBackendSelection:
-    def test_available_backends_default_first(self):
-        backends = available_backends()
-        assert backends[0] == BACKEND_ARRAY
-        assert BACKEND_LIST in backends
-
-    def test_default_backend_resolution_order(self, monkeypatch):
-        monkeypatch.delenv(buffers.BACKEND_ENV_VAR, raising=False)
-        assert default_backend() == BACKEND_ARRAY
-        monkeypatch.setenv(buffers.BACKEND_ENV_VAR, BACKEND_LIST)
-        assert default_backend() == BACKEND_LIST
-        # An explicit override outranks the environment.
-        set_default_backend(BACKEND_ARRAY)
-        assert default_backend() == BACKEND_ARRAY
-        set_default_backend(None)
-        assert default_backend() == BACKEND_LIST
-
-    def test_invalid_backend_rejected(self, monkeypatch):
-        with pytest.raises(InvalidParameterError):
-            set_default_backend("rope")
-        monkeypatch.setenv(buffers.BACKEND_ENV_VAR, "rope")
-        with pytest.raises(InvalidParameterError):
-            default_backend()
-
-    def test_numpy_backend_requires_numpy(self):
-        if BACKEND_NUMPY in available_backends():
-            set_default_backend(BACKEND_NUMPY)
-            assert default_backend() == BACKEND_NUMPY
-        else:
-            with pytest.raises(InvalidParameterError):
-                set_default_backend(BACKEND_NUMPY)
-
-
-class TestBufferRoundTrips:
-    VALUES = [0, 1, 7, -3, 2**40, -(2**40)]
-
-    def test_freeze_and_read_back_per_backend(self):
-        for backend in available_backends():
-            frozen = freeze_buffer(list(self.VALUES), backend=backend)
-            assert as_int_list(frozen) == self.VALUES
-            assert len(frozen) == len(self.VALUES)
-            assert buffer_nbytes(frozen) == 8 * len(self.VALUES)
-            assert buffer_to_bytes(frozen) == array("q", self.VALUES).tobytes()
-
-    def test_typed_containers_pass_through_freeze(self):
-        typed = array("q", self.VALUES)
-        assert freeze_buffer(typed) is typed
-        view = memoryview(typed)
-        assert freeze_buffer(view) is view
-
-    def test_mutable_buffer_is_owned_and_writable(self):
-        for backend in available_backends():
-            source = freeze_buffer(list(self.VALUES), backend=backend)
-            working = mutable_int_buffer(source, backend=backend)
-            assert not isinstance(working, memoryview)
-            working[0] = 99
-            assert int(working[0]) == 99
-            assert as_int_list(source) == self.VALUES
-
-    def test_buffer_view_is_zero_copy_for_arrays(self):
-        typed = array("q", self.VALUES)
-        view = buffer_view(typed)
-        assert isinstance(view, memoryview)
-        assert view.tolist() == self.VALUES
-        plain = list(self.VALUES)
-        assert buffer_view(plain) is plain
-
-    def test_ints_from_buffer_round_trips_raw_bytes(self):
-        raw = memoryview(bytearray(array("q", self.VALUES).tobytes()))
-        for backend in available_backends():
-            rebuilt = ints_from_buffer(raw, backend)
-            assert as_int_list(rebuilt) == self.VALUES
-            assert buffer_backend(rebuilt) == backend
-        # The array backend is a window over the same memory, not a copy.
-        window = ints_from_buffer(raw, BACKEND_ARRAY)
-        raw[:8] = array("q", [123]).tobytes()
-        assert int(window[0]) == 123
-
-    def test_pickleable_buffer_materialises_views(self):
-        view = memoryview(array("q", self.VALUES))
-        safe = pickleable_buffer(view)
-        assert as_int_list(pickle.loads(pickle.dumps(safe))) == self.VALUES
-        plain = list(self.VALUES)
-        assert pickleable_buffer(plain) is plain
-
-    def test_buffer_backend_rejects_non_buffers(self):
-        with pytest.raises(InvalidParameterError):
-            buffer_backend("not a buffer")
-
-
-def _flat_signature(graph: BipartiteGraph) -> dict:
-    """Everything the flat pipeline computes, in backend-neutral form."""
-    prepared = PreparedGraph.prepare(graph)
-    le2_ptr, le2 = prepared.n_le2
-    numbers, order = bicore_decomposition(graph, prepared=prepared)
-    raw_ptr, raw_le2 = n_le2_flat(prepared.csr)
+def _flat_signature(prepared: PreparedGraph) -> dict:
+    """The flat arrays of a bundle and everything the pipeline derives."""
+    numbers, order = bicore_decomposition(prepared.graph, prepared=prepared)
     subgraphs = [
         (sub.center, sub.position, sub.left_members, sub.right_members)
         for sub in iter_vertex_centred_subgraphs_csr(
             prepared, prepared.search_order(ORDER_BIDEGENERACY)
         )
     ]
-    result = MBBEngine(prepared_cache=PreparedGraphCache()).solve_graph(
-        graph, backend="sparse"
-    )
     return {
-        "indptr": buffer_to_bytes(prepared.csr.indptr),
-        "indices": buffer_to_bytes(prepared.csr.indices),
-        "le2_ptr": buffer_to_bytes(le2_ptr),
-        "le2": buffer_to_bytes(le2),
-        "raw_le2": (buffer_to_bytes(raw_ptr), buffer_to_bytes(raw_le2)),
+        "indptr": prepared.csr.indptr,
+        "indices": prepared.csr.indices,
+        "n_le2": prepared.n_le2,
         "numbers": numbers,
         "order": order,
         "subgraphs": subgraphs,
-        "solve": (
-            result.side_size,
-            sorted(map(repr, result.biclique.left)),
-            sorted(map(repr, result.biclique.right)),
-        ),
     }
 
 
-class TestBackendEquivalence:
-    def test_all_backends_byte_identical_pipeline(self):
-        """Peel orders, N<=2, subgraph streams and solve results agree."""
-        for graph in PROPERTY_GRAPHS:
-            set_default_backend(BACKEND_LIST)
-            reference = _flat_signature(graph)
-            for backend in available_backends():
-                set_default_backend(backend)
-                assert _flat_signature(graph) == reference, backend
+def test_flat_arrays_are_lists():
+    for graph in PROPERTY_GRAPHS:
+        prepared = PreparedGraph.prepare(graph)
+        view = prepared.order_view(prepared.search_order(ORDER_BIDEGENERACY))
+        arrays = (
+            prepared.csr.indptr,
+            prepared.csr.indices,
+            *prepared.n_le2,
+            view.row_ptr,
+            view.flat_positions,
+        )
+        assert all(type(array) is list for array in arrays)
 
-    def test_shm_attached_backends_byte_identical_pipeline(self):
-        """Bundles attached from shared memory match the in-process ones."""
+
+def test_storage_stamp_names_only_lists():
+    assert default_backend() == "list"
+    assert available_backends() == ("list",)
+
+
+def test_int64_bytes_round_trip():
+    values = [0, 1, 7, -3, 2**40, -(2**40)]
+    raw = buffer_to_bytes(values)
+    assert len(raw) == 8 * len(values)
+    rebuilt = ints_from_buffer(memoryview(raw))
+    assert type(rebuilt) is list and rebuilt == values
+
+
+class TestShmRoundTrip:
+    def test_attached_bundle_matches_in_process(self):
+        """A bundle attached from shared memory equals the in-process one."""
         for graph in PROPERTY_GRAPHS:
-            set_default_backend(BACKEND_LIST)
-            reference = _flat_signature(graph)
             producer = PreparedGraph.prepare(graph)
             producer.n_le2
             handle = producer.to_shm()
             try:
-                for backend in available_backends():
-                    set_default_backend(backend)
-                    attached = PreparedGraph.from_shm(
-                        handle.name, handle.fingerprint, backend=backend
-                    )
-                    le2_ptr, le2 = attached.n_le2
-                    numbers, order = bicore_decomposition(
-                        attached.graph, prepared=attached
-                    )
-                    subgraphs = [
-                        (s.center, s.position, s.left_members, s.right_members)
-                        for s in iter_vertex_centred_subgraphs_csr(
-                            attached,
-                            attached.search_order(ORDER_BIDEGENERACY),
-                        )
-                    ]
-                    assert buffer_to_bytes(attached.csr.indptr) == reference["indptr"]
-                    assert buffer_to_bytes(attached.csr.indices) == reference["indices"]
-                    assert buffer_to_bytes(le2_ptr) == reference["le2_ptr"]
-                    assert buffer_to_bytes(le2) == reference["le2"]
-                    assert (numbers, order) == (
-                        reference["numbers"],
-                        reference["order"],
-                    )
-                    assert subgraphs == reference["subgraphs"]
+                attached = PreparedGraph.from_shm(handle.name, handle.fingerprint)
             finally:
                 handle.destroy()
+            reference = _flat_signature(PreparedGraph.prepare(graph))
+            assert _flat_signature(attached) == reference
 
-
-class TestShmRoundTrip:
     def test_round_trip_identity_and_verification(self):
         graph = mixed_label_graph(seed=2)
         prepared = PreparedGraph.prepare(graph)
@@ -253,17 +118,16 @@ class TestShmRoundTrip:
         finally:
             handle.destroy()
 
-    def test_list_backend_copies_and_detaches(self):
+    def test_attach_copies_and_detaches(self):
         prepared = PreparedGraph.prepare(random_bipartite(8, 8, 0.4, seed=1))
         prepared.n_le2
         handle = prepared.to_shm()
         try:
-            attached = PreparedGraph.from_shm(
-                handle.name, handle.fingerprint, backend=BACKEND_LIST
-            )
-            assert isinstance(attached.csr.indptr, list)
+            attached = PreparedGraph.from_shm(handle.name, handle.fingerprint)
         finally:
             handle.destroy()
+        arrays = (attached.csr.indptr, attached.csr.indices, *attached.n_le2)
+        assert all(type(array) is list for array in arrays)
         # The copy owns its data: usable after the segment is gone.
         assert bicore_decomposition(attached.graph, prepared=attached)
 

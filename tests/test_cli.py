@@ -203,6 +203,11 @@ class TestBatchCommand:
             '[{"graph": {"kind": "edges", "edges": [[1]]}}]',
             '[{"graph": {"kind": "random", "n_left": 4, "n_right": 4, "density": "x"}}]',
             '[{"graph": {"kind": "dataset", "name": "unicodelang"}, "node_budget": "5"}]',
+            '[{"graph": {"kind": "dataset", "name": "unicodelang"}, "time_budget": NaN}]',
+            '[{"graph": {"kind": "dataset", "name": "unicodelang"}, "time_budget": Infinity}]',
+            '[{"graph": {"kind": "dataset", "name": "unicodelang"}, "time_budget": 1e400}]',
+            '[{"graph": {"kind": "power_law", "n_left": 4, "n_right": 4, "avg_degree": NaN}}]',
+            '[{"graph": {"kind": "power_law", "n_left": 4, "n_right": 4, "avg_degree": Infinity}}]',
         ],
     )
     def test_batch_non_object_request_is_a_clean_error(

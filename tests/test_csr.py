@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro.cores.two_hop import n_le2_flat
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph
 from repro.graph.csr import CSRBipartite
 from repro.graph.generators import random_bipartite
+from repro.graph.prepared import PreparedGraph
 
 
 class TestConstruction:
@@ -77,3 +81,27 @@ class TestConstruction:
         csr = CSRBipartite.from_bipartite(graph)
         assert csr.num_vertices == 3
         assert list(csr.neighbors(csr.index_of((LEFT, 2)))) == []
+
+
+class TestImmutability:
+    def test_neighbors_cannot_write_into_a_cached_snapshot(self):
+        graph = random_bipartite(6, 6, 0.5, seed=2)
+        prepared = PreparedGraph.prepare(graph)
+        csr = prepared.csr
+        vertex = next(i for i in range(len(csr)) if csr.degree(i))
+        row = csr.neighbors(vertex)
+        row[0] = 999
+        assert csr.neighbors(vertex)[0] != 999
+        fresh = CSRBipartite.from_bipartite(graph)
+        assert prepared.n_le2 == n_le2_flat(fresh)
+
+    def test_pickle_round_trip_rebuilds_the_index(self):
+        csr = CSRBipartite.from_bipartite(random_bipartite(6, 7, 0.5, seed=3))
+        loaded = pickle.loads(pickle.dumps(csr))
+        assert (loaded.keys, loaded.indptr, loaded.indices) == (
+            csr.keys,
+            csr.indptr,
+            csr.indices,
+        )
+        assert (loaded.num_left, loaded.num_right) == (csr.num_left, csr.num_right)
+        assert all(loaded.index_of(key) == i for i, key in enumerate(csr.keys))
