@@ -5,7 +5,8 @@ The engine is the single entry point everything else is a wrapper around:
 * :meth:`MBBEngine.solve_graph` — solve an in-memory graph with a named
   backend (what :func:`repro.solve_mbb` delegates to);
 * :meth:`MBBEngine.solve` — execute one :class:`~repro.api.request.SolveRequest`
-  end to end (materialise the graph, run the backend, build the report);
+  end to end (find or materialise the graph, run the backend, build the
+  report);
 * :meth:`MBBEngine.solve_many` — execute a batch of requests over a
   :class:`~concurrent.futures.ProcessPoolExecutor`, with results returned
   in request order regardless of completion order.  Requests cross the
@@ -20,11 +21,14 @@ plumbing its own budget arguments.
 
 The engine also owns the :class:`PreparedGraphCache`: a bounded LRU of
 :class:`~repro.graph.prepared.PreparedGraph` snapshots keyed by graph
-content fingerprint.  Backends that declare ``supports_prepared`` (the
+content fingerprint, fronted by an exact index from ``dataset`` request
+specs to those bundles.  Backends that declare ``supports_prepared`` (the
 sparse framework and ``auto``) receive the cached snapshot, so repeated
 ``solve()`` calls, ``solve_many`` batches over one graph and
 ``repro-mbb sweep`` parameter sweeps amortise the whole
-CSR + ``N_{<=2}`` + peel pipeline across solves.  Every engine shares
+CSR + ``N_{<=2}`` + peel pipeline across solves; a repeated dataset
+request also skips materialisation, the fingerprint and the ``==``
+check that guards every fingerprint hit.  Every engine shares
 one process-wide cache by default — which is exactly what makes the
 amortisation reach the process-pool workers, each of which constructs a
 fresh engine per request — and each solve reports its hit/miss and
@@ -67,6 +71,7 @@ from repro.api.request import (
     ERROR_KIND_RESOURCE,
     ERROR_KIND_TIMEOUT,
     ERROR_KIND_WORKER_CRASH,
+    SOURCE_DATASET,
     STATUS_ABORTED,
     STATUS_ERROR,
     GraphSpec,
@@ -162,17 +167,31 @@ class RetryPolicy:
 
 
 class PreparedGraphCache:
-    """Bounded LRU of :class:`PreparedGraph` snapshots keyed by content.
+    """Bounded LRU of :class:`PreparedGraph` snapshots, keyed two ways.
 
-    The key is the graph's :func:`~repro.graph.prepared.graph_fingerprint`
-    — content, not object identity, so two materialisations of the same
-    request spec (e.g. across ``solve()`` calls or sweep cells) share one
-    snapshot.  A fingerprint is a cache key, not a proof: every hit
+    The bundle key is the graph's
+    :func:`~repro.graph.prepared.graph_fingerprint` — content, not object
+    identity, so two materialisations of the same request spec (e.g.
+    across ``solve()`` calls or sweep cells) share one snapshot.  A
+    fingerprint is a cache key, not a proof: every fingerprint hit
     re-verifies ``cached.graph == graph`` and a mismatch (a ``repr``
     collision between distinct graphs) is handled as a miss that
     overwrites the colliding entry — a collision can cost a
     re-preparation but never leaks one graph's arrays into another
     graph's solve.
+
+    The second key is exact: the name of a ``dataset``
+    :class:`~repro.api.request.GraphSpec`, mapped to the fingerprint of
+    the bundle that spec produced.  A dataset materialises as a pure
+    function of its name, so a spec hit hands out the bundle's own graph
+    and a repeated request skips materialisation, the fingerprint and
+    the ``==`` alike.  A spec key only ever names a bundle holding a
+    graph the engine materialised itself, never a caller's graph, which
+    the caller could still mutate.  A key leaves the index with the
+    bundle it names, so the index holds one key per cached dataset
+    bundle (no two stand-ins are equal graphs) and never outgrows the
+    bundles.  ``hits``/``misses`` count every :meth:`get`;
+    ``spec_hits``/``spec_misses`` count the gets that carried a spec key.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -183,37 +202,91 @@ class PreparedGraphCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
+        self.spec_hits = 0
+        self.spec_misses = 0
         #: Always 0: batches no longer hand snapshots to workers, so there
         #: is no handoff left to degrade.  Kept because existing callers
         #: read it after each batch.
         self.handoff_degradations = 0
         self._entries: "OrderedDict[str, PreparedGraph]" = OrderedDict()
+        #: Dataset name -> fingerprint of a bundle in ``_entries``.
+        self._specs: Dict[str, str] = {}
 
-    def get(self, graph: BipartiteGraph) -> Tuple[PreparedGraph, bool]:
-        """Return ``(prepared, hit)`` for ``graph``, preparing on a miss."""
+    def _graph_for_spec(self, spec_key: str) -> Optional[BipartiteGraph]:
+        """The cached graph a spec key produced, or ``None``.
+
+        A peek: it counts nothing and moves nothing.  Solving that graph
+        through :meth:`get` with the same key is what counts the hit.
+        """
+        fingerprint = self._specs.get(spec_key)
+        return None if fingerprint is None else self._entries[fingerprint].graph
+
+    def get(
+        self, graph: BipartiteGraph, *, spec_key: Optional[str] = None
+    ) -> Tuple[PreparedGraph, bool]:
+        """Return ``(prepared, hit)`` for ``graph``, preparing on a miss.
+
+        ``spec_key`` may only come with a graph materialised from that
+        spec and handed over to the cache, or with the graph
+        :meth:`_graph_for_spec` handed out for it.  In the second case
+        the bundle recorded under the key is a spec hit: no fingerprint,
+        no ``==``.  Otherwise the fingerprint path runs and records the
+        key for the bundle it returns, which then holds ``graph``.
+        """
+        if spec_key is not None:
+            fingerprint = self._specs.get(spec_key)
+            if fingerprint is not None:
+                cached = self._entries[fingerprint]
+                if cached.graph is graph:
+                    self._entries.move_to_end(fingerprint)
+                    self.spec_hits += 1
+                    self.hits += 1
+                    return cached, True
+            self.spec_misses += 1
         fingerprint = graph_fingerprint(graph)
         cached = self._entries.get(fingerprint)
         if cached is not None and cached.graph == graph:
+            if spec_key is not None:
+                # Spec hits trust the bundle's graph unchecked, and this
+                # bundle may hold a caller's graph (from ``solve_graph`` or
+                # ``solve(request, graph=g)``), which the caller can still
+                # mutate.  Wrap the shared CSR around the materialised
+                # graph just proven equal instead.
+                cached = self._entries[fingerprint] = PreparedGraph(graph, cached.csr)
             self._entries.move_to_end(fingerprint)
             self.hits += 1
-            return cached, True
-        self.misses += 1
-        prepared = PreparedGraph.prepare(graph)
-        self._entries[fingerprint] = prepared
-        self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return prepared, False
+            prepared, hit = cached, True
+        else:
+            self.misses += 1
+            if cached is not None:
+                self._forget_specs(fingerprint)
+            prepared, hit = PreparedGraph.prepare(graph), False
+            self._entries[fingerprint] = prepared
+            self._entries.move_to_end(fingerprint)
+            while len(self._entries) > self.capacity:
+                evicted, _ = self._entries.popitem(last=False)
+                self._forget_specs(evicted)
+        if spec_key is not None:
+            self._specs[spec_key] = fingerprint
+        return prepared, hit
+
+    def _forget_specs(self, fingerprint: str) -> None:
+        """Drop the spec keys of a bundle that is leaving the cache."""
+        for key in [key for key, value in self._specs.items() if value == fingerprint]:
+            del self._specs[key]
 
     def clear(self) -> None:
-        """Drop every cached snapshot (counters are kept)."""
+        """Drop every cached snapshot and spec key (counters are kept)."""
         self._entries.clear()
+        self._specs.clear()
 
     def stats(self) -> Dict[str, int]:
         """Cumulative counters plus the current size, for observability."""
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "spec_hits": self.spec_hits,
+            "spec_misses": self.spec_misses,
             "size": len(self._entries),
             "capacity": self.capacity,
         }
@@ -380,6 +453,7 @@ class MBBEngine:
             node_budget=node_budget,
             time_budget=time_budget,
             seed=seed,
+            spec_key=None,
             **backend_options,
         )
         return result
@@ -389,10 +463,23 @@ class MBBEngine:
     ) -> SolveReport:
         """Execute one request end to end and return its report.
 
+        When the backend takes prepared snapshots, a ``dataset`` spec is
+        first looked up by name in the :class:`PreparedGraphCache`'s spec
+        index: a repeated request solves the cached bundle's own graph
+        and materialises nothing.  Other spec kinds always materialise.
         ``graph`` lets a caller that already materialised the request's
         graph (e.g. to print its shape) skip a second materialisation; it
-        must be the graph the request's spec describes.
+        must be the graph the request's spec describes.  Nothing proves
+        that, so such a solve neither reads nor records the spec memo.
         """
+        spec_key = None
+        if (
+            graph is None
+            and request.graph.kind == SOURCE_DATASET
+            and get_backend(request.backend).info.supports_prepared
+        ):
+            spec_key = request.graph.name
+            graph = self.prepared_cache._graph_for_spec(spec_key)
         if graph is None:
             graph = request.graph.materialise()
         result, resolved, kernel = self._dispatch(
@@ -402,6 +489,7 @@ class MBBEngine:
             node_budget=request.node_budget,
             time_budget=request.time_budget,
             seed=request.seed,
+            spec_key=spec_key,
         )
         return SolveReport.from_result(
             request, result, backend=resolved, kernel=kernel, graph=graph
@@ -892,9 +980,16 @@ class MBBEngine:
         node_budget: Optional[int],
         time_budget: Optional[float],
         seed: int,
+        spec_key: Optional[str],
         **backend_options: object,
     ) -> Tuple[MBBResult, str, str]:
-        """Validate, build the shared context, run the backend."""
+        """Validate, build the shared context, run the backend.
+
+        ``spec_key`` is the request's dataset name when :meth:`solve`
+        materialised or peeked ``graph`` for it, or ``None`` for a graph
+        no spec vouches for; the prepared cache uses it to recognise a
+        spec hit and to record a miss.
+        """
         solver = get_backend(backend)
         self._validate(solver, kernel, node_budget, time_budget)
         # The time budget is expressed solely as an absolute deadline so
@@ -916,13 +1011,17 @@ class MBBEngine:
             and resolved != "dense"
         ):
             prepare_start = time.perf_counter()
-            prepared, hit = self.prepared_cache.get(graph)
+            prepared, hit = self.prepared_cache.get(graph, spec_key=spec_key)
             context.stats.prepare_seconds += time.perf_counter() - prepare_start
             if hit:
                 context.stats.prepared_cache_hits += 1
             else:
                 context.stats.prepared_cache_misses += 1
             backend_options["prepared"] = prepared
+            # The cache has just proven the bundle's graph identical or
+            # equal to ``graph``; solving that object lets the backend's
+            # ensure_prepared_for take its identity fast path.
+            graph = prepared.graph
         result = solver.run(graph, context, kernel=kernel, seed=seed, **backend_options)
         return result, resolved, kernel
 

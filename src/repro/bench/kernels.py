@@ -474,8 +474,9 @@ def run_engine_cache_case(
     answer stays identical (archived as ``sides_match``).  The minimum
     cold and warm wall times over the repeats are reported — these are
     tens-of-millisecond solves, so a single pair would be noise — and
-    wall time includes the request's graph materialisation, exactly what
-    a repeated ``solve()`` caller pays.
+    each is what a ``solve()`` caller pays: the cold time includes the
+    graph's materialisation, while the warm request is a spec hit that
+    reuses the cached graph and materialises nothing.
     """
     from repro.api import (
         GraphSpec,

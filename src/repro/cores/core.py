@@ -11,7 +11,9 @@ functions so left/right label collisions cannot occur.
 :func:`flat_core_numbers` runs the same peel over the dense ids of a
 :class:`~repro.graph.csr.CSRBipartite` snapshot instead; it is what
 :meth:`repro.graph.prepared.PreparedGraph.core_numbers` memoises for the
-sparse framework's S1 stage.
+sparse framework's S1 stage.  The degeneracy order always peels CSR ids
+(:func:`flat_degeneracy_order`), so it cannot depend on set iteration
+order and therefore not on ``PYTHONHASHSEED`` either.
 """
 
 from __future__ import annotations
@@ -155,40 +157,52 @@ def degeneracy_order(graph: BipartiteGraph) -> List[VertexKey]:
 
     The returned list is a permutation of all ``(side, label)`` keys such
     that each vertex has the minimum degree in the subgraph induced by
-    itself and the vertices after it.
+    itself and the vertices after it: :func:`flat_degeneracy_order` over a
+    CSR snapshot of ``graph``.
     """
-    keys = _all_vertex_keys(graph)
-    if not keys:
-        return []
-    degree = {key: _degree(graph, key) for key in keys}
-    max_degree = max(degree.values(), default=0)
-    buckets: List[List[VertexKey]] = [[] for _ in range(max_degree + 1)]
-    for key, d in degree.items():
-        buckets[d].append(key)
-    order: List[VertexKey] = []
-    removed = set()
+    return flat_degeneracy_order(CSRBipartite.from_bipartite(graph))
+
+
+def flat_degeneracy_order(csr: CSRBipartite) -> List[VertexKey]:
+    """A smallest-last peel of the dense ids of a CSR snapshot, as keys.
+
+    Repeatedly removes a vertex of minimum remaining degree: the last id
+    queued in the lowest non-empty bucket, where a lowered degree queues
+    the id again and leaves a stale entry behind.  The buckets are filled
+    in id order and every neighbourhood is walked in id order, and ids
+    follow ``(side, repr(label))``, so the order depends on the graph
+    alone, never on set iteration order or ``PYTHONHASHSEED``.
+    """
+    n = csr.num_vertices
+    indptr = csr.indptr
+    indices = csr.indices
+    degree = [indptr[v + 1] - indptr[v] for v in range(n)]
+    buckets: List[List[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    for v, d in enumerate(degree):
+        buckets[d].append(v)
+    removed = [False] * n
+    order: List[int] = []
     pointer = 0
-    total = len(keys)
-    while len(order) < total:
-        while pointer <= max_degree and not buckets[pointer]:
+    while len(order) < n:
+        # Degrees drop by at most one per removal, so the lowest live
+        # bucket is at most one below the last one and the scan is
+        # amortised linear.
+        while not buckets[pointer]:
             pointer += 1
-        if pointer > max_degree:
-            break
-        key = buckets[pointer].pop()
-        if key in removed or degree[key] != pointer:
+        v = buckets[pointer].pop()
+        if removed[v] or degree[v] != pointer:
             continue
-        order.append(key)
-        removed.add(key)
-        for neighbour in _neighbors(graph, key):
-            if neighbour in removed:
-                continue
-            d = degree[neighbour]
-            if d > 0:
-                degree[neighbour] = d - 1
-                buckets[d - 1].append(neighbour)
-        if pointer > 0:
+        order.append(v)
+        removed[v] = True
+        for u in indices[indptr[v] : indptr[v + 1]]:
+            if not removed[u]:
+                d = degree[u] - 1
+                degree[u] = d
+                buckets[d].append(u)
+        if pointer:
             pointer -= 1
-    return order
+    keys = csr.keys
+    return [keys[v] for v in order]
 
 
 def k_core(graph: BipartiteGraph, k: int) -> BipartiteGraph:

@@ -46,9 +46,11 @@ Identity for caching purposes is the **content fingerprint**
 (:func:`graph_fingerprint`): a digest over the ``repr``-sorted vertex
 sets and edge list, so two graphs built in different insertion orders
 hash equal exactly when they are equal.  Fingerprints are a cache *key*,
-not a proof — the engine cache re-verifies equality on every hit, so a
-collision can cost a re-preparation but never leaks one graph's arrays
-into another graph's solve.
+not a proof — the engine cache re-verifies equality on every fingerprint
+hit, so a collision can cost a re-preparation but never leaks one graph's
+arrays into another graph's solve.  (A repeated request whose spec the
+engine has memoised finds its bundle through the exact spec key instead,
+and computes no fingerprint at all.)
 
 Layering note: this module lives in :mod:`repro.graph` because the
 bundle *is* graph substrate (every layer above consumes it), but the
@@ -121,13 +123,13 @@ def graph_fingerprint(graph: BipartiteGraph) -> str:
     equal.  Distinct graphs can only collide through ``repr`` collisions
     between distinct labels (or a pathological ``repr`` containing the
     joiner characters) — acceptable for a cache key because the engine
-    cache re-checks ``==`` on every hit, so a collision costs a
-    re-preparation, never a wrong answer.
+    cache re-checks ``==`` on every fingerprint hit, so a collision costs
+    a re-preparation, never a wrong answer.
 
     The whole payload is assembled as one string and hashed in a single
     ``blake2b`` update, so the cost is one ``repr`` per vertex plus
     C-level sorts, joins and hashing — cheap enough to run once per
-    engine solve.
+    engine solve whose spec is not memoised.
     """
     right_repr = {v: repr(v) for v in graph.right_vertices()}
     parts: List[str] = [f"L{graph.num_left}"]
@@ -294,8 +296,9 @@ class PreparedGraph:
         Accepts the same names as :func:`repro.cores.orders.search_order`
         and produces identical orders: the degree order falls out of the
         CSR id order directly (ids *are* the ``(side, repr(label))``
-        tie-break), the degeneracy order delegates to the label-keyed
-        peel, and the bidegeneracy order reuses
+        tie-break), the degeneracy order is
+        :func:`repro.cores.core.flat_degeneracy_order` on this bundle's
+        CSR, and the bidegeneracy order reuses
         :meth:`bicore_decomposition`.
 
         The returned list is the memoised object — treat it as immutable
@@ -329,7 +332,9 @@ class PreparedGraph:
         if order == ORDER_BIDEGENERACY:
             return list(self.bicore_decomposition()[1])
         if order == ORDER_DEGENERACY:
-            return search_order(self.graph, order)
+            from repro.cores.core import flat_degeneracy_order
+
+            return flat_degeneracy_order(self.csr)
         # Unknown names fall through to the canonical validator so the
         # error message stays in one place.
         return search_order(self.graph, order)

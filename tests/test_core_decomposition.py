@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
+
+import repro
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph
 from repro.graph.csr import CSRBipartite
@@ -145,6 +153,84 @@ class TestDegeneracyOrder:
                 remaining_left.discard(label)
             else:
                 remaining_right.discard(label)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_vertex_has_the_minimum_residual_degree(self, seed):
+        # Smallest-last, strictly: every peeled vertex has the least
+        # degree in the subgraph induced by itself and the later ones.
+        graph = random_power_law_bipartite(15, 15, 3.0, seed=seed)
+        remaining = set(degeneracy_order(graph))
+
+        def residual(key):
+            side, label = key
+            if side == LEFT:
+                return sum((RIGHT, v) in remaining for v in graph.neighbors_left(label))
+            return sum((LEFT, u) in remaining for u in graph.neighbors_right(label))
+
+        for key in degeneracy_order(graph):
+            assert residual(key) == min(map(residual, remaining))
+            remaining.discard(key)
+
+
+#: Run in a child process: the degeneracy order and a ``bd5`` solve of
+#: string-labelled planted graphs, printed as JSON.  String hashes depend
+#: on ``PYTHONHASHSEED``, so any set-order dependence shows up as a
+#: difference between two children.
+_HASH_SEED_PROBE = """
+import json, random
+from dataclasses import asdict, replace
+from repro.cores.orders import search_order
+from repro.graph.bipartite import BipartiteGraph
+from repro.graph.generators import random_power_law_bipartite
+from repro.mbb.sparse import hbv_mbb, variant
+
+config = replace(variant("bd5"), kernel="bits")
+out = []
+for seed in range(30):
+    rng = random.Random(seed)
+    base = random_power_law_bipartite(60, 60, 3.0, seed=rng)
+    edges = set(base.edges())
+    for _ in range(3):
+        left, right = rng.sample(range(60), 8), rng.sample(range(60), 8)
+        edges.update((u, v) for u in left for v in right if rng.random() < 0.75)
+    graph = BipartiteGraph(edges=[(f"u{u}", f"v{v}") for u, v in sorted(edges)])
+    result = hbv_mbb(graph, config=config)
+    stats = asdict(result.stats)
+    out.append({
+        "order": search_order(graph, "degeneracy"),
+        "witness": [sorted(result.biclique.left), sorted(result.biclique.right)],
+        "terminated_at": result.terminated_at,
+        "counters": {key: value for key, value in stats.items()
+                     if not key.endswith("_seconds")},
+    })
+print(json.dumps(out))
+"""
+
+
+def _run_probe(hash_seed: str) -> list:
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = hash_seed
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return json.loads(completed.stdout)
+
+
+class TestHashSeedIndependence:
+    def test_degeneracy_order_and_bd5_solve_ignore_the_hash_seed(self):
+        first, second = _run_probe("1"), _run_probe("2")
+        assert len(first) == len(second) == 30
+        for index, (a, b) in enumerate(zip(first, second, strict=True)):
+            assert a["order"] == b["order"], index
+            assert a["witness"] == b["witness"], index
+            assert a["terminated_at"] == b["terminated_at"], index
+            assert a["counters"] == b["counters"], index
 
 
 class TestKCore:

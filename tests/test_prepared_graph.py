@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import enum
+import os
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
@@ -509,3 +513,291 @@ class TestEngineCacheIntegration:
         assert get_backend("sparse").info.supports_prepared
         assert get_backend("auto").info.supports_prepared
         assert not get_backend("dense").info.supports_prepared
+
+
+def _timeless(report):
+    """``report`` with its wall-clock fields zeroed, for equality checks."""
+    stats = {
+        key: value
+        for key, value in report.stats.items()
+        if not key.endswith("_seconds")
+    }
+    return replace(report, elapsed_seconds=0.0, stats=stats)
+
+
+def _label_types(report):
+    return [type(label) for label in report.left + report.right]
+
+
+class _Label(enum.IntEnum):
+    ONE = 1
+
+
+class TestSpecMemo:
+    """The exact dataset-name index in front of the fingerprint cache."""
+
+    def _sparse(self, spec):
+        return SolveRequest(graph=spec, backend="sparse")
+
+    def _fresh(self, request, *, warm=False):
+        """``request`` solved on a new engine, after a warm-up if ``warm``."""
+        engine = MBBEngine(prepared_cache=PreparedGraphCache())
+        if warm:
+            engine.solve(request)
+        return engine.solve(request)
+
+    def test_warm_spec_hit_skips_materialise_fingerprint_and_eq(self, monkeypatch):
+        import repro.api.engine as engine_module
+        import repro.graph.prepared as prepared_module
+
+        engine = MBBEngine(prepared_cache=PreparedGraphCache())
+        request = self._sparse(GraphSpec.dataset("jester"))
+        cold = engine.solve(request)
+        # The same warm solve through the fingerprint path, which the
+        # caller's own graph forces.
+        fingerprint_hit = engine.solve(request, graph=request.graph.materialise())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a spec hit must not reach this")
+
+        monkeypatch.setattr(GraphSpec, "materialise", forbidden)
+        monkeypatch.setattr(engine_module, "graph_fingerprint", forbidden)
+        monkeypatch.setattr(prepared_module, "graph_fingerprint", forbidden)
+        monkeypatch.setattr(BipartiteGraph, "__eq__", forbidden)
+        warm = engine.solve(request)
+        assert warm.stats["prepared_cache_hits"] == 1
+        assert _timeless(warm) == _timeless(fingerprint_hit)
+        assert (warm.left, warm.right) == (cold.left, cold.right)
+        assert warm.terminated_at == cold.terminated_at == "S3"
+
+    def test_rewritten_path_file_is_materialised_again(self, tmp_path):
+        # Same byte size and, after utime, the same mtime: only the
+        # content tells the two graphs apart, so path specs are never
+        # memoised.
+        path = tmp_path / "g.txt"
+        path.write_text("0 0\n0 1\n1 0\n1 1\n", encoding="utf-8")
+        before = os.stat(path)
+        request = self._sparse(GraphSpec.from_path(str(path)))
+        engine = MBBEngine(prepared_cache=PreparedGraphCache())
+        assert engine.solve(request).side_size == 2
+        path.write_text("0 0\n0 1\n1 0\n2 2\n", encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        report = engine.solve(request)
+        assert report.side_size == 1
+        assert (report.num_left, report.num_right) == (3, 3)
+        assert _timeless(report) == _timeless(self._fresh(request))
+
+    def test_equal_labels_of_other_types_never_share_a_graph(self):
+        engine = MBBEngine(prepared_cache=PreparedGraphCache())
+        for label in (1, True, 1.0, _Label.ONE, 1):
+            request = self._sparse(GraphSpec.inline([(label, 2)]))
+            report = engine.solve(request)
+            fresh = self._fresh(request)
+            assert _label_types(report) == [type(label), int]
+            assert _label_types(fresh) == [type(label), int]
+            assert report.left == fresh.left
+
+    def test_only_dataset_specs_are_keyed(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 0\n0 1\n1 0\n", encoding="utf-8")
+        cache = PreparedGraphCache()
+        engine = MBBEngine(prepared_cache=cache)
+        specs = [
+            GraphSpec.inline([(1, "a"), (2, "a")]),
+            GraphSpec.from_path(str(path)),
+            GraphSpec.random(6, 6, 0.5, seed=1),
+            # seed=None draws a new graph on every materialise.
+            GraphSpec.random(6, 6, 0.5, seed=None),
+            GraphSpec.power_law(30, 30, 3.0, seed=2),
+        ]
+        for spec in specs * 2:
+            engine.solve(self._sparse(spec))
+        assert (cache.spec_hits, cache.spec_misses) == (0, 0)
+        assert not cache._specs
+        engine.solve(self._sparse(GraphSpec.dataset("unicodelang")))
+        assert list(cache._specs) == ["unicodelang"]
+        # The wire accepts a name on any kind; only a dataset's is a key.
+        named = self._sparse(
+            GraphSpec.from_dict(
+                {"kind": "random", "n_left": 6, "n_right": 6, "density": 0.5,
+                 "seed": 7, "name": "unicodelang"}
+            )
+        )
+        report = engine.solve(named)
+        assert report.num_left == 6
+        assert _timeless(report) == _timeless(self._fresh(named))
+        assert cache.spec_hits == 0
+
+    def test_callers_graph_is_neither_read_nor_recorded(self):
+        cache = PreparedGraphCache()
+        engine = MBBEngine(prepared_cache=cache)
+        request = self._sparse(GraphSpec.dataset("unicodelang"))
+        other = complete_bipartite(5, 5)
+        assert engine.solve(request, graph=other).side_size == 5
+        assert (cache.spec_hits, cache.spec_misses) == (0, 0)
+        report = engine.solve(request)
+        assert _timeless(report) == _timeless(self._fresh(request))
+        assert report.side_size < 5
+        # A cached spec does not answer for a caller's graph either.
+        assert engine.solve(request, graph=other).side_size == 5
+
+    @pytest.mark.parametrize("hand_over", ["solve_graph", "solve"])
+    def test_callers_graph_never_backs_a_spec_key(self, hand_over):
+        # The caller's graph is cached first, so the spec request finds
+        # that bundle by fingerprint.  Editing the caller's graph
+        # afterwards must not reach later spec hits.
+        cache = PreparedGraphCache()
+        engine = MBBEngine(prepared_cache=cache)
+        request = self._sparse(GraphSpec.dataset("unicodelang"))
+        mine = request.graph.materialise()
+        if hand_over == "solve_graph":
+            engine.solve_graph(mine, backend="sparse")
+        else:
+            engine.solve(request, graph=mine)
+        engine.solve(request)
+        assert cache._graph_for_spec("unicodelang") is not mine
+        for left in range(10_000, 10_006):
+            for right in range(10_000, 10_006):
+                mine.add_edge(left, right)
+        warm = engine.solve(request)
+        assert cache.spec_hits == 1
+        assert _timeless(warm) == _timeless(self._fresh(request, warm=True))
+        assert warm.side_size == 3
+
+    def test_spec_hit_needs_the_graph_the_cache_handed_out(self):
+        cache = PreparedGraphCache()
+        spec = GraphSpec.dataset("unicodelang")
+        cache.get(spec.materialise(), spec_key="unicodelang")
+        # Another materialisation of the spec takes the fingerprint path
+        # and becomes the bundle's graph.
+        again = spec.materialise()
+        prepared, hit = cache.get(again, spec_key="unicodelang")
+        assert hit and prepared.graph is again
+        assert (cache.spec_hits, cache.spec_misses) == (0, 2)
+        handed_out = cache._graph_for_spec("unicodelang")
+        assert handed_out is again
+        prepared, hit = cache.get(handed_out, spec_key="unicodelang")
+        assert hit and prepared.graph is again
+        assert (cache.spec_hits, cache.spec_misses) == (1, 2)
+
+    def test_fingerprint_hit_compares_the_graphs_once(self, monkeypatch):
+        engine = MBBEngine(prepared_cache=PreparedGraphCache())
+        request = self._sparse(GraphSpec.dataset("unicodelang"))
+        engine.solve(request)
+        compared = []
+        original = BipartiteGraph.__eq__
+
+        def counting_eq(graph, other):
+            compared.append(other)
+            return original(graph, other)
+
+        monkeypatch.setattr(BipartiteGraph, "__eq__", counting_eq)
+        report = engine.solve(request, graph=request.graph.materialise())
+        assert report.stats["prepared_cache_hits"] == 1
+        assert len(compared) == 1
+
+    def test_spec_index_is_bounded_by_capacity(self):
+        cache = PreparedGraphCache(capacity=2)
+        engine = MBBEngine(prepared_cache=cache)
+        # A dataset spec ignores its seed: these specs all name one graph
+        # and share one key.
+        specs = [
+            GraphSpec(kind="dataset", name="unicodelang", seed=seed)
+            for seed in range(cache.capacity + 3)
+        ]
+        for spec in specs:
+            engine.solve(self._sparse(spec))
+        assert len(cache) == 1
+        assert list(cache._specs) == ["unicodelang"]
+        assert (cache.misses, cache.hits) == (1, len(specs) - 1)
+        assert (cache.spec_misses, cache.spec_hits) == (1, len(specs) - 1)
+        # Two more datasets evict the first bundle, and its key with it.
+        for name in ("moreno-crime", "opsahl-ucforum"):
+            engine.solve(self._sparse(GraphSpec.dataset(name)))
+        assert len(cache) == 2
+        assert list(cache._specs) == ["moreno-crime", "opsahl-ucforum"]
+        assert engine.solve(self._sparse(specs[0])).stats["prepared_cache_misses"] == 1
+
+    def test_evicted_bundle_takes_its_spec_keys_with_it(self):
+        cache = PreparedGraphCache(capacity=1)
+        engine = MBBEngine(prepared_cache=cache)
+        first = self._sparse(GraphSpec.dataset("unicodelang"))
+        second = self._sparse(GraphSpec.dataset("moreno-crime"))
+        engine.solve(first)
+        # A caller's graph records no key but still evicts the first
+        # bundle, whose key must go with it.
+        engine.solve(second, graph=second.graph.materialise())
+        assert len(cache._specs) == 0
+        report = engine.solve(first)
+        assert report.stats["prepared_cache_misses"] == 1
+        assert cache.stats()["spec_misses"] == 2
+        assert list(cache._specs) == ["unicodelang"]
+
+    def test_fingerprint_collision_drops_the_overwritten_spec_key(self, monkeypatch):
+        import repro.api.engine as engine_module
+
+        monkeypatch.setattr(
+            engine_module, "graph_fingerprint", lambda graph: "collision"
+        )
+        engine = MBBEngine(prepared_cache=PreparedGraphCache())
+        first = self._sparse(GraphSpec.dataset("moreno-crime"))
+        second = self._sparse(GraphSpec.dataset("unicodelang"))
+        engine.solve(first)
+        engine.solve(second)  # overwrites the colliding bundle
+        report = engine.solve(first)
+        assert report.stats["prepared_cache_misses"] == 1
+        assert _timeless(report) == _timeless(self._fresh(first))
+
+    def test_stats_count_spec_hits_and_misses(self):
+        cache = PreparedGraphCache()
+        engine = MBBEngine(prepared_cache=cache)
+        request = self._sparse(GraphSpec.dataset("unicodelang"))
+        cold = engine.solve(request)
+        assert (cache.spec_hits, cache.spec_misses) == (0, 1)
+        warm = engine.solve(request)
+        assert (cache.spec_hits, cache.spec_misses) == (1, 1)
+        batch = engine.solve_many([request, request], parallel=False)
+        assert cache.stats() == {
+            "hits": 3,
+            "misses": 1,
+            "spec_hits": 3,
+            "spec_misses": 1,
+            "size": 1,
+            "capacity": cache.capacity,
+        }
+        assert [r.stats["prepared_cache_hits"] for r in [cold, warm, *batch]] == [
+            0,
+            1,
+            1,
+            1,
+        ]
+
+    def test_dense_request_leaves_the_spec_index_alone(self):
+        cache = PreparedGraphCache()
+        engine = MBBEngine(prepared_cache=cache)
+        spec = GraphSpec.dataset("unicodelang")
+        engine.solve(self._sparse(spec))
+        before = (cache.stats(), list(cache._specs))
+        report = engine.solve(SolveRequest(graph=spec, backend="dense"))
+        assert report.stats["prepared_cache_hits"] == 0
+        assert (cache.stats(), list(cache._specs)) == before
+
+    def test_warm_solves_leave_the_cached_graph_intact(self):
+        cache = PreparedGraphCache()
+        engine = MBBEngine(prepared_cache=cache)
+        requests = [
+            self._sparse(GraphSpec.dataset("jester")),
+            self._sparse(GraphSpec.dataset("unicodelang")),
+            SolveRequest(graph=GraphSpec.dataset("moreno-crime"), backend="auto"),
+        ]
+        first = [engine.solve(request) for request in requests]
+        cached = [cache._graph_for_spec(r.graph.name) for r in requests]
+        for round_index in range(50):
+            request = requests[round_index % len(requests)]
+            report = engine.solve(request)
+            assert report.left == first[round_index % len(requests)].left
+        for request, graph in zip(requests, cached, strict=True):
+            assert cache._graph_for_spec(request.graph.name) is graph
+            assert graph == request.graph.materialise()
