@@ -373,6 +373,9 @@ def run_subgraph_case(
     That is the cold, symmetric comparison archived as ``seconds``; the
     CSR row additionally archives ``warm_seconds`` — the pass with the
     view memoised, which is what every repeated solve of one graph pays.
+    A pass consumes each subgraph's size the way the generator's
+    consumers read it: the label oracle's from its member sets, the CSR
+    generator's from its position counts (it builds no labels).
     An untimed verification pass first checks that both generators
     produce identical families — centres, positions and member sets —
     and the result is archived as ``families_match``.  The minimum over
@@ -384,18 +387,26 @@ def run_subgraph_case(
     order = prepared.search_order(ORDER_BIDEGENERACY)
 
     def labels_family():
-        return iter_vertex_centred_subgraphs(graph, order)
+        return (
+            len(sub.left_members) + len(sub.right_members)
+            for sub in iter_vertex_centred_subgraphs(graph, order)
+        )
 
     def csr_family_cold():
-        return iter_vertex_centred_subgraphs_csr(prepared, list(order))
+        return (
+            sub.size
+            for sub in iter_vertex_centred_subgraphs_csr(prepared, list(order))
+        )
 
     def csr_family_warm():
-        return iter_vertex_centred_subgraphs_csr(prepared, order)
+        return (
+            sub.size for sub in iter_vertex_centred_subgraphs_csr(prepared, order)
+        )
 
     # Materialise both families so a generator that stops early fails the
     # check instead of truncating the comparison.
-    label_subgraphs = list(labels_family())
-    csr_subgraphs = list(csr_family_cold())
+    label_subgraphs = list(iter_vertex_centred_subgraphs(graph, order))
+    csr_subgraphs = list(iter_vertex_centred_subgraphs_csr(prepared, list(order)))
     families_match = len(label_subgraphs) == len(csr_subgraphs) and all(
         a.center == b.center
         and a.position == b.position
@@ -406,7 +417,7 @@ def run_subgraph_case(
     del label_subgraphs, csr_subgraphs
 
     def consume(family_factory) -> int:
-        return sum(sub.size for sub in family_factory())
+        return sum(family_factory())
 
     def best_of(family_factory) -> tuple:
         best_seconds = float("inf")

@@ -21,14 +21,15 @@ the *same bicore numbers and the same peel order*:
 * :data:`IMPL_BUCKET` (the default): the flat engine of Algorithm 7.  The
   graph is indexed once into CSR form, ``N_{<=2}`` is materialised as flat
   int arrays (:func:`~repro.cores.two_hop.n_le2_flat`) and the peel runs
-  on a two-level bucket structure — level one indexed by remaining
-  ``|N_{<=2}|``, level two by remaining 1-hop degree — so every update is
-  O(1) bucket bookkeeping instead of a heap push.  Each ``(size, degree)``
-  cell is a vertex bitmask: clearing the lowest set bit pops the
-  smallest-id member, which is what realises the deterministic third-level
-  tie-break in one C-level integer operation, in the same packed-integer
-  idiom as the branch-and-bound kernels of :mod:`repro.graph.bitset`
-  (see :func:`_peel_bucket_flat` for the exact cost model).
+  on a two-level bucket structure — level one a list indexed by remaining
+  ``|N_{<=2}|``, level two a per-level dict keyed by remaining 1-hop
+  degree — so every update is O(1) bucket bookkeeping instead of a heap
+  push.  Each ``(size, degree)`` cell is a vertex bitmask: clearing the
+  lowest set bit pops the smallest-id member, which is what realises the
+  deterministic third-level tie-break in one C-level integer operation,
+  in the same packed-integer idiom as the branch-and-bound kernels of
+  :mod:`repro.graph.bitset` (see :func:`_peel_bucket_flat` for the exact
+  cost model).
 * :data:`IMPL_HEAP`: the pre-flat implementation, kept as the ablation
   the ``peel_rows`` of ``BENCH_kernels.json`` measure against — a
   lazy-deletion binary heap over the dict-of-sets ``N_{<=2}`` adjacency,
@@ -92,14 +93,18 @@ def _peel_bucket_flat(
 ) -> Tuple[List[int], List[int]]:
     """Two-level bucket peel over flat arrays; returns id-space results.
 
-    ``cells[s][d]`` is the bitmask of alive vertices with remaining
-    ``|N_{<=2}| == s`` and remaining 1-hop degree ``d``; ``deg_mask[s]``
-    is a bitmask over ``d`` marking the non-empty cells of level ``s``, so
-    the minimum occupied ``(s, d)`` cell is one lowest-set-bit extraction
-    away.  The level-one pointer ``s_ptr`` only ever backs up by one per
-    pop (a removal lowers a neighbour's size by exactly one), which is the
-    classic Batagelj-Zaveršnik amortisation: total pointer movement is
-    ``O(n + max |N_{<=2}|)``.
+    ``cells[s]`` maps a remaining 1-hop degree ``d`` to the bitmask of
+    alive vertices with remaining ``|N_{<=2}| == s`` and degree ``d``;
+    ``deg_mask[s]`` is a bitmask over ``d`` marking the non-empty cells
+    of level ``s``, so the minimum occupied ``(s, d)`` cell is one
+    lowest-set-bit extraction away.  Both are lists indexed by ``s``
+    (sizes only fall, so the initial maximum bounds them), and the
+    per-level dicts hold only the degrees that ever occurred: memory is
+    ``O(n + occupied cells)``.  A bit known to be set is cleared with
+    ``^``.  The level-one pointer ``s_ptr`` only ever backs up by one per
+    pop (a removal lowers a neighbour's size by exactly one), which is
+    the classic Batagelj-Zaveršnik amortisation: total pointer movement
+    is ``O(n + max |N_{<=2}|)``.
 
     The vertex bitmasks are what buy the deterministic smallest-id
     tie-break in O(1) *selections*; the price is that each cell update is
@@ -118,14 +123,15 @@ def _peel_bucket_flat(
     size = [le2_ptr[i + 1] - le2_ptr[i] for i in range(n)]
     deg = [indptr[i + 1] - indptr[i] for i in range(n)]
 
-    cells: Dict[int, Dict[int, int]] = {}
-    deg_mask: Dict[int, int] = {}
+    levels = max(size, default=0) + 1
+    cells: List[Dict[int, int]] = [{} for _ in range(levels)]
+    deg_mask = [0] * levels
     for i in range(n):
         s, d = size[i], deg[i]
-        level = cells.setdefault(s, {})
+        level = cells[s]
         cell = level.get(d, 0)
         if not cell:
-            deg_mask[s] = deg_mask.get(s, 0) | (1 << d)
+            deg_mask[s] |= 1 << d
         level[d] = cell | (1 << i)
 
     alive = bytearray([1]) * n
@@ -135,19 +141,21 @@ def _peel_bucket_flat(
     s_ptr = 0
     processed = 0
     while processed < n:
-        mask = deg_mask.get(s_ptr, 0)
+        mask = deg_mask[s_ptr]
         while not mask:
             s_ptr += 1
-            mask = deg_mask.get(s_ptr, 0)
+            mask = deg_mask[s_ptr]
         s = s_ptr
-        d = (mask & -mask).bit_length() - 1
+        low = mask & -mask
+        d = low.bit_length() - 1
         level = cells[s]
         cell = level[d]
-        i = (cell & -cell).bit_length() - 1  # smallest alive id in the cell
-        cell &= cell - 1
+        first = cell & -cell  # smallest alive id in the cell
+        i = first.bit_length() - 1
+        cell ^= first
         level[d] = cell
         if not cell:
-            deg_mask[s] = mask & ~(1 << d)
+            deg_mask[s] = mask ^ low
         if s > current:
             current = s
         bicore[i] = current
@@ -160,21 +168,22 @@ def _peel_bucket_flat(
                 continue
             sj = size[j]
             dj = deg[j]
+            bit = 1 << j
             level = cells[sj]
-            cell = level[dj] & ~(1 << j)
+            cell = level[dj] ^ bit
             level[dj] = cell
             if not cell:
-                deg_mask[sj] &= ~(1 << dj)
+                deg_mask[sj] ^= 1 << dj
             sj -= 1
             size[j] = sj
             if i_left != (j < num_left):
                 dj -= 1
                 deg[j] = dj
-            level = cells.setdefault(sj, {})
+            level = cells[sj]
             cell = level.get(dj, 0)
             if not cell:
-                deg_mask[sj] = deg_mask.get(sj, 0) | (1 << dj)
-            level[dj] = cell | (1 << j)
+                deg_mask[sj] |= 1 << dj
+            level[dj] = cell | bit
         if s_ptr > 0:
             s_ptr -= 1
     return bicore, order

@@ -85,7 +85,6 @@ ARRAY_ATTRS = frozenset(
         "labels",
         "row_ptr",
         "flat_positions",
-        "flat_labels",
         "order_ids",
         "positions",
     }

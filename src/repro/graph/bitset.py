@@ -35,6 +35,24 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _transpose(rows: List[int], width: int) -> Tuple[List[int], int]:
+    """The transpose of bitmask ``rows`` over ``width`` columns, and the bit total.
+
+    The bit loop is inlined: the constructors run once per
+    vertex-centred subgraph, so generator overhead would add up.
+    """
+    transposed = [0] * width
+    edges = 0
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        edges += row.bit_count()
+        while row:
+            low = row & -row
+            row ^= low
+            transposed[low.bit_length() - 1] |= bit
+    return transposed, edges
+
+
 class IndexedBitGraph:
     """A bipartite graph over contiguous indices with bitmask adjacency rows.
 
@@ -46,7 +64,8 @@ class IndexedBitGraph:
     adj_left:
         ``adj_left[i]`` is a bitmask over right indices; bit ``j`` is set
         iff ``(left_labels[i], right_labels[j])`` is an edge.  ``adj_right``
-        is the transpose and is derived automatically.
+        is the transpose and is derived automatically
+        (:meth:`from_right_rows` takes the rows of the other side).
     """
 
     __slots__ = (
@@ -65,28 +84,46 @@ class IndexedBitGraph:
         right_labels: List[Vertex],
         adj_left: List[int],
     ) -> None:
+        adj_right, edges = _transpose(adj_left, len(right_labels))
+        self._assemble(left_labels, right_labels, adj_left, adj_right, edges)
+
+    def _assemble(
+        self,
+        left_labels: List[Vertex],
+        right_labels: List[Vertex],
+        adj_left: List[int],
+        adj_right: List[int],
+        edges: int,
+    ) -> None:
         self.left_labels = left_labels
         self.right_labels = right_labels
         self.left_index = {label: i for i, label in enumerate(left_labels)}
         self.right_index = {label: j for j, label in enumerate(right_labels)}
         self.adj_left = adj_left
-        adj_right = [0] * len(right_labels)
-        edges = 0
-        # Transpose with an inline bit loop — this constructor runs once per
-        # vertex-centred subgraph, so generator overhead would add up.
-        for i, row in enumerate(adj_left):
-            bit = 1 << i
-            edges += row.bit_count()
-            while row:
-                low = row & -row
-                row ^= low
-                adj_right[low.bit_length() - 1] |= bit
         self.adj_right = adj_right
         self._num_edges = edges
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_right_rows(
+        cls,
+        left_labels: List[Vertex],
+        right_labels: List[Vertex],
+        adj_right: List[int],
+    ) -> "IndexedBitGraph":
+        """The graph whose right vertex ``j`` has the left-index row ``adj_right[j]``.
+
+        The mirror of the constructor: ``adj_left`` is the derived
+        transpose.  A vertex-centred subgraph whose centre is on the left
+        knows its right side's rows, so it is built through here.
+        """
+        graph = cls.__new__(cls)
+        adj_left, edges = _transpose(adj_right, len(left_labels))
+        graph._assemble(left_labels, right_labels, adj_left, adj_right, edges)
+        return graph
+
     @classmethod
     def from_bipartite(
         cls,

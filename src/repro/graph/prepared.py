@@ -612,9 +612,9 @@ class OrderView:
 
     The rows are packed CSR-style into one flat positions list
     (:attr:`flat_positions`, row ``p`` at
-    ``row_ptr[p]:row_ptr[p + 1]``), with :attr:`flat_labels` the
-    element-aligned label translation: a later-tail of labels is one
-    slice that feeds ``set.update`` directly.
+    ``row_ptr[p]:row_ptr[p + 1]``).  Centred subgraphs stay in this
+    position space; :attr:`labels` is the one position→label map they
+    read when a consumer asks for labels.
 
     Building a view costs one pass over the adjacency plus per-row sorts
     (``O(|E| log dmax)``); :meth:`PreparedGraph.order_view` memoises it
@@ -626,8 +626,6 @@ class OrderView:
         "positions",
         "row_ptr",
         "flat_positions",
-        "flat_labels",
-        "is_left",
         "labels",
     )
 
@@ -650,20 +648,11 @@ class OrderView:
             row_ptr[p + 1] = len(flat_positions)
         self.row_ptr: List[int] = row_ptr
         self.flat_positions: List[int] = flat_positions
-        num_left = csr.num_left
-        self.is_left: List[bool] = [
-            vertex < num_left for vertex in self.order_ids
-        ]
-        #: Label of the vertex at each position — the id→label boundary
-        #: map in position space, so member-set construction is one list
-        #: index per member.
+        #: Label of the vertex at each position — the position→label map
+        #: of lazy member sets and survivor bitgraphs.
         self.labels: List[Vertex] = [
             prepared.labels[vertex] for vertex in self.order_ids
         ]
-        labels = self.labels
-        #: :attr:`flat_positions` translated to labels, element-aligned:
-        #: member sets build in C with no per-element mapping at all.
-        self.flat_labels: List[Vertex] = [labels[p] for p in flat_positions]
 
     def __len__(self) -> int:
         return len(self.order_ids)

@@ -7,7 +7,7 @@ each subgraph with progressively stronger tests:
 
 1. **size test** — a subgraph with fewer than ``best_side + 1`` vertices on
    either side cannot contain an improving balanced biclique; applied to
-   the member sets before any subgraph representation is materialised;
+   the member counts before anything is built;
 2. **degeneracy test** — neither can one whose degeneracy is at most the
    incumbent side size;
 3. **local heuristic** — the core-number greedy is run on each survivor,
@@ -16,17 +16,24 @@ each subgraph with progressively stronger tests:
 
 The subgraphs that survive are handed to ``verifyMBB`` (Algorithm 8).
 
-With the default :data:`~repro.mbb.dense.KERNEL_BITS` kernel every
-per-subgraph computation runs on :class:`~repro.graph.bitset.
-IndexedBitGraph` masks: the subgraph is indexed once straight from the
-member sets, the degeneracy test and the seed ranking share a single
-:func:`~repro.graph.bitset.core_numbers_masks` bucket peel, the greedy runs
-through :func:`~repro.mbb.heuristics.core_heuristic_bits`, and survivors
-keep their bitgraph cached so the verification stage searches the same
-object without re-converting.  The original adjacency-set implementation
-stays selectable as :data:`~repro.mbb.dense.KERNEL_SETS` for the ablation
-benchmarks; both kernels apply the same exact tests with the same
-tie-breaking, so they keep the same subgraphs.
+Subgraphs come from the one position-space generator
+(:func:`~repro.mbb.vertex_centred.iter_vertex_centred_subgraphs_csr`).
+With the default :data:`~repro.mbb.dense.KERNEL_BITS` kernel the
+degeneracy test runs cheapest first, and each step is exact (it kills
+only subgraphs whose degeneracy is below the target): an other-side
+degree count from the position lists, then the target-core of the
+survivor's :class:`~repro.graph.bitset.IndexedBitGraph` (built from the
+order view's rows, no labels involved), then one
+:func:`~repro.graph.bitset.core_numbers_masks` peel restricted to that
+core, which also ranks the seeds of
+:func:`~repro.mbb.heuristics.core_heuristic_bits`.  Survivors keep their
+bitgraph cached so the verification stage searches the same object.
+The adjacency-set implementation stays selectable as
+:data:`~repro.mbb.dense.KERNEL_SETS` for the ablation benchmarks: it
+reads the same subgraphs through their lazy label member sets and runs
+one full label-keyed peel per size-test survivor.  Both kernels apply
+exact tests with the same tie-breaking, so they keep the same
+subgraphs.
 
 Budgets are enforced between subgraphs: each centred subgraph polls
 :meth:`~repro.mbb.context.SearchContext.checkpoint`, so a deadline or
@@ -41,20 +48,23 @@ from typing import List, Optional, Sequence
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph
-from repro.graph.bitset import core_numbers_masks
+from repro.graph.bitset import core_numbers_masks, k_core_masks
 from repro.graph.prepared import PreparedGraph, ensure_prepared_for
 from repro.cores.core import core_numbers
 from repro.cores.orders import ORDER_BIDEGENERACY, search_order
 from repro.mbb.context import SearchAborted, SearchContext
-from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS
+from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS, _check_kernel
 from repro.mbb.heuristics import core_heuristic, core_heuristic_bits
 from repro.mbb.result import Biclique
 from repro.mbb.vertex_centred import (
     VertexCentredSubgraph,
     VertexKey,
-    iter_vertex_centred_subgraphs,
     iter_vertex_centred_subgraphs_csr,
 )
+
+#: Seeds of the per-subgraph local heuristic (``top_r`` of both kernels'
+#: core heuristics).
+_LOCAL_SEEDS = 5
 
 
 @dataclass
@@ -89,22 +99,40 @@ def _scan_bits(
     """Bitset prunes + local heuristic for one subgraph that passed the size test.
 
     Returns the local-heuristic candidate (possibly empty) when the
-    subgraph survives, ``None`` when the degeneracy test killed it.  One
-    :func:`core_numbers_masks` peel feeds both the degeneracy test and the
-    heuristic's seed ranking; the degeneracy is cached on ``sub``.
+    subgraph survives, ``None`` when the degeneracy test killed it.  The
+    test runs cheapest first, and each step kills only subgraphs whose
+    degeneracy is below ``target``, exactly what one full core peel
+    would kill:
+
+    1. the other-side degree count, from tail lengths before any
+       bitgraph exists;
+    2. the ``target``-core (:func:`k_core_masks`) of the survivor's
+       bitgraph: empty means degeneracy below ``target``;
+    3. :func:`core_numbers_masks` restricted to that core.  Core numbers
+       inside a ``k``-core equal the full peel's, so the cached
+       degeneracy is exact, and the heuristic ranks the same seeds when
+       the core holds at least ``top_r`` vertices; a smaller core falls
+       back to the full peel.
     """
-    bitgraph = sub.to_bitgraph()
-    cores = None
     if use_core_pruning:
-        cores = core_numbers_masks(bitgraph)
-        sub.degeneracy = max(
-            (value for side in cores for value in side), default=0
-        )
-        if sub.degeneracy < target:
+        if sub.count_other_degrees_at_least(target) < target:
             return None
+        bitgraph = sub.to_bitgraph()
+        left, right = k_core_masks(bitgraph, target)
+        if not left:
+            return None
+        cores = core_numbers_masks(bitgraph, left, right)
+        sub.degeneracy = max(max(cores[0]), max(cores[1]))
+        if not use_local_heuristic:
+            return Biclique.empty()
+        if left.bit_count() + right.bit_count() < _LOCAL_SEEDS:
+            cores = core_numbers_masks(bitgraph)
+        return core_heuristic_bits(
+            bitgraph, top_r=_LOCAL_SEEDS, cores=cores
+        )
     if not use_local_heuristic:
         return Biclique.empty()
-    return core_heuristic_bits(bitgraph, cores=cores)
+    return core_heuristic_bits(sub.to_bitgraph(), top_r=_LOCAL_SEEDS)
 
 
 def _scan_sets(
@@ -128,7 +156,11 @@ def _scan_sets(
             return None
     if not use_local_heuristic:
         return Biclique.empty()
-    return core_heuristic(subgraph, cores=cores)
+    return core_heuristic(subgraph, top_r=_LOCAL_SEEDS, cores=cores)
+
+
+#: Per-kernel prunes and local heuristic for one size-test survivor.
+_SCANS = {KERNEL_BITS: _scan_bits, KERNEL_SETS: _scan_sets}
 
 
 def bridge_mbb(
@@ -176,26 +208,22 @@ def bridge_mbb(
         effect — pass it here to skip the recomputation.
     prepared:
         Optional :class:`~repro.graph.prepared.PreparedGraph` of exactly
-        this graph.  The default ``bits`` kernel generates the centred
-        subgraphs from its CSR snapshot
+        this graph.  Both kernels generate the centred subgraphs from its
+        CSR snapshot
         (:func:`~repro.mbb.vertex_centred.iter_vertex_centred_subgraphs_csr`),
-        preparing one on the fly when none is passed; the ``sets``
-        ablation keeps the label-keyed generator.  Both generators yield
-        identical subgraphs in identical order (property-tested), so the
-        kernels still keep the same survivors and incumbents.
+        preparing one on the fly when none is passed.  The ``sets``
+        ablation reads each size-test survivor through its lazy label
+        member sets; both kernels apply exact tests with the same
+        tie-breaks, so they keep the same survivors and incumbents.
     """
-    if kernel not in (KERNEL_BITS, KERNEL_SETS):
-        raise InvalidParameterError(
-            f"unknown kernel {kernel!r}; expected one of "
-            f"{(KERNEL_BITS, KERNEL_SETS)}"
-        )
+    _check_kernel(kernel)
     outcome = BridgeOutcome(best=context.best)
     if graph.num_vertices == 0:
         return outcome
 
     if prepared is not None:
         ensure_prepared_for(prepared, graph)
-    scan = _scan_bits if kernel == KERNEL_BITS else _scan_sets
+    scan = _SCANS[kernel]
     if total_order is None:
         total_order = search_order(graph, order, prepared=prepared)
     else:
@@ -210,15 +238,9 @@ def bridge_mbb(
                 "(side, label) vertex keys; it covers a different vertex set "
                 "(was it computed on a pre-reduction graph?)"
             )
-    if kernel == KERNEL_BITS:
-        # The default pipeline walks the flat CSR snapshot; the ``sets``
-        # ablation keeps the label-keyed generator so the historical
-        # tuple-hashing S2 loop stays measurable.
-        if prepared is None:
-            prepared = PreparedGraph.prepare(graph)
-        subgraphs = iter_vertex_centred_subgraphs_csr(prepared, total_order)
-    else:
-        subgraphs = iter_vertex_centred_subgraphs(graph, total_order)
+    if prepared is None:
+        prepared = PreparedGraph.prepare(graph)
+    subgraphs = iter_vertex_centred_subgraphs_csr(prepared, total_order)
     surviving: List[VertexCentredSubgraph] = []
     local_best = Biclique.empty()
     try:
@@ -226,8 +248,8 @@ def bridge_mbb(
             context.checkpoint()
             context.stats.subgraphs_generated += 1
             target = context.best_side + 1
-            # Trivial size test on the member sets: nothing (bitgraph or
-            # BipartiteGraph) is materialised for subgraphs it kills.
+            # Trivial size test on the member counts: nothing (labels,
+            # bitgraph or BipartiteGraph) is built for subgraphs it kills.
             if sub.min_side < target:
                 context.stats.subgraphs_pruned += 1
                 continue

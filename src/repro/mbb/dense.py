@@ -84,6 +84,14 @@ def _check_kernel(kernel: str) -> None:
         )
 
 
+def _check_initial_best(initial_best: Biclique, graph: BipartiteGraph) -> None:
+    # A seed outside the graph would be reported as the optimal witness.
+    if not initial_best.is_valid_in(graph):
+        raise InvalidParameterError(
+            "initial_best is not a biclique of the graph being solved"
+        )
+
+
 # ----------------------------------------------------------------------
 # set kernel
 # ----------------------------------------------------------------------
@@ -392,7 +400,9 @@ def dense_mbb(
     context:
         Optional pre-seeded search context (shared incumbent / budgets).
     initial_best:
-        Optional known balanced biclique used to seed the incumbent.
+        Optional known biclique of ``graph`` used to seed the incumbent;
+        one that is not a biclique of ``graph`` raises
+        :class:`~repro.exceptions.InvalidParameterError`.
     branching:
         :data:`BRANCH_TRIVIALITY_LAST` (default) or :data:`BRANCH_NAIVE`
         for the ``bd3`` ablation.
@@ -409,6 +419,7 @@ def dense_mbb(
     if context is None:
         context = SearchContext(node_budget=node_budget, time_budget=time_budget)
     if initial_best is not None:
+        _check_initial_best(initial_best, graph)
         context.offer_biclique(initial_best)
     ensure_recursion_limit(recursion_headroom_for(graph.num_vertices))
     optimal = True

@@ -135,6 +135,16 @@ def greedy_extend_bits(
     four integer masks and "kept candidates" is one ``&``/``bit_count``
     per scanned vertex.  Used by the bridging stage's local heuristic.
     """
+    a, b = _greedy_masks(graph, seed_side, seed_index)
+    return Biclique.of(
+        graph.left_labels_of(a), graph.right_labels_of(b)
+    ).balanced()
+
+
+def _greedy_masks(
+    graph: IndexedBitGraph, seed_side: str, seed_index: int
+) -> Tuple[int, int]:
+    """The ``(a, b)`` masks :func:`greedy_extend_bits` grows, unbalanced."""
     adj_left = graph.adj_left
     adj_right = graph.adj_right
     if seed_side == LEFT:
@@ -183,9 +193,7 @@ def greedy_extend_bits(
             b |= best_bit
             cb &= ~best_bit
             ca = best_neighbours
-    return Biclique.of(
-        graph.left_labels_of(a), graph.right_labels_of(b)
-    ).balanced()
+    return a, b
 
 
 def _top_vertices(
@@ -269,7 +277,14 @@ def core_heuristic_bits(
     caller already computed for its degeneracy test avoids a second peel.
     Seeds are ranked exactly like the set-based version — descending core
     number, left side first, then ``repr`` of the label — so both kernels
-    extend the same seeds.
+    extend the same seeds.  The seeds' greedy runs stay masks; only the
+    winner becomes a :class:`Biclique`.
+
+    Core numbers restricted to a ``k``-core (zero outside it, as
+    :func:`~repro.graph.bitset.core_numbers_masks` leaves them) rank the
+    same ``top_r`` seeds as the full ones when the core holds at least
+    ``top_r`` vertices: every core vertex outranks every other vertex
+    either way, and inside the core the numbers agree.
     """
     if cores is None:
         cores = core_numbers_masks(graph)
@@ -281,12 +296,18 @@ def core_heuristic_bits(
     keys = [(-core, LEFT, i) for i, core in enumerate(core_left)]
     keys.extend((-core, RIGHT, j) for j, core in enumerate(core_right))
     keys.sort()
-    best = Biclique.empty()
+    best_side = 0
+    best_masks = (0, 0)
     for _, side, index in keys[:top_r]:
-        candidate = greedy_extend_bits(graph, side, index)
-        if candidate.side_size > best.side_size:
-            best = candidate
-    return best
+        a, b = _greedy_masks(graph, side, index)
+        side_size = min(a.bit_count(), b.bit_count())
+        if side_size > best_side:
+            best_side = side_size
+            best_masks = (a, b)
+    a, b = best_masks
+    return Biclique.of(
+        graph.left_labels_of(a), graph.right_labels_of(b)
+    ).balanced()
 
 
 @dataclass

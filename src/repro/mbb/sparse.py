@@ -42,6 +42,7 @@ from repro.mbb.dense import (
     BRANCH_NAIVE,
     BRANCH_TRIVIALITY_LAST,
     KERNEL_BITS,
+    _check_initial_best,
     _check_kernel,
 )
 from repro.mbb.heuristics import h_mbb
@@ -145,7 +146,10 @@ def hbv_mbb(
     context:
         Optional pre-seeded context (shared incumbent / statistics).
     initial_best:
-        Optional known balanced biclique to seed the incumbent.
+        Optional known biclique of ``graph`` to seed the incumbent; one
+        that is not a biclique of ``graph`` raises
+        :class:`~repro.exceptions.InvalidParameterError`, since the
+        solve would otherwise report it as an optimal witness.
     prepared:
         Optional :class:`~repro.graph.prepared.PreparedGraph` of exactly
         ``graph`` (what :class:`~repro.api.engine.MBBEngine` hands in
@@ -174,6 +178,7 @@ def hbv_mbb(
     else:
         ensure_prepared_for(prepared, graph)
     if initial_best is not None:
+        _check_initial_best(initial_best, graph)
         context.offer_biclique(initial_best)
 
     # ------------------------------------------------------------------

@@ -8,12 +8,15 @@ result.  The subgraphs are first shrunk to their ``(best_side + 1)``-core
 
 With the default :data:`~repro.mbb.dense.KERNEL_BITS` kernel each centred
 subgraph arrives with the :class:`~repro.graph.bitset.IndexedBitGraph` the
-bridging stage already built and cached on it, so no re-conversion happens
-here; the core reduction is applied as a pair of vertex masks
+bridging stage already built from the order view's position rows and
+cached on it, together with the centre's index in it, so no
+re-conversion or label lookup happens here; the core reduction is
+applied as a pair of vertex masks
 (:func:`~repro.graph.bitset.k_core_masks`) and the exhaustive search runs
 on bitmasks, so this stage never materialises additional
 ``BipartiteGraph`` copies.  The :data:`~repro.mbb.dense.KERNEL_SETS` path
-preserves the original behaviour for ablations.
+preserves the original behaviour for ablations: it searches the
+label-keyed graph built from the subgraph's lazy label member sets.
 
 Because the surviving subgraphs are small (bounded by the bidegeneracy) and
 dense, the exhaustive step behaves near-polynomially in practice, which is
@@ -38,6 +41,8 @@ from repro.mbb.dense import (
     BRANCH_TRIVIALITY_LAST,
     KERNEL_BITS,
     KERNEL_SETS,
+    _check_branching,
+    _check_kernel,
     dense_mbb_on_bitgraph,
     dense_mbb_on_sets,
 )
@@ -71,9 +76,8 @@ def _search_subgraph_bits(
         left_mask, right_mask = k_core_masks(
             bitgraph, context.best_side + 1, left_mask, right_mask
         )
-    side, label = sub.center
-    if side == LEFT:
-        index = bitgraph.left_index[label]
+    index = sub.center_index
+    if sub.center[0] == LEFT:
         bit = 1 << index
         if not left_mask & bit:
             return
@@ -82,7 +86,6 @@ def _search_subgraph_bits(
         ca = left_mask ^ bit
         cb = bitgraph.adj_left[index] & right_mask
     else:
-        index = bitgraph.right_index[label]
         bit = 1 << index
         if not right_mask & bit:
             return
@@ -155,8 +158,12 @@ def verify_mbb(
     returned.  When a budget is exhausted the incumbent found so far is
     returned and ``context.aborted`` is set.  ``kernel`` selects the
     bitset (default) or adjacency-set search implementation.  Survivors
-    are searched in :func:`schedule_hardest_first` order.
+    are searched in :func:`schedule_hardest_first` order.  An unknown
+    ``kernel`` or ``branching`` raises
+    :class:`~repro.exceptions.InvalidParameterError` before any search.
     """
+    _check_kernel(kernel)
+    _check_branching(branching)
     search = _search_subgraph_bits if kernel == KERNEL_BITS else _search_subgraph
     for sub in schedule_hardest_first(subgraphs):
         if context.aborted:

@@ -12,59 +12,104 @@ subgraphs are; the bidegeneracy order bounds their total size by
 ``O((|L|+|R|) * δ̈)`` (Lemma 8), which is what makes the sparse framework
 practical.
 
-A :class:`VertexCentredSubgraph` is deliberately *lazy*: generation only
-computes the member vertex sets, which is all the bridging stage needs for
-its trivial size test.  Neither representation of the induced subgraph — the
-:class:`~repro.graph.bitset.IndexedBitGraph` used by the default bitset
-pipeline nor the :class:`~repro.graph.bipartite.BipartiteGraph` used by the
-``sets`` ablation — is materialised until a consumer asks for it, and each
-is built at most once: the bitgraph the bridging stage builds for its core
-prunes is the very object the verification stage searches.
+:func:`iter_vertex_centred_subgraphs_csr` is the one production
+generator.  It walks the position-space adjacency of a
+:class:`~repro.graph.prepared.PreparedGraph` snapshot's
+:class:`~repro.graph.prepared.OrderView`, whose rows are sorted by order
+position, so the neighbours *after* the centre are a contiguous tail
+found by one binary search per visited row.  A
+:class:`VertexCentredSubgraph` lives in that position space: it holds
+the centre's later tail (the other-side members), the later tail of each
+of them (whose union is the own-side members) and the view.  Counts, the
+size test, the other-side degree test of the bridging stage and the
+:class:`~repro.graph.bitset.IndexedBitGraph` of a survivor all come from
+those position lists; no label is touched until a consumer asks for one.
+The label member sets, the label-keyed :attr:`~VertexCentredSubgraph.
+graph` (read only by the ``sets`` ablation) and the bitgraph are lazy,
+and each is built at most once: the bitgraph the bridging stage builds
+for its core prunes is the very object the verification stage searches.
 
-Two generators produce the family.  :func:`iter_vertex_centred_subgraphs`
-is the historical label-keyed one: per centre it hashes every visited
-neighbour label against per-side position dicts.  The default pipeline
-uses :func:`iter_vertex_centred_subgraphs_csr` instead, which walks the
-position-space adjacency view of a :class:`~repro.graph.prepared.
-PreparedGraph` snapshot (flat arrays derived from CSR ``indptr``/
-``indices``, re-indexed and sorted along the order) — later members are
-binary-searched contiguous tails and labels appear only at the
-member-set boundary, so the yielded subgraphs (and everything downstream
-of them) are byte-identical to the label-keyed generator's, which stays
-selectable as the ``sets``-kernel ablation.
+:func:`iter_vertex_centred_subgraphs` is the historical label-keyed
+generator.  It hashes every visited neighbour label against per-side
+position dicts and yields only the member label sets
+(:class:`CentredMembers`).  No solve runs it: it is the oracle the tests
+and the ``bench kernels`` subgraph rows check the production generator
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
+from repro.graph.bipartite import LEFT, BipartiteGraph, Vertex
 from repro.graph.bitset import IndexedBitGraph
-from repro.graph.prepared import PreparedGraph, ensure_prepared_for
+from repro.graph.prepared import OrderView, PreparedGraph, ensure_prepared_for
 
 VertexKey = Tuple[str, Vertex]
 
 
-@dataclass
 class VertexCentredSubgraph:
-    """One centred subgraph: member sets first, graph forms on demand."""
+    """One centred subgraph in the position space of an order view.
 
-    center: VertexKey
-    position: int
-    left_members: Set[Vertex]
-    right_members: Set[Vertex]
-    parent: BipartiteGraph = field(repr=False)
-    #: Degeneracy of the induced subgraph, cached by the bridging stage so
-    #: its re-filter pass (and any later consumer) never re-peels.  ``None``
-    #: until a stage that ran a core decomposition stores it.
-    degeneracy: Optional[int] = field(default=None, compare=False)
-    _graph: Optional[BipartiteGraph] = field(
-        default=None, repr=False, compare=False
+    ``other_positions`` is the centre's later tail: the positions of its
+    neighbours after it, ascending.  ``tails[k]`` is the later tail of
+    ``other_positions[k]``; every entry is an own-side member, and the
+    union of the tails plus the centre is ``own_positions``.  An
+    other-side member's degree inside the subgraph is therefore
+    ``len(tails[k]) + 1`` (the tail plus the centre), and the tails are
+    its adjacency rows with no filtering.
+    """
+
+    __slots__ = (
+        "center",
+        "position",
+        "own_positions",
+        "other_positions",
+        "tails",
+        "view",
+        "parent",
+        "degeneracy",
+        "center_index",
+        "_members",
+        "_graph",
+        "_bitgraph",
     )
-    _bitgraph: Optional[IndexedBitGraph] = field(
-        default=None, repr=False, compare=False
-    )
+
+    def __init__(
+        self,
+        center: VertexKey,
+        position: int,
+        own_positions: Set[int],
+        other_positions: List[int],
+        tails: List[List[int]],
+        view: OrderView,
+        parent: BipartiteGraph,
+    ) -> None:
+        self.center = center
+        self.position = position
+        self.own_positions = own_positions
+        self.other_positions = other_positions
+        self.tails = tails
+        self.view = view
+        self.parent = parent
+        #: Degeneracy of the induced subgraph, cached by the bridging stage
+        #: so its re-filter pass (and any later consumer) never re-peels.
+        #: ``None`` until a stage that ran a core decomposition stores it.
+        self.degeneracy: Optional[int] = None
+        #: The centre's index on its side of :meth:`to_bitgraph`, set by
+        #: the build so the verification stage needs no label lookup.
+        self.center_index: Optional[int] = None
+        self._members: Optional[Tuple[Set[Vertex], Set[Vertex]]] = None
+        self._graph: Optional[BipartiteGraph] = None
+        self._bitgraph: Optional[IndexedBitGraph] = None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"VertexCentredSubgraph(center={self.center!r}, "
+            f"position={self.position}, |L|={self.num_left}, "
+            f"|R|={self.num_right})"
+        )
 
     @property
     def center_side(self) -> str:
@@ -78,154 +123,210 @@ class VertexCentredSubgraph:
 
     @property
     def num_left(self) -> int:
-        """Number of left-side member vertices (no materialisation)."""
-        return len(self.left_members)
+        """Number of left-side member vertices (a count, nothing built)."""
+        if self.center[0] == LEFT:
+            return len(self.own_positions)
+        return len(self.other_positions)
 
     @property
     def num_right(self) -> int:
-        """Number of right-side member vertices (no materialisation)."""
-        return len(self.right_members)
+        """Number of right-side member vertices (a count, nothing built)."""
+        if self.center[0] == LEFT:
+            return len(self.other_positions)
+        return len(self.own_positions)
 
     @property
     def min_side(self) -> int:
-        """``min(|L|, |R|)`` of the member sets — the Lemma size-test input."""
-        return min(len(self.left_members), len(self.right_members))
+        """``min(|L|, |R|)`` of the members — the Lemma size-test input."""
+        return min(len(self.own_positions), len(self.other_positions))
 
     @property
     def size(self) -> int:
         """Number of vertices of the centred subgraph."""
-        return len(self.left_members) + len(self.right_members)
+        return len(self.own_positions) + len(self.other_positions)
+
+    @property
+    def num_edges(self) -> int:
+        """Number of edges: each other-side member's tail plus the centre."""
+        return len(self.other_positions) + sum(map(len, self.tails))
 
     @property
     def density(self) -> float:
         """Edge density of the centred subgraph (Figure 6 metric).
 
-        Counted directly from the member sets against the parent's
-        adjacency (iterating the smaller side), so profiling the family —
-        most of which no search will ever touch — does not pay the full
-        bitset indexing of :meth:`to_bitgraph` per subgraph.  A bitgraph
-        that some stage already materialised is reused instead.
+        Counted from the tail lengths, so profiling the family — most of
+        which no search will ever touch — builds nothing per subgraph.
         """
-        if self._bitgraph is not None:
-            return self._bitgraph.density
-        num_left = len(self.left_members)
-        num_right = len(self.right_members)
-        if not num_left or not num_right:
-            return 0.0
-        parent = self.parent
-        if num_left <= num_right:
-            edges = sum(
-                len(parent.neighbors_left(u) & self.right_members)
-                for u in self.left_members
-            )
-        else:
-            edges = sum(
-                len(parent.neighbors_right(v) & self.left_members)
-                for v in self.right_members
-            )
-        return edges / (num_left * num_right)
+        product = len(self.own_positions) * len(self.other_positions)
+        return self.num_edges / product if product else 0.0
+
+    def count_other_degrees_at_least(self, k: int) -> int:
+        """How many other-side members have degree ``>= k`` in the subgraph.
+
+        A nonempty ``k``-core needs at least ``k`` of them (each own-side
+        core vertex has ``k`` core neighbours on the other side, all of
+        degree ``>= k``), so a count below ``k`` proves the degeneracy is
+        below ``k`` from the tail lengths alone.
+        """
+        return sum(map((k - 1).__le__, map(len, self.tails)))
+
+    @property
+    def left_members(self) -> Set[Vertex]:
+        """Labels of the left-side members (lazy, cached)."""
+        return self._label_members()[0]
+
+    @property
+    def right_members(self) -> Set[Vertex]:
+        """Labels of the right-side members (lazy, cached)."""
+        return self._label_members()[1]
+
+    def _label_members(self) -> Tuple[Set[Vertex], Set[Vertex]]:
+        """Both member label sets, built once from the position lists.
+
+        The sets are filled in the order the label-keyed generator fills
+        them (the parent's adjacency-set order, filtered by membership):
+        the ``sets`` kernel's counters depend on set iteration order, and
+        this keeps them what that generator gave.
+        """
+        if self._members is None:
+            labels = self.view.labels
+            later_other = set(map(labels.__getitem__, self.other_positions))
+            own = set(map(labels.__getitem__, self.own_positions))
+            side, label = self.center
+            if side == LEFT:
+                neighbours_of_center = self.parent.neighbors_left(label)
+                neighbours_of_other = self.parent.neighbors_right
+            else:
+                neighbours_of_center = self.parent.neighbors_right(label)
+                neighbours_of_other = self.parent.neighbors_left
+            other_members = {v for v in neighbours_of_center if v in later_other}
+            own_members = {label}
+            for v in other_members:
+                for u in neighbours_of_other(v):
+                    if u != label and u in own:
+                        own_members.add(u)
+            if side == LEFT:
+                self._members = (own_members, other_members)
+            else:
+                self._members = (other_members, own_members)
+        return self._members
 
     @property
     def graph(self) -> BipartiteGraph:
         """The centred subgraph as a :class:`BipartiteGraph` (lazy, cached).
 
-        Only the ``sets`` ablation path pays for this materialisation; the
-        default bitset pipeline goes straight to :meth:`to_bitgraph`.
+        Only the ``sets`` ablation reads it; the default bitset pipeline
+        goes straight to :meth:`to_bitgraph`.
         """
         if self._graph is None:
-            self._graph = self.parent.induced_subgraph(
-                self.left_members, self.right_members
-            )
+            left, right = self._label_members()
+            self._graph = self.parent.induced_subgraph(left, right)
         return self._graph
 
     def to_bitgraph(self) -> IndexedBitGraph:
         """The centred subgraph as an :class:`IndexedBitGraph` (cached).
 
-        Built directly from the parent graph restricted to the member sets
-        — no intermediate :class:`BipartiteGraph` copy.  The bridging stage
-        (Algorithm 6) runs its core prunes and local heuristic on this
-        object and the verification stage (Algorithm 8) then searches the
-        *same* cached instance, so each surviving subgraph is indexed
-        exactly once per solve.
+        Built from the position lists.  Both sides are sorted by dense
+        id, which is the ``(side, repr(label))`` order, so the result
+        equals ``IndexedBitGraph.from_bipartite(parent, left_members,
+        right_members)`` — labels, rows, index maps and so every
+        tie-break.  Other-side member ``q``'s row is its later tail plus
+        the centre, as bits; the own side's rows are one transpose.  The
+        bridging stage (Algorithm 6) runs its core prunes and local
+        heuristic on this object and the verification stage
+        (Algorithm 8) searches the *same* instance.
         """
         if self._bitgraph is None:
-            self._bitgraph = IndexedBitGraph.from_bipartite(
-                self.parent, self.left_members, self.right_members
+            view = self.view
+            order_ids = view.order_ids
+            labels = view.labels
+            own = sorted(self.own_positions, key=order_ids.__getitem__)
+            bit_of: Dict[int, int] = {p: 1 << i for i, p in enumerate(own)}
+            center_bit = bit_of[self.position]
+            self.center_index = center_bit.bit_length() - 1
+            other = self.other_positions
+            tails = self.tails
+            ranked = sorted(
+                range(len(other)), key=[order_ids[q] for q in other].__getitem__
             )
+            bit = bit_of.__getitem__
+            rows = [sum(map(bit, tails[k])) | center_bit for k in ranked]
+            own_labels = [labels[p] for p in own]
+            other_labels = [labels[other[k]] for k in ranked]
+            if self.center[0] == LEFT:
+                self._bitgraph = IndexedBitGraph.from_right_rows(
+                    own_labels, other_labels, rows
+                )
+            else:
+                self._bitgraph = IndexedBitGraph(other_labels, own_labels, rows)
         return self._bitgraph
 
 
-def vertex_centred_subgraph(
-    graph: BipartiteGraph,
-    center: VertexKey,
-    later: Dict[VertexKey, int],
-    position: int,
-) -> VertexCentredSubgraph:
-    """Build the subgraph centred at ``center`` restricted to later vertices.
+def iter_vertex_centred_subgraphs_csr(
+    prepared: PreparedGraph,
+    order: Sequence[VertexKey],
+) -> Iterator[VertexCentredSubgraph]:
+    """Yield the centred subgraph of every vertex, following ``order``.
 
-    ``later`` maps every vertex key to its position in the total order; a
-    vertex participates when its position is strictly greater than
-    ``position`` (the centre's own position).  Only the member sets are
-    computed here; see :class:`VertexCentredSubgraph` for the lazy graph
-    forms.
+    Walks the flat position-space adjacency of the snapshot's
+    :class:`~repro.graph.prepared.OrderView`: every row is sorted
+    ascending by order position, so the neighbours *after* the centre —
+    the only vertices a centred subgraph may contain — are a contiguous
+    tail found by one :func:`bisect.bisect_right` per visited row.  Per
+    centre the generator slices the centre's later tail and the later
+    tail of each vertex in it, and unions those tails into the own-side
+    member set, all in C-level list and set operations.  Subgraphs are
+    produced lazily, so callers (``bridgeMBB``) prune them one by one
+    from counts; the member sets, positions and iteration order equal
+    the label-keyed :func:`iter_vertex_centred_subgraphs` oracle's
+    (property-tested).
     """
-    left_pos = {label: pos for (side, label), pos in later.items() if side == LEFT}
-    right_pos = {label: pos for (side, label), pos in later.items() if side == RIGHT}
-    return _vertex_centred_subgraph(graph, center, left_pos, right_pos, position)
+    view = prepared.order_view(order if isinstance(order, list) else list(order))
+    rows = view.flat_positions
+    row_ptr = view.row_ptr
+    order_ids = view.order_ids
+    keys = prepared.csr.keys
+    parent = prepared.graph
+    make_subgraph = VertexCentredSubgraph
+    end = 0
+    for position in range(len(order_ids)):
+        start = end
+        end = row_ptr[position + 1]
+        cut = bisect_right(rows, position, start, end)
+        other = rows[cut:end]
+        # Per later neighbour, one binary search bounded to its row inside
+        # the flat positions list and one slice of the later part.
+        tails = [
+            rows[bisect_right(rows, position, row_ptr[q], stop) : stop]
+            for q in other
+            for stop in (row_ptr[q + 1],)
+        ]
+        own = set().union(*tails)
+        own.add(position)
+        yield make_subgraph(
+            keys[order_ids[position]], position, own, other, tails, view, parent
+        )
 
 
-def _vertex_centred_subgraph(
-    graph: BipartiteGraph,
-    center: VertexKey,
-    left_pos: Dict[Vertex, int],
-    right_pos: Dict[Vertex, int],
-    position: int,
-) -> VertexCentredSubgraph:
-    """Member-set construction with per-side position tables.
+class CentredMembers(NamedTuple):
+    """One centred subgraph as member label sets (the oracle's record)."""
 
-    Splitting the position map by side turns the hot inner-loop lookup
-    from a tuple-key hash (build the tuple, hash two elements) into a
-    plain label lookup; generation runs once per vertex of the residual
-    graph, so this shows up in the S2 profile.
-    """
-    side, label = center
-    if side == LEFT:
-        right_members = {
-            v for v in graph.neighbors_left(label) if right_pos[v] > position
-        }
-        left_members = {label}
-        for v in right_members:
-            for u in graph.neighbors_right(v):
-                if u != label and left_pos[u] > position:
-                    left_members.add(u)
-    else:
-        left_members = {
-            u for u in graph.neighbors_right(label) if left_pos[u] > position
-        }
-        right_members = {label}
-        for u in left_members:
-            for v in graph.neighbors_left(u):
-                if v != label and right_pos[v] > position:
-                    right_members.add(v)
-    return VertexCentredSubgraph(
-        center=center,
-        position=position,
-        left_members=left_members,
-        right_members=right_members,
-        parent=graph,
-    )
+    center: VertexKey
+    position: int
+    left_members: Set[Vertex]
+    right_members: Set[Vertex]
 
 
 def iter_vertex_centred_subgraphs(
     graph: BipartiteGraph,
     order: Sequence[VertexKey],
-) -> Iterator[VertexCentredSubgraph]:
-    """Yield the centred subgraph of every vertex, following ``order``.
+) -> Iterator[CentredMembers]:
+    """Label-keyed oracle of :func:`iter_vertex_centred_subgraphs_csr`.
 
-    Subgraphs are produced lazily so callers (``bridgeMBB``) can prune them
-    one by one without materialising the whole family — and, since each
-    yielded object carries only its member sets, a subgraph killed by the
-    trivial size test never materialises any induced-subgraph form at all.
+    Splits the position map by side so the inner-loop lookup is a plain
+    label lookup, then per centre filters the centre's neighbours and
+    their neighbours by position.  Tests and the ``bench kernels``
+    subgraph rows compare the production generator against it.
     """
     left_pos: Dict[Vertex, int] = {}
     right_pos: Dict[Vertex, int] = {}
@@ -234,85 +335,27 @@ def iter_vertex_centred_subgraphs(
             left_pos[label] = index
         else:
             right_pos[label] = index
-    for index, key in enumerate(order):
-        yield _vertex_centred_subgraph(graph, key, left_pos, right_pos, index)
-
-
-def iter_vertex_centred_subgraphs_csr(
-    prepared: PreparedGraph,
-    order: Sequence[VertexKey],
-) -> Iterator[VertexCentredSubgraph]:
-    """CSR counterpart of :func:`iter_vertex_centred_subgraphs`.
-
-    Walks the flat position-space adjacency of the snapshot's
-    :class:`~repro.graph.prepared.OrderView`: every row is sorted
-    ascending by order position, so the neighbours *after* the centre —
-    the only vertices a centred subgraph may contain — are a contiguous
-    tail found by one :func:`bisect.bisect_right` per visited row.  The
-    generator therefore touches later vertices only (no per-neighbour
-    position test), and the member sets are built by C-level set unions
-    over the element-aligned label-row tails, so positions cross back to
-    labels at the member-set boundary with no Python-level inner loop at
-    all.  The yielded :class:`VertexCentredSubgraph` objects — member
-    sets, positions and iteration order — are identical to the
-    label-keyed generator's (property-tested), so both kernels consume
-    them unchanged.
-    """
-    from bisect import bisect_right
-
-    view = prepared.order_view(order if isinstance(order, list) else list(order))
-    rows = view.flat_positions
-    row_ptr = view.row_ptr
-    flat_labels = view.flat_labels
-    is_left = view.is_left
-    order_ids = view.order_ids
-    labels = view.labels
-    keys = prepared.csr.keys
-    total = len(order_ids)
-    make_subgraph = VertexCentredSubgraph
-    parent = prepared.graph
-    end = 0
-    for position in range(total):
-        start = end
-        end = row_ptr[position + 1]
-        cut = bisect_right(rows, position, start, end)
-        if cut == end:
-            # No later neighbours: the centred subgraph is the bare
-            # centre.  Late-order centres hit this constantly, so skip
-            # the set machinery entirely.
-            own_members = {labels[position]}
-            other_members: Set[Vertex] = set()
+    for position, center in enumerate(order):
+        side, label = center
+        if side == LEFT:
+            right_members = {
+                v for v in graph.neighbors_left(label) if right_pos[v] > position
+            }
+            left_members = {label}
+            for v in right_members:
+                for u in graph.neighbors_right(v):
+                    if u != label and left_pos[u] > position:
+                        left_members.add(u)
         else:
-            other_members = set(flat_labels[cut:end])
-            # The 2-hop union runs entirely in C: per later neighbour,
-            # one binary search bounded to the neighbour's row inside the
-            # flat positions list (the row itself is never sliced out)
-            # plus one set.update over the later-tail slice of the
-            # element-aligned label array.
-            own_members = set()
-            update = own_members.update
-            for neighbour in rows[cut:end]:
-                neighbour_start = row_ptr[neighbour]
-                neighbour_end = row_ptr[neighbour + 1]
-                update(
-                    flat_labels[
-                        bisect_right(
-                            rows, position, neighbour_start, neighbour_end
-                        ) : neighbour_end
-                    ]
-                )
-            own_members.add(labels[position])
-        if is_left[position]:
-            left_members, right_members = own_members, other_members
-        else:
-            left_members, right_members = other_members, own_members
-        yield make_subgraph(
-            center=keys[order_ids[position]],
-            position=position,
-            left_members=left_members,
-            right_members=right_members,
-            parent=parent,
-        )
+            left_members = {
+                u for u in graph.neighbors_right(label) if left_pos[u] > position
+            }
+            right_members = {label}
+            for u in left_members:
+                for v in graph.neighbors_left(u):
+                    if v != label and right_pos[v] > position:
+                        right_members.add(v)
+        yield CentredMembers(center, position, left_members, right_members)
 
 
 def total_subgraph_size(
@@ -323,9 +366,9 @@ def total_subgraph_size(
 ) -> int:
     """Total number of vertices over all centred subgraphs (Lemmas 6-8).
 
-    Runs on the CSR generator; pass the ``prepared`` snapshot when the
-    caller already holds one (the Figure 6 metrics share a single
-    snapshot across all three orders) to skip re-indexing.
+    Pass the ``prepared`` snapshot when the caller already holds one (the
+    Figure 6 metrics share a single snapshot across all three orders) to
+    skip re-indexing.
     """
     if prepared is None:
         prepared = PreparedGraph.prepare(graph)
@@ -347,8 +390,8 @@ def subgraph_density_profile(
     Subgraphs whose centre has no later neighbours are skipped, matching
     how the paper reports the *average density of vertex centred
     subgraphs* in Figure 6 (empty slices would otherwise dominate the
-    average with zeros).  Like :func:`total_subgraph_size` this runs on
-    the CSR generator and accepts a shared ``prepared`` snapshot.
+    average with zeros).  Like :func:`total_subgraph_size` this accepts a
+    shared ``prepared`` snapshot.
     """
     if prepared is None:
         prepared = PreparedGraph.prepare(graph)

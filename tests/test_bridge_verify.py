@@ -177,7 +177,82 @@ class TestBridgeBudgets:
         assert not outcome.exhausted
 
 
+class TestExactPrunes:
+    """The cheap S2 prunes kill exactly what one full core peel kills."""
+
+    FAMILIES = {
+        "random": lambda seed: random_bipartite(18, 18, 0.3, seed=seed),
+        "power_law": lambda seed: random_power_law_bipartite(40, 40, 3.0, seed=seed),
+        "planted": lambda seed: planted_balanced_biclique(
+            40, 40, 7, background_density=0.06, seed=seed
+        ),
+    }
+
+    @pytest.mark.parametrize("order_name", [ORDER_DEGREE, ORDER_BIDEGENERACY])
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scan_matches_a_full_peel_reference(self, kind, order_name, seed):
+        from repro.graph.bitset import IndexedBitGraph, core_numbers_masks
+        from repro.mbb.bridge import _scan_bits
+        from repro.mbb.heuristics import core_heuristic_bits
+        from repro.mbb.vertex_centred import iter_vertex_centred_subgraphs_csr
+
+        graph = self.FAMILIES[kind](seed)
+        prepared = PreparedGraph.prepare(graph)
+        order = prepared.search_order(order_name)
+        for target in range(1, 7):
+            for sub in iter_vertex_centred_subgraphs_csr(prepared, order):
+                if sub.min_side < target:
+                    continue
+                reference = IndexedBitGraph.from_bipartite(
+                    graph, sub.left_members, sub.right_members
+                )
+                cores = core_numbers_masks(reference)
+                full_degeneracy = max(max(cores[0]), max(cores[1]))
+                candidate = _scan_bits(sub, target, True, True)
+                if full_degeneracy < target:
+                    assert candidate is None
+                    continue
+                assert candidate is not None
+                assert sub.degeneracy == full_degeneracy
+                assert candidate == core_heuristic_bits(reference, cores=cores)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bridge_counters_match_the_sets_kernel(self, seed):
+        graph = planted_balanced_biclique(
+            40, 40, 7, background_density=0.06, seed=seed
+        )
+        outcomes = {}
+        for kernel in (KERNEL_BITS, KERNEL_SETS):
+            context = SearchContext()
+            outcome = bridge_mbb(graph, context, kernel=kernel)
+            outcomes[kernel] = (
+                [(sub.center, sub.degeneracy) for sub in outcome.surviving],
+                context.best,
+                context.stats.subgraphs_generated,
+                context.stats.subgraphs_pruned,
+            )
+        assert outcomes[KERNEL_BITS] == outcomes[KERNEL_SETS]
+
+
 class TestVerifyMBB:
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            verify_mbb([], SearchContext(), kernel="nope")
+
+    def test_unknown_branching_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            verify_mbb([], SearchContext(), branching="zzz")
+
+    def test_unknown_kernel_rejected_before_any_search(self):
+        graph = random_power_law_bipartite(40, 40, 3.0, seed=2)
+        context = SearchContext()
+        outcome = bridge_mbb(graph, context, use_local_heuristic=False)
+        assert outcome.surviving
+        with pytest.raises(InvalidParameterError):
+            verify_mbb(outcome.surviving, context, kernel="nope")
+        assert context.stats.subgraphs_searched == 0
+
     def test_verify_on_no_subgraphs_keeps_incumbent(self):
         context = SearchContext()
         context.offer([1], [2])

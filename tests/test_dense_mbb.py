@@ -70,10 +70,38 @@ class TestDenseMBBOptions:
             dense_mbb(complete_bipartite(2, 2), branching="bogus")
 
     def test_initial_best_seeds_incumbent(self):
+        # An optimal seed is never replaced (only a strictly larger
+        # biclique is), so it comes back as the witness.
+        graph = random_bipartite(10, 10, 0.6, seed=3)
+        seed = dense_mbb(graph).biclique
+        result = dense_mbb(graph, initial_best=seed)
+        assert result.optimal
+        assert result.biclique == seed
+
+    @pytest.mark.parametrize("kernel", ["bits", "sets"])
+    def test_initial_best_outside_the_graph_is_rejected(self, kernel):
+        from repro.graph.generators import random_power_law_bipartite
+
+        graph = random_power_law_bipartite(60, 60, 3.0, seed=1)
+        fictional = Biclique.of(range(1000, 1010), range(2000, 2010))
+        with pytest.raises(InvalidParameterError):
+            dense_mbb(graph, kernel=kernel, initial_best=fictional)
+
+    def test_initial_best_that_is_not_a_biclique_is_rejected(self):
         graph = complete_bipartite(3, 3)
-        fake = Biclique.of([90, 91, 92, 93], [80, 81, 82, 83])
-        result = dense_mbb(graph, initial_best=fake)
-        assert result.side_size == 4  # the (fictional) seed survives
+        graph.remove_edge(0, 0)
+        with pytest.raises(InvalidParameterError):
+            dense_mbb(graph, initial_best=Biclique.of([0, 1], [0, 1]))
+
+    def test_heuristic_seed_solves_as_before(self):
+        from repro.mbb.heuristics import degree_heuristic
+
+        graph = random_bipartite(14, 14, 0.7, seed=4)
+        plain = dense_mbb(graph)
+        seeded = dense_mbb(graph, initial_best=degree_heuristic(graph))
+        assert seeded.optimal
+        assert seeded.side_size == plain.side_size
+        assert seeded.biclique.is_valid_in(graph)
 
     def test_node_budget_best_effort(self):
         graph = random_bipartite(12, 12, 0.6, seed=5)

@@ -149,6 +149,28 @@ class TestBitsetHeuristics:
         assert result.side_size >= 5
         assert result.is_valid_in(graph)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_restricted_cores_pick_the_full_cores_winner(self, seed):
+        """Core numbers restricted to a k-core holding >= top_r vertices
+        rank the same seeds as the full peel, so the winner is the same."""
+        from repro.graph.bitset import core_numbers_masks, k_core_masks
+
+        graph = planted_balanced_biclique(
+            30, 30, 7, background_density=0.12, seed=seed
+        )
+        bitgraph = IndexedBitGraph.from_bipartite(graph)
+        full = core_numbers_masks(bitgraph)
+        expected = core_heuristic_bits(bitgraph, cores=full)
+        checked = 0
+        for k in range(1, 9):
+            left, right = k_core_masks(bitgraph, k)
+            if left.bit_count() + right.bit_count() < 5:
+                continue
+            restricted = core_numbers_masks(bitgraph, left, right)
+            assert core_heuristic_bits(bitgraph, cores=restricted) == expected
+            checked += 1
+        assert checked >= 3
+
     def test_greedy_extend_bits_validity(self):
         graph = random_bipartite(10, 10, 0.5, seed=2)
         bitgraph = IndexedBitGraph.from_bipartite(graph)

@@ -242,13 +242,16 @@ class TestCrossGeneratorProperty:
         graph = random_bipartite(10, 10, 0.3, seed=9)
         prepared = PreparedGraph.prepare(graph)
         order = search_order(graph, ORDER_BIDEGENERACY)
-        labelled = list(iter_vertex_centred_subgraphs(graph, order))
+        induced = [
+            graph.induced_subgraph(sub.left_members, sub.right_members)
+            for sub in iter_vertex_centred_subgraphs(graph, order)
+        ]
         assert total_subgraph_size(graph, order, prepared=prepared) == sum(
-            sub.size for sub in labelled
+            sub.num_vertices for sub in induced
         )
         expected_profile = [
             sub.density
-            for sub in labelled
+            for sub in induced
             if sub.num_left and sub.num_right and sub.density > 0.0
         ]
         assert (

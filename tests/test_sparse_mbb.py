@@ -171,13 +171,36 @@ class TestStageBudgets:
 
 class TestSparseConfigOptions:
     def test_initial_best_is_used(self):
-        graph = complete_bipartite(3, 3)
+        # An optimal seed is never replaced (only a strictly larger
+        # biclique is), so it comes back as the witness.
+        graph = random_power_law_bipartite(60, 60, 3.0, seed=1)
+        seed = hbv_mbb(graph).biclique
+        seeded = hbv_mbb(
+            graph, config=SparseConfig(use_heuristic=False), initial_best=seed
+        )
+        assert seeded.optimal
+        assert seeded.biclique == seed
+
+    @pytest.mark.parametrize("kernel", [KERNEL_BITS, KERNEL_SETS])
+    def test_initial_best_outside_the_graph_is_rejected(self, kernel):
         from repro.mbb.result import Biclique
 
-        seeded = hbv_mbb(
-            graph, initial_best=Biclique.of(range(10), range(10))
-        )
-        assert seeded.side_size == 10  # fictional incumbent survives
+        graph = random_power_law_bipartite(60, 60, 3.0, seed=1)
+        fictional = Biclique.of(range(1000, 1010), range(2000, 2010))
+        with pytest.raises(InvalidParameterError):
+            hbv_mbb(
+                graph, config=SparseConfig(kernel=kernel), initial_best=fictional
+            )
+
+    def test_heuristic_seed_solves_as_before(self):
+        from repro.mbb.heuristics import degree_heuristic
+
+        graph = random_power_law_bipartite(60, 60, 3.0, seed=1)
+        plain = hbv_mbb(graph)
+        seeded = hbv_mbb(graph, initial_best=degree_heuristic(graph))
+        assert seeded.optimal
+        assert seeded.side_size == plain.side_size
+        assert seeded.biclique.is_valid_in(graph)
 
     def test_sparse_mbb_alias(self):
         graph = random_bipartite(8, 8, 0.4, seed=1)
