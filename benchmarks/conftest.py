@@ -1,11 +1,11 @@
 """Shared configuration for the benchmark suites.
 
-The benchmarks are intentionally scaled down (see DESIGN.md): the goal is
-to reproduce the *shape* of every table and figure — who wins, by roughly
-what factor, where algorithms start timing out — with run times measured in
-seconds rather than the paper's hours.  Each suite prints the regenerated
-table/figure at the end of its session so the output can be copied into
-EXPERIMENTS.md.
+The benchmarks are intentionally scaled down (the datasets are synthetic
+stand-ins, see :mod:`repro.workloads.datasets`): the goal is to reproduce
+the *shape* of every table and figure — who wins, by roughly what factor,
+where algorithms start timing out — with run times measured in seconds
+rather than the paper's hours.  Each suite prints the regenerated
+table/figure at the end of its session.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import pytest
 pytestmark = pytest.mark.bench
 
 from repro.bench.table6 import format_table6, run_table6
-from repro.cores.bicore import IMPL_HEAP, bidegeneracy_order
+from repro.cores.bicore import bidegeneracy_order
 from repro.cores.core import degeneracy_order
 from repro.mbb.heuristics import h_mbb
 from repro.mbb.sparse import hbv_mbb, variant_with_budget
@@ -60,14 +60,6 @@ def test_overhead_bidegeneracy_order(benchmark):
     graph = load_dataset(BENCH_DATASET)
     order = benchmark(lambda: bidegeneracy_order(graph))
     assert len(order) == graph.num_vertices
-
-
-@pytest.mark.table
-def test_overhead_bidegeneracy_order_heap_ablation(benchmark):
-    """Time the set-keyed heap peel the flat bucket engine replaced."""
-    graph = load_dataset(BENCH_DATASET)
-    order = benchmark(lambda: bidegeneracy_order(graph, impl=IMPL_HEAP))
-    assert order == bidegeneracy_order(graph)
 
 
 @pytest.mark.table

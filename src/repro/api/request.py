@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 from repro._util import is_finite_number
-from repro.exceptions import DatasetError, InvalidParameterError
+from repro.exceptions import DatasetError, GraphFormatError, InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.mbb.dense import KERNEL_BITS
 from repro.mbb.result import Biclique, MBBResult, SearchStats
@@ -275,7 +275,10 @@ class GraphSpec:
 
             if self.path is None:
                 raise InvalidParameterError("path graph spec requires 'path'")
-            return read_edge_list(self.path)
+            try:
+                return read_edge_list(self.path)
+            except GraphFormatError as exc:
+                raise InvalidParameterError(f"{self.path}: {exc}") from None
         if self.kind == SOURCE_EDGES:
             return BipartiteGraph(edges=self.edges or ())
         if self.kind == SOURCE_RANDOM:

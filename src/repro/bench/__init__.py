@@ -3,7 +3,7 @@
 Each module exposes a ``run_*`` function returning plain row dictionaries
 and a ``format_*`` helper that renders them as a text table, so the same
 code backs the pytest-benchmark suites under ``benchmarks/``, the runnable
-examples and EXPERIMENTS.md.
+examples and ``repro-mbb bench``.
 
 =================  ==============================================
 module             paper artefact
@@ -14,21 +14,18 @@ module             paper artefact
 ``figure4``        Figure 4 — heuristic gap to the optimum
 ``figure5``        Figure 5 — search depth over δ̈ per order
 ``figure6``        Figure 6 — density of vertex-centred subgraphs
-``kernels``        bitset vs set branch-and-bound kernel timing
 =================  ==============================================
 """
 
-from repro.bench.harness import format_table, rows_to_csv
-from repro.bench import table4, table5, table6, figure4, figure5, figure6, kernels
+from repro.bench.harness import format_table
+from repro.bench import table4, table5, table6, figure4, figure5, figure6
 
 __all__ = [
     "format_table",
-    "rows_to_csv",
     "table4",
     "table5",
     "table6",
     "figure4",
     "figure5",
     "figure6",
-    "kernels",
 ]

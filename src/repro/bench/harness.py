@@ -86,16 +86,3 @@ def format_table(rows: Sequence[Dict[str, object]], columns: Iterable[str] | Non
     )
     return "\n".join([header, separator, body])
 
-
-def rows_to_csv(rows: Sequence[Dict[str, object]], columns: Iterable[str] | None = None) -> str:
-    """Render rows as CSV text (used to archive results in EXPERIMENTS.md)."""
-    rows = list(rows)
-    if not rows:
-        return ""
-    if columns is None:
-        columns = list(rows[0].keys())
-    columns = list(columns)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(row.get(col, "")) for col in columns))
-    return "\n".join(lines)

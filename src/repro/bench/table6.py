@@ -4,9 +4,7 @@ For every tough dataset the table reports:
 
 * the cost of the building blocks in isolation — the heuristic stage
   ``hMBB``, the degeneracy order ``degOrder`` and the bidegeneracy order
-  ``bdegOrder`` (overhead columns; ``bdegOrderHeap`` re-times the
-  bidegeneracy order with the set-keyed heap peel the flat bucket engine
-  replaced, so the table shows what the engine swap saves per dataset);
+  ``bdegOrder`` (overhead columns);
 * the full framework ``hbvMBB``; and
 * the ablations ``bd1`` (no heuristic stage), ``bd2`` (no core/bicore
   optimisations), ``bd3`` (no dense branching technique), ``bd4`` (degree
@@ -24,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import format_table, run_backend, timed
-from repro.cores.bicore import IMPL_HEAP, bidegeneracy_order
+from repro.cores.bicore import bidegeneracy_order
 from repro.cores.core import degeneracy_order
 from repro.mbb.heuristics import h_mbb
 from repro.mbb.sparse import VARIANT_CONFIGS, variant
@@ -35,7 +33,6 @@ COLUMNS = (
     "hMBB",
     "degOrder",
     "bdegOrder",
-    "bdegOrderHeap",
     "bd1",
     "bd2",
     "bd3",
@@ -60,8 +57,6 @@ def run_dataset_breakdown(
     row["degOrder"] = deg_time
     _, bdeg_time = timed(bidegeneracy_order, graph)
     row["bdegOrder"] = bdeg_time
-    _, bdeg_heap_time = timed(bidegeneracy_order, graph, impl=IMPL_HEAP)
-    row["bdegOrderHeap"] = bdeg_heap_time
 
     for variant_name in ("bd1", "bd2", "bd3", "bd4", "bd5", "hbvMBB"):
         result, elapsed = run_backend(

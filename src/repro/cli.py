@@ -264,25 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = subparsers.add_parser("bench", help="regenerate a paper table or figure")
     bench.add_argument(
         "artefact",
-        choices=["table4", "table5", "table6", "figure4", "figure5", "figure6", "kernels"],
-        help="which table/figure to regenerate ('kernels' compares the bitset "
-        "and set branch-and-bound kernels)",
+        choices=["table4", "table5", "table6", "figure4", "figure5", "figure6"],
+        help="which table/figure to regenerate",
     )
     bench.add_argument("--time-budget", type=float, default=5.0, help="per-run budget in seconds")
-    bench.add_argument(
-        "--write-json",
-        default=None,
-        metavar="PATH",
-        help="also archive the raw rows as JSON (kernels artefact only, "
-        "e.g. BENCH_kernels.json)",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="kernels artefact only: run a reduced sweep (two dense cases, "
-        "one dataset per bridge/peel/subgraph/engine-cache comparison) "
-        "suitable for CI smoke checks",
-    )
     return parser
 
 
@@ -332,10 +317,7 @@ def _command_batch(args: argparse.Namespace) -> int:
         else:
             with open(args.requests, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-    except OSError as error:
-        print(f"error: cannot read requests file: {error}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as error:
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
         print(f"error: requests file is not valid JSON: {error}", file=sys.stderr)
         return 2
     if isinstance(payload, dict) and "requests" in payload:
@@ -566,11 +548,7 @@ def _command_lint(args: argparse.Namespace) -> int:
             )
             return 2
     if args.graph_dot is not None:
-        try:
-            dot = build_project(paths, root=root).to_dot()
-        except FileNotFoundError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        dot = build_project(paths, root=root).to_dot()
         if args.graph_dot == "-":
             print(dot, end="")
         else:
@@ -583,7 +561,7 @@ def _command_lint(args: argparse.Namespace) -> int:
     try:
         baseline = None if args.no_baseline else Baseline.load(baseline_path)
         result = run_lint(paths, root=root, rules=rules, baseline=baseline)
-    except (BaselineError, FileNotFoundError, ValueError) as error:
+    except (BaselineError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.write_baseline:
@@ -601,72 +579,10 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    from repro.bench import figure4, figure5, figure6, kernels, table4, table5, table6
+    from repro.bench import figure4, figure5, figure6, table4, table5, table6
 
     budget = args.time_budget
-    if args.write_json and args.artefact != "kernels":
-        print("error: --write-json is only supported for the kernels artefact", file=sys.stderr)
-        return 2
-    if args.smoke and args.artefact != "kernels":
-        print("error: --smoke is only supported for the kernels artefact", file=sys.stderr)
-        return 2
-    if args.artefact == "kernels":
-        if args.smoke:
-            cases = kernels.SMOKE_KERNEL_CASES
-            datasets = kernels.SMOKE_BRIDGE_DATASETS
-            peel_datasets = kernels.SMOKE_PEEL_DATASETS
-            subgraph_datasets = kernels.SMOKE_SUBGRAPH_DATASETS
-            cache_datasets = kernels.SMOKE_ENGINE_CACHE_DATASETS
-            handoff_datasets = kernels.SMOKE_HANDOFF_DATASETS
-            instances = 1
-            peel_repeats = 1
-        else:
-            cases = kernels.DEFAULT_KERNEL_CASES
-            datasets = kernels.DEFAULT_BRIDGE_DATASETS
-            peel_datasets = kernels.DEFAULT_PEEL_DATASETS
-            subgraph_datasets = kernels.DEFAULT_SUBGRAPH_DATASETS
-            cache_datasets = kernels.DEFAULT_ENGINE_CACHE_DATASETS
-            handoff_datasets = kernels.DEFAULT_HANDOFF_DATASETS
-            instances = 2
-            peel_repeats = 3
-        rows = kernels.run_kernel_comparison(
-            cases, instances=instances, time_budget=budget
-        )
-        bridge_rows = kernels.run_bridge_comparison(datasets, time_budget=budget)
-        peel_rows = kernels.run_peel_comparison(
-            peel_datasets, repeats=peel_repeats, time_budget=budget
-        )
-        subgraph_rows = kernels.run_subgraph_comparison(
-            subgraph_datasets, repeats=peel_repeats, time_budget=budget
-        )
-        engine_cache_rows = kernels.run_engine_cache_comparison(
-            cache_datasets, repeats=peel_repeats, time_budget=budget
-        )
-        handoff_rows = kernels.run_handoff_comparison(
-            handoff_datasets, repeats=peel_repeats, time_budget=budget
-        )
-        print(
-            kernels.format_kernel_comparison(
-                rows,
-                bridge_rows,
-                peel_rows,
-                subgraph_rows,
-                engine_cache_rows,
-                handoff_rows,
-            )
-        )
-        if args.write_json:
-            kernels.write_benchmark_json(
-                rows,
-                args.write_json,
-                bridge_rows,
-                peel_rows,
-                subgraph_rows,
-                engine_cache_rows,
-                handoff_rows,
-            )
-            print(f"\narchived rows to {args.write_json}")
-    elif args.artefact == "table4":
+    if args.artefact == "table4":
         print(table4.format_table4(table4.run_table4(time_budget=budget, instances=1)))
     elif args.artefact == "table5":
         print(table5.format_table5(table5.run_table5(time_budget=budget)))
@@ -702,6 +618,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except OSError as error:
+        # Every command's unreadable input or unwritable output file: a
+        # usage error, not a failure of the graph or the solver.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

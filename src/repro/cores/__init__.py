@@ -32,7 +32,6 @@ from repro.cores.bicore import (
     ALL_IMPLS,
     IMPL_BUCKET,
     IMPL_EXACT,
-    IMPL_HEAP,
     bicore_decomposition,
     bicore_numbers,
     bidegeneracy,
@@ -58,7 +57,6 @@ __all__ = [
     "ALL_IMPLS",
     "IMPL_BUCKET",
     "IMPL_EXACT",
-    "IMPL_HEAP",
     "bicore_decomposition",
     "bicore_numbers",
     "bidegeneracy",

@@ -11,8 +11,8 @@ Algorithm 7, Lemma 10):
   tie-break of Lemma 10, which keeps the decomposition linear in
   ``M = sum_u |N_{<=2}(u)|``.
 
-Three interchangeable implementations sit behind the ``impl=`` switch;
-all three peel the *materialised* ``N_{<=2}`` graph with the identical
+Two interchangeable implementations sit behind the ``impl=`` switch;
+both peel the *materialised* ``N_{<=2}`` graph with the identical
 priority ``(|N_{<=2}|, 1-hop degree, vertex id)`` — the id being the
 position in the deterministic :class:`~repro.graph.csr.CSRBipartite`
 ordering (left before right, ``repr``-sorted per side) — so they produce
@@ -30,15 +30,12 @@ the *same bicore numbers and the same peel order*:
   in the same packed-integer idiom as the branch-and-bound kernels of
   :mod:`repro.graph.bitset` (see :func:`_peel_bucket_flat` for the exact
   cost model).
-* :data:`IMPL_HEAP`: the pre-flat implementation, kept as the ablation
-  the ``peel_rows`` of ``BENCH_kernels.json`` measure against — a
-  lazy-deletion binary heap over the dict-of-sets ``N_{<=2}`` adjacency,
-  ``O(M log M)`` with heavy per-entry constants (tuple keys, hashing).
-* :data:`IMPL_EXACT`: the test oracle.  No decremented counters, no
-  bucket or heap: each step recounts every remaining ``|N_{<=2}(u)|`` and
-  1-hop degree among the survivors from scratch and takes the minimum,
-  ``O(n * M)``.  Because it shares the selection rule bit for bit, it
-  validates the fast peels' *orders*, not just their bicore numbers.
+* :data:`IMPL_EXACT`: the test oracle.  No decremented counters and no
+  selection structure: each step recounts every remaining
+  ``|N_{<=2}(u)|`` and 1-hop degree among the survivors from scratch and
+  takes the minimum, ``O(n * M)``.  Because it shares the selection rule
+  bit for bit, it validates the bucket peel's *order*, not just its
+  bicore numbers.
 
 Semantics note: the peel removes vertices from the ``N_{<=2}`` graph
 materialised once up front (each removal lowers a neighbour's count by
@@ -53,8 +50,7 @@ precisely for that cross-check.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
@@ -65,21 +61,20 @@ VertexKey = Tuple[str, Vertex]
 
 #: Flat two-level bucket peel (Algorithm 7), the default.
 IMPL_BUCKET = "bucket"
-#: Lazy-deletion heap over the dict-of-sets adjacency (ablation).
-IMPL_HEAP = "heap"
 #: Naive recount-everything oracle (tests only, ``O(n * M)``).
 IMPL_EXACT = "exact"
 
 #: All peel implementations, fastest first.
-ALL_IMPLS = (IMPL_BUCKET, IMPL_HEAP, IMPL_EXACT)
+ALL_IMPLS = (IMPL_BUCKET, IMPL_EXACT)
 
 
 def _tie_break(key: VertexKey) -> Tuple[str, str]:
     """The canonical deterministic tie-break: ``(side, repr(label))``.
 
     Comparing two keys by this tuple is exactly comparing their dense
-    :class:`CSRBipartite` ids, so the key-space peels (heap) and the
-    id-space peels (bucket, exact) break ties identically.
+    :class:`CSRBipartite` ids, so the label-keyed
+    :func:`residual_bicore_numbers` breaks ties exactly as the id-space
+    peels (bucket, exact) do.
     """
     side, label = key
     return (side, repr(label))
@@ -196,7 +191,7 @@ def _peel_exact_flat(
 
     Recounting needs no side information, no decremented counters and no
     selection structure, which is what makes it an independent oracle of
-    the bucket and heap peels.
+    the bucket peel.
     """
     n = csr.num_vertices
     indptr = csr.indptr
@@ -260,73 +255,6 @@ def flat_bicore_decomposition(
 
 
 # ----------------------------------------------------------------------
-# the legacy heap peel (ablation)
-# ----------------------------------------------------------------------
-def _one_hop_degrees(graph: BipartiteGraph) -> Dict[VertexKey, int]:
-    degrees: Dict[VertexKey, int] = {}
-    for u in graph.left_vertices():
-        degrees[(LEFT, u)] = graph.degree_left(u)
-    for v in graph.right_vertices():
-        degrees[(RIGHT, v)] = graph.degree_right(v)
-    return degrees
-
-
-def _peel_heap(
-    graph: BipartiteGraph,
-) -> Tuple[Dict[VertexKey, int], List[VertexKey]]:
-    """Set-keyed peeling loop returning ``(bicore numbers, peel order)``.
-
-    A lazy-deletion heap keyed by ``(|N_<=2|, |N|, tie-break)`` implements
-    the two peeling conditions of Lemma 10 plus the canonical deterministic
-    tie-break.  Entries become stale when a neighbour's removal lowers a
-    key; stale entries are skipped on pop, which keeps the loop
-    ``O(M log M)`` with ``M = sum_u |N_{<=2}(u)|`` — the log factor and
-    the per-entry tuple hashing are what the flat bucket engine removes.
-    """
-    adjacency = n_le2_adjacency(graph)
-    one_hop = _one_hop_degrees(graph)
-    sizes = {key: len(neigh) for key, neigh in adjacency.items()}
-    heap: List[Tuple[int, int, Tuple[str, str], VertexKey]] = [
-        (sizes[key], one_hop[key], _tie_break(key), key) for key in adjacency
-    ]
-    heapq.heapify(heap)
-
-    bicore: Dict[VertexKey, int] = {}
-    order: List[VertexKey] = []
-    removed: Set[VertexKey] = set()
-    current = 0
-    while heap:
-        size, degree, _, key = heapq.heappop(heap)
-        if key in removed:
-            continue
-        if size != sizes[key] or degree != one_hop[key]:
-            continue  # stale entry
-        current = max(current, size)
-        bicore[key] = current
-        order.append(key)
-        removed.add(key)
-        for neighbour in adjacency[key]:
-            if neighbour in removed:
-                continue
-            adjacency[neighbour].discard(key)
-            sizes[neighbour] -= 1
-            if key[0] != neighbour[0]:
-                # A removed 1-hop neighbour also lowers the plain degree used
-                # as the Lemma 10 tie-break.
-                one_hop[neighbour] -= 1
-            heapq.heappush(
-                heap,
-                (
-                    sizes[neighbour],
-                    one_hop[neighbour],
-                    _tie_break(neighbour),
-                    neighbour,
-                ),
-            )
-    return bicore, order
-
-
-# ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
 def bicore_decomposition(
@@ -337,16 +265,15 @@ def bicore_decomposition(
     Parameters
     ----------
     impl:
-        One of :data:`IMPL_BUCKET` (default), :data:`IMPL_HEAP`,
-        :data:`IMPL_EXACT`.  All three return identical results; they
-        differ only in speed (see the module docstring).
+        :data:`IMPL_BUCKET` (default) or :data:`IMPL_EXACT`.  Both
+        return identical results; they differ only in speed (see the
+        module docstring).
     prepared:
         Optional :class:`~repro.graph.prepared.PreparedGraph` of exactly
-        this graph.  The flat engines (bucket, exact) then reuse its CSR
-        snapshot and ``N_{<=2}`` arrays instead of re-indexing, and the
-        default bucket peel reuses the bundle's memoised decomposition
-        (returned as fresh containers, safe from caller mutation).  The
-        heap ablation keys on labels and ignores it.  A snapshot built
+        this graph.  Both engines then reuse its CSR snapshot and
+        ``N_{<=2}`` arrays instead of re-indexing, and the default bucket
+        peel reuses the bundle's memoised decomposition (returned as
+        fresh containers, safe from caller mutation).  A snapshot built
         from a different graph is rejected.
     """
     if prepared is not None:
@@ -358,8 +285,6 @@ def bicore_decomposition(
             numbers, order = prepared.bicore_decomposition()
             return dict(numbers), list(order)
         return _peel_flat(graph, _peel_bucket_flat)
-    if impl == IMPL_HEAP:
-        return _peel_heap(graph)
     if impl == IMPL_EXACT:
         return _peel_flat(graph, _peel_exact_flat, prepared=prepared)
     raise InvalidParameterError(
@@ -393,6 +318,15 @@ def bidegeneracy_order(
     """
     _, order = bicore_decomposition(graph, impl=impl, prepared=prepared)
     return order
+
+
+def _one_hop_degrees(graph: BipartiteGraph) -> Dict[VertexKey, int]:
+    degrees: Dict[VertexKey, int] = {}
+    for u in graph.left_vertices():
+        degrees[(LEFT, u)] = graph.degree_left(u)
+    for v in graph.right_vertices():
+        degrees[(RIGHT, v)] = graph.degree_right(v)
+    return degrees
 
 
 def residual_bicore_numbers(graph: BipartiteGraph) -> Dict[VertexKey, int]:

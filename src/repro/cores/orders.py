@@ -57,10 +57,10 @@ def search_order(
 ) -> List[VertexKey]:
     """Return the requested total search order over all vertices.
 
-    The bidegeneracy order runs on the default flat bucket engine; callers
-    that want a specific peel engine (the ``heap`` ablation, the ``exact``
-    oracle) call :func:`~repro.cores.bicore.bidegeneracy_order` with
-    ``impl=`` directly, as the peel benchmarks do.
+    The bidegeneracy order runs on the default flat bucket engine; tests
+    that want the ``exact`` oracle call
+    :func:`~repro.cores.bicore.bidegeneracy_order` with ``impl=``
+    directly.
 
     Parameters
     ----------

@@ -14,9 +14,8 @@ What is left here is the plumbing of the shared-memory transport:
 arrays into one segment as native int64 bytes, and
 :meth:`~repro.graph.prepared.PreparedGraph.from_shm` copies them back out
 into lists and closes its mapping.  No solve path uses the transport; it
-stays only because the end-to-end benchmark's tracer wraps ``to_shm``
-and the ``bench kernels`` handoff rows time it, and it goes with them in
-the benchmark change of ROADMAP item 5.
+stays only because the end-to-end benchmark's tracer wraps ``to_shm``,
+and it goes when the benchmark drops that wrap.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ def default_backend() -> str:
     """The flat-array storage in use: always ``"list"``.
 
     Kept only for the end-to-end benchmark's run stamp
-    (``bench_e2e/run.py``); it goes when that stamp drops the field, in
-    the benchmark change of ROADMAP item 5.
+    (``bench_e2e/run.py``); it goes when that stamp drops the field.
     """
     return "list"
 

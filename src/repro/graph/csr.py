@@ -21,7 +21,8 @@ classic compressed-sparse-row layout:
 The id order doubles as the canonical deterministic tie-break of the
 bicore engine (:mod:`repro.cores.bicore`): comparing two vertices by id is
 exactly comparing them by ``(side, repr(label))``, which is what lets the
-bucket, heap and oracle peels agree on one total order.
+bucket peel, its oracle and the label-keyed residual reference agree on
+one tie-break.
 
 Both arrays are plain Python lists, the container pure-Python index
 loops run fastest on.

@@ -22,6 +22,7 @@ import math
 import random
 from typing import Sequence, Union
 
+from repro._util import is_finite_number
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph
 
@@ -138,9 +139,11 @@ def random_power_law_bipartite(
         datasets the paper evaluates.
     """
     _check_sizes(n_left, n_right)
-    if avg_degree < 0:
-        raise InvalidParameterError(f"avg_degree must be >= 0, got {avg_degree}")
-    if exponent <= 1.0:
+    if not is_finite_number(avg_degree) or avg_degree < 0:
+        raise InvalidParameterError(
+            f"avg_degree must be a finite number >= 0, got {avg_degree}"
+        )
+    if not exponent > 1.0:  # also rejects NaN
         raise InvalidParameterError(f"exponent must be > 1, got {exponent}")
     rng = _resolve_rng(seed)
     graph = BipartiteGraph(left=range(n_left), right=range(n_right))
@@ -153,8 +156,8 @@ def random_power_law_bipartite(
 
     left_weights = weights(n_left)
     right_weights = weights(n_right)
-    target_edges = int(round(n_left * avg_degree))
-    target_edges = min(target_edges, n_left * n_right)
+    # Cap before rounding: a huge finite avg_degree overflows the product.
+    target_edges = int(round(min(n_left * avg_degree, n_left * n_right)))
     left_choices = rng.choices(range(n_left), weights=left_weights, k=target_edges)
     right_choices = rng.choices(range(n_right), weights=right_weights, k=target_edges)
     for u, v in zip(left_choices, right_choices, strict=True):

@@ -26,12 +26,22 @@ _COMMENT_PREFIXES = ("%", "#")
 
 
 def _open_lines(source: Union[PathLike, TextIO, Iterable[str]]) -> Iterable[str]:
-    """Yield lines from a path, an open file object, or an iterable of strings."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from handle
-        return
-    yield from source
+    """Yield lines from a path, an open file object, or an iterable of strings.
+
+    Bytes that are not UTF-8 raise :class:`GraphFormatError`, like any
+    other malformed input; the ``try`` costs nothing per line.  A caller's
+    file object stays open when a reader stops early: ``yield from`` would
+    close it along with this generator.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as handle:
+                yield from handle
+        else:
+            for line in source:
+                yield line
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"input is not UTF-8 text: {exc}") from exc
 
 
 def read_edge_list(source: Union[PathLike, TextIO, Iterable[str]]) -> BipartiteGraph:

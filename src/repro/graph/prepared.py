@@ -32,9 +32,8 @@ and :meth:`PreparedGraph.from_shm` copies them back out in another
 process and closes its mapping.  The fingerprint stored in the segment
 is re-verified on attach, so a stale or mixed-up segment name can cost
 an error, never a wrong answer.  No solve path uses this transport: it
-stays only for the end-to-end benchmark's tracer and the ``bench
-kernels`` handoff rows, and goes with them in the benchmark change of
-ROADMAP item 5.
+stays only for the end-to-end benchmark's tracer, and goes when the
+benchmark drops that wrap.
 
 The bundle is immutable in the same by-convention sense as
 :class:`CSRBipartite` and :class:`~repro.graph.bitset.IndexedBitGraph`:

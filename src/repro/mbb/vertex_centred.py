@@ -33,8 +33,7 @@ for its core prunes is the very object the verification stage searches.
 generator.  It hashes every visited neighbour label against per-side
 position dicts and yields only the member label sets
 (:class:`CentredMembers`).  No solve runs it: it is the oracle the tests
-and the ``bench kernels`` subgraph rows check the production generator
-against.
+check the production generator against.
 """
 
 from __future__ import annotations
@@ -325,8 +324,8 @@ def iter_vertex_centred_subgraphs(
 
     Splits the position map by side so the inner-loop lookup is a plain
     label lookup, then per centre filters the centre's neighbours and
-    their neighbours by position.  Tests and the ``bench kernels``
-    subgraph rows compare the production generator against it.
+    their neighbours by position.  Tests compare the production
+    generator against it.
     """
     left_pos: Dict[Vertex, int] = {}
     right_pos: Dict[Vertex, int] = {}

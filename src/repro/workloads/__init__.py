@@ -3,9 +3,9 @@
 * :mod:`~repro.workloads.synthetic` — parameter sweeps for the dense
   synthetic suite (Table 4) and helpers for sparse synthetic graphs.
 * :mod:`~repro.workloads.datasets` — a registry of scaled-down synthetic
-  stand-ins for the 30 KONECT datasets of Table 5/6 (the originals are not
-  redistributable nor downloadable in this environment; see DESIGN.md for
-  the substitution rationale).
+  stand-ins for the 30 KONECT datasets of Table 5/6 (the originals are
+  neither redistributable nor downloadable offline; the module docstring
+  gives the substitution rationale).
 """
 
 from repro.workloads.datasets import (

@@ -21,7 +21,8 @@ by 1.5x after the bitset branch-and-bound kernel landed (>= 3x on the
 dense suite, see ``BENCH_kernels.json``), narrowing the gap to the
 originals while keeping the table runnable.  The registry keeps the
 paper's reported numbers (sizes, density, optimum) alongside each
-stand-in so EXPERIMENTS.md can show paper-vs-measured side by side.
+stand-in, so ``repro-mbb datasets`` can show paper-vs-stand-in side by
+side.
 """
 
 from __future__ import annotations

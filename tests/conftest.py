@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api import GraphSpec
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import (
     complete_bipartite,
@@ -13,6 +14,26 @@ from repro.graph.generators import (
     grid_union_of_bicliques,
     random_bipartite,
 )
+
+
+@pytest.fixture(params=["malformed-line", "not-utf8", "nan-degree", "inf-degree"])
+def unmaterialisable_spec(request, tmp_path) -> GraphSpec:
+    """A graph spec whose own content stops it from materialising.
+
+    Unlike a missing file (an ``OSError``), each of these is the caller's
+    error, so the engine must report it as ``invalid_parameter``.
+    """
+    case = request.param
+    if case == "malformed-line":
+        path = tmp_path / "malformed.txt"
+        path.write_text("1 2\n3 x\n", encoding="utf-8")
+        return GraphSpec.from_path(str(path))
+    if case == "not-utf8":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 2\n% caf\xe9\n3 4\n")
+        return GraphSpec.from_path(str(path))
+    avg_degree = float("nan") if case == "nan-degree" else float("inf")
+    return GraphSpec.power_law(20, 20, avg_degree)
 
 
 @pytest.fixture

@@ -303,6 +303,25 @@ class TestSolveMany:
         assert failed.error.kind == "invalid_parameter"
         assert "nope" in failed.error.message
 
+    def test_spec_that_does_not_materialise_is_an_invalid_parameter(
+        self, unmaterialisable_spec
+    ):
+        requests = [
+            SolveRequest(graph=unmaterialisable_spec, backend="sparse"),
+            SolveRequest(graph=GraphSpec.random(6, 6, 0.5, seed=1), backend="dense"),
+        ]
+        reports = MBBEngine().solve_many(requests, parallel=False)
+        assert [report.status for report in reports] == ["error", "ok"]
+        assert reports[0].error is not None
+        assert reports[0].error.kind == "invalid_parameter"
+
+    def test_missing_path_spec_is_a_resource_error(self, tmp_path):
+        spec = GraphSpec.from_path(str(tmp_path / "absent.txt"))
+        request = SolveRequest(graph=spec, backend="sparse")
+        (report,) = MBBEngine().solve_many([request], parallel=False)
+        assert report.error is not None
+        assert report.error.kind == "resource"
+
     def test_non_finite_budget_is_an_invalid_parameter_report(self):
         requests = [
             SolveRequest(

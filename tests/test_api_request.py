@@ -65,6 +65,12 @@ class TestGraphSpec:
         with pytest.raises(InvalidParameterError):
             GraphSpec(kind="random", n_left=3).materialise()
 
+    def test_spec_that_does_not_materialise_raises_invalid_parameter(
+        self, unmaterialisable_spec
+    ):
+        with pytest.raises(InvalidParameterError):
+            unmaterialisable_spec.materialise()
+
     def test_non_finite_parameter_raises(self):
         for value in (float("nan"), float("inf")):
             payload = {"kind": "power_law", "n_left": 4, "n_right": 4, "avg_degree": value}

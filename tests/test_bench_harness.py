@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench.harness import format_cell, format_table, rows_to_csv, timed
+from repro.bench.harness import format_cell, format_table, timed
 from repro.bench.table4 import format_table4, run_table4
 from repro.bench.table5 import format_table5, run_table5
 from repro.bench.table6 import format_table6, run_dataset_breakdown
@@ -33,11 +33,6 @@ class TestHarnessHelpers:
 
     def test_format_table_empty(self):
         assert format_table([]) == "(no rows)"
-
-    def test_rows_to_csv(self):
-        rows = [{"a": 1, "b": 2.5}]
-        assert rows_to_csv(rows) == "a,b\n1,2.50"
-        assert rows_to_csv([]) == ""
 
 
 class TestTable4Harness:

@@ -17,7 +17,6 @@ from repro.cores.bicore import (
     ALL_IMPLS,
     IMPL_BUCKET,
     IMPL_EXACT,
-    IMPL_HEAP,
     bicore_decomposition,
     bicore_numbers,
     bidegeneracy,
@@ -25,6 +24,7 @@ from repro.cores.bicore import (
     residual_bicore_numbers,
 )
 from repro.cores.two_hop import n_le2_adjacency, n_le2_neighbors, n_le2_sizes
+from repro.workloads.datasets import load_dataset
 
 
 def _build_corpus():
@@ -67,9 +67,11 @@ class TestBicoreNumbers:
         assert bicore_numbers(BipartiteGraph(), impl=impl) == {}
         assert bidegeneracy_order(BipartiteGraph(), impl=impl) == []
 
-    def test_unknown_impl_raises(self):
+    # "heap" named the deleted heap peel.
+    @pytest.mark.parametrize("impl", ["quantum", "heap"])
+    def test_unknown_impl_raises(self, impl):
         with pytest.raises(InvalidParameterError):
-            bicore_numbers(random_bipartite(3, 3, 0.5, seed=0), impl="quantum")
+            bicore_numbers(random_bipartite(3, 3, 0.5, seed=0), impl=impl)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bicore_at_least_core_like_lower_bounds(self, seed):
@@ -83,17 +85,24 @@ class TestBicoreNumbers:
 
 
 class TestImplEquivalence:
-    """Bucket peel ≡ heap peel ≡ exact oracle, numbers *and* order."""
+    """Bucket peel ≡ exact oracle, numbers *and* order."""
 
     @pytest.mark.parametrize("index", range(18))
     def test_all_impls_agree_exactly(self, index):
         graph = GRAPH_CORPUS[index]
         bucket = bicore_decomposition(graph, impl=IMPL_BUCKET)
-        heap = bicore_decomposition(graph, impl=IMPL_HEAP)
         exact = bicore_decomposition(graph, impl=IMPL_EXACT)
-        # Same bicore numbers AND the identical peel order: all three
-        # share the (|N_<=2|, 1-hop degree, id) priority bit for bit.
-        assert bucket == heap == exact
+        # Same bicore numbers AND the identical peel order: both share
+        # the (|N_<=2|, 1-hop degree, id) priority bit for bit.
+        assert bucket == exact
+
+    def test_impls_agree_on_a_stand_in(self):
+        # A KONECT stand-in: heavy-tailed degrees and a planted block,
+        # far larger than the random corpus.
+        graph = load_dataset("unicodelang")
+        bucket = bicore_decomposition(graph, impl=IMPL_BUCKET)
+        exact = bicore_decomposition(graph, impl=IMPL_EXACT)
+        assert bucket == exact
 
     def test_impls_agree_on_mixed_label_types(self):
         # int and str labels cannot be compared directly; the repr-based
@@ -102,9 +111,8 @@ class TestImplEquivalence:
             edges=[(1, "a"), ("x", "a"), (1, "b"), ("x", "b"), (2, "a"), (10, "b")]
         )
         bucket = bicore_decomposition(graph, impl=IMPL_BUCKET)
-        heap = bicore_decomposition(graph, impl=IMPL_HEAP)
         exact = bicore_decomposition(graph, impl=IMPL_EXACT)
-        assert bucket == heap == exact
+        assert bucket == exact
 
     @pytest.mark.parametrize("index", range(0, 18, 3))
     def test_order_validity_invariant(self, index):

@@ -93,10 +93,22 @@ class TestPowerLawGenerator:
         assert graph.num_edges == 0
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            random_power_law_bipartite(10, 10, -1.0)
-        with pytest.raises(InvalidParameterError):
-            random_power_law_bipartite(10, 10, 2.0, exponent=0.5)
+        nan, inf = float("nan"), float("inf")
+        for avg_degree, exponent in [
+            (-1.0, 2.1),
+            (2.0, 0.5),
+            (nan, 2.1),
+            (inf, 2.1),
+            (-inf, 2.1),
+            (2.0, nan),
+        ]:
+            with pytest.raises(InvalidParameterError):
+                random_power_law_bipartite(10, 10, avg_degree, exponent=exponent)
+
+    def test_huge_finite_average_degree_is_capped(self):
+        # 5 * 1e308 overflows to inf; the edge target caps at |L| * |R|.
+        graph = random_power_law_bipartite(5, 4, 1e308, seed=1)
+        assert 0 < graph.num_edges <= 20
 
 
 class TestPlantedBiclique:

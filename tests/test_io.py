@@ -50,6 +50,19 @@ class TestEdgeList:
         graph = read_edge_list(handle)
         assert graph.degree_left(5) == 2
 
+    def test_non_utf8_file_raises(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 2\n% caf\xe9\n3 4\n")
+        with pytest.raises(GraphFormatError, match="UTF-8"):
+            read_edge_list(path)
+
+    def test_open_file_object_stays_open_after_an_error(self):
+        handle = io.StringIO("1 2\nx y\n3 4\n")
+        with pytest.raises(GraphFormatError):
+            read_edge_list(handle)
+        assert not handle.closed
+        assert handle.readline() == "3 4\n"
+
 
 class TestBiadjacency:
     def test_read_simple_matrix(self):
@@ -69,6 +82,12 @@ class TestBiadjacency:
     def test_non_binary_entry_raises(self):
         with pytest.raises(GraphFormatError):
             read_biadjacency(["102"])
+
+    def test_non_utf8_file_raises(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"% caf\xe9\n10\n01\n")
+        with pytest.raises(GraphFormatError, match="UTF-8"):
+            read_biadjacency(path)
 
     def test_round_trip_through_file(self, tmp_path):
         graph = random_bipartite(4, 5, 0.5, seed=3)

@@ -39,6 +39,7 @@ from repro.mbb.vertex_centred import (
     subgraph_density_profile,
     total_subgraph_size,
 )
+from repro.workloads.datasets import load_dataset
 
 
 def mixed_label_graph(seed: int) -> BipartiteGraph:
@@ -224,6 +225,10 @@ class TestCrossGeneratorProperty:
     @pytest.mark.parametrize("seed", range(3))
     def test_mixed_label_graphs(self, order_name, seed):
         self._assert_identical_families(mixed_label_graph(seed), order_name)
+
+    @pytest.mark.parametrize("order_name", ALL_ORDERS)
+    def test_stand_in(self, order_name):
+        self._assert_identical_families(load_dataset("unicodelang"), order_name)
 
     @staticmethod
     def _assert_identical_families(graph, order_name):
