@@ -478,6 +478,7 @@ class MBBEngine:
             and request.graph.kind == SOURCE_DATASET
             and get_backend(request.backend).info.supports_prepared
         ):
+            request.graph.validate()
             spec_key = request.graph.name
             graph = self.prepared_cache._graph_for_spec(spec_key)
         if graph is None:

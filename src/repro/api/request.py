@@ -259,8 +259,27 @@ class GraphSpec:
     # ------------------------------------------------------------------
     # materialisation and (de)serialisation
     # ------------------------------------------------------------------
+    def validate(self) -> None:
+        """Apply :meth:`from_dict`'s field type checks to this spec.
+
+        A spec built in Python skips the wire checks, so
+        :meth:`materialise` and the engine's spec-keyed lookup run these
+        first: a float size, a string density or a float seed is then an
+        :class:`~repro.exceptions.InvalidParameterError`, as it is on the
+        wire.  ``None`` passes for every field: from Python,
+        ``seed=None`` asks the generators for a fresh graph on every
+        materialise.
+        """
+        present = {
+            name: value
+            for name in _SPEC_FIELD_TYPES
+            if (value := getattr(self, name)) is not None
+        }
+        _check_scalar_fields(type(self), present, _SPEC_FIELD_TYPES, "graph spec")
+
     def materialise(self) -> BipartiteGraph:
-        """Build the described :class:`BipartiteGraph`."""
+        """Build the described :class:`BipartiteGraph` (after :meth:`validate`)."""
+        self.validate()
         if self.kind == SOURCE_DATASET:
             from repro.workloads.datasets import load_dataset
 
@@ -592,9 +611,11 @@ def sweep_requests(
     Every request is tagged ``"<dataset>:<backend>"`` so the reports
     identify their cell without consulting the request's graph spec.
 
-    Dataset names are validated against the stand-in registry and backend
-    names against the solver registry up front, so a typo fails before a
-    single (potentially long) solve starts.  Budgets are only attached to
+    Dataset names are validated against the stand-in registry, backend
+    names against the solver registry and the budgets as the engine
+    checks them (a non-negative node budget, a finite non-negative time
+    budget) up front, so a typo fails before a single (potentially long)
+    solve starts and no request file holds a value ``batch`` rejects.  Budgets are only attached to
     requests whose backend supports them (``supports_budgets`` in the
     registry metadata): a sweep mixing exact solvers with budget-less
     heuristics like ``mvb`` must not have every heuristic cell rejected —
@@ -604,6 +625,16 @@ def sweep_requests(
     from repro.api.registry import available_backends, get_backend
     from repro.workloads.datasets import DATASETS
 
+    if node_budget is not None and node_budget < 0:
+        raise InvalidParameterError(
+            f"node_budget must be non-negative, got {node_budget}"
+        )
+    if time_budget is not None and not (
+        is_finite_number(time_budget) and time_budget >= 0
+    ):
+        raise InvalidParameterError(
+            f"time_budget must be a finite non-negative number, got {time_budget}"
+        )
     dataset_names = list(datasets)
     backend_names = list(backends)
     unknown_datasets = sorted(set(dataset_names) - set(DATASETS))

@@ -21,15 +21,14 @@ the *same bicore numbers and the same peel order*:
 * :data:`IMPL_BUCKET` (the default): the flat engine of Algorithm 7.  The
   graph is indexed once into CSR form, ``N_{<=2}`` is materialised as flat
   int arrays (:func:`~repro.cores.two_hop.n_le2_flat`) and the peel runs
-  on a two-level bucket structure — level one a list indexed by remaining
-  ``|N_{<=2}|``, level two a per-level dict keyed by remaining 1-hop
-  degree — so every update is O(1) bucket bookkeeping instead of a heap
-  push.  Each ``(size, degree)`` cell is a vertex bitmask: clearing the
-  lowest set bit pops the smallest-id member, which is what realises the
-  deterministic third-level tie-break in one C-level integer operation,
-  in the same packed-integer idiom as the branch-and-bound kernels of
-  :mod:`repro.graph.bitset` (see :func:`_peel_bucket_flat` for the exact
-  cost model).
+  on a two-level bucket structure: level one a list indexed by remaining
+  ``|N_{<=2}|``, level two a per-level heap of packed ints
+  ``degree * n + id``, so a heap's smallest entry is the smallest
+  ``(degree, id)`` of its level and realises the deterministic second- and
+  third-level tie-breaks in one comparison.  Deletion is lazy: a removal
+  pushes one int per live ``N_{<=2}`` neighbour and leaves the old entry
+  to be skipped, so the peel costs ``O((n + M) log M)`` (see
+  :func:`_peel_bucket_flat`).
 * :data:`IMPL_EXACT`: the test oracle.  No decremented counters and no
   selection structure: each step recounts every remaining
   ``|N_{<=2}(u)|`` and 1-hop degree among the survivors from scratch and
@@ -50,7 +49,8 @@ precisely for that cross-check.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
@@ -88,29 +88,22 @@ def _peel_bucket_flat(
 ) -> Tuple[List[int], List[int]]:
     """Two-level bucket peel over flat arrays; returns id-space results.
 
-    ``cells[s]`` maps a remaining 1-hop degree ``d`` to the bitmask of
-    alive vertices with remaining ``|N_{<=2}| == s`` and degree ``d``;
-    ``deg_mask[s]`` is a bitmask over ``d`` marking the non-empty cells
-    of level ``s``, so the minimum occupied ``(s, d)`` cell is one
-    lowest-set-bit extraction away.  Both are lists indexed by ``s``
-    (sizes only fall, so the initial maximum bounds them), and the
-    per-level dicts hold only the degrees that ever occurred: memory is
-    ``O(n + occupied cells)``.  A bit known to be set is cleared with
-    ``^``.  The level-one pointer ``s_ptr`` only ever backs up by one per
-    pop (a removal lowers a neighbour's size by exactly one), which is
-    the classic Batagelj-Zaveršnik amortisation: total pointer movement
-    is ``O(n + max |N_{<=2}|)``.
+    Level one is a list indexed by remaining ``|N_{<=2}|``: ``cells[s]``
+    is a heap of packed ints ``degree * n + id``, one per vertex that
+    entered level ``s``, so its smallest entry is the smallest
+    ``(degree, id)`` there.  Deletion is lazy: a removal pushes one int
+    per live ``N_{<=2}`` neighbour, whose size drops by exactly one, and
+    leaves its old entry in place, so total work is ``O((n + M) log M)``.
 
-    The vertex bitmasks are what buy the deterministic smallest-id
-    tie-break in O(1) *selections*; the price is that each cell update is
-    an ``n``-bit integer operation — ``O(n / 64)`` machine words in a
-    single C-level pass — so total work is ``O(M * n / 64)`` rather than
-    strictly ``O(M)``.  At the scales a pure-Python reproduction runs
-    (thousands of vertices, so a handful of words per update) the masks
-    are far cheaper than per-update heap pushes or linked-list cells with
-    an extra ordering structure; a production implementation at ``n`` in
-    the millions would swap the cells for intrusive doubly-linked lists
-    and give up the cross-impl order equality.
+    The level pointer ``s_ptr`` only ever backs up by one per pop (the
+    classic Batagelj-Zaveršnik amortisation: total pointer movement is
+    ``O(n + max |N_{<=2}|)``), and it never passes a level that holds a
+    live vertex.  So an entry of an alive vertex at the pointer's level
+    is that vertex's current one: had its size fallen, its newer entry
+    would sit on a lower level, which the pointer would not have left.
+    Sizes only fall and the degree changes only with the size, so a
+    vertex enters each level at most once, and the popped entries that
+    are skipped are exactly those of removed vertices.
     """
     n = csr.num_vertices
     num_left = csr.num_left
@@ -118,67 +111,43 @@ def _peel_bucket_flat(
     size = [le2_ptr[i + 1] - le2_ptr[i] for i in range(n)]
     deg = [indptr[i + 1] - indptr[i] for i in range(n)]
 
-    levels = max(size, default=0) + 1
-    cells: List[Dict[int, int]] = [{} for _ in range(levels)]
-    deg_mask = [0] * levels
-    for i in range(n):
-        s, d = size[i], deg[i]
-        level = cells[s]
-        cell = level.get(d, 0)
-        if not cell:
-            deg_mask[s] |= 1 << d
-        level[d] = cell | (1 << i)
+    cells: List[List[int]] = [[] for _ in range(max(size, default=0) + 1)]
+    # Appending in ascending code order leaves every level a sorted list,
+    # which is already a heap.
+    for code in sorted(d * n + i for i, d in enumerate(deg)):
+        cells[size[code % n]].append(code)
 
     alive = bytearray([1]) * n
     bicore = [0] * n
     order: List[int] = []
     current = 0
     s_ptr = 0
-    processed = 0
-    while processed < n:
-        mask = deg_mask[s_ptr]
-        while not mask:
+    while len(order) < n:
+        cell = cells[s_ptr]
+        while cell:
+            i = cell[0] % n
+            if alive[i]:
+                break
+            heappop(cell)
+        else:
             s_ptr += 1
-            mask = deg_mask[s_ptr]
-        s = s_ptr
-        low = mask & -mask
-        d = low.bit_length() - 1
-        level = cells[s]
-        cell = level[d]
-        first = cell & -cell  # smallest alive id in the cell
-        i = first.bit_length() - 1
-        cell ^= first
-        level[d] = cell
-        if not cell:
-            deg_mask[s] = mask ^ low
-        if s > current:
-            current = s
+            continue
+        heappop(cell)
+        if s_ptr > current:
+            current = s_ptr
         bicore[i] = current
         order.append(i)
         alive[i] = 0
-        processed += 1
         i_left = i < num_left
         for j in le2[le2_ptr[i] : le2_ptr[i + 1]]:
-            if not alive[j]:
-                continue
-            sj = size[j]
-            dj = deg[j]
-            bit = 1 << j
-            level = cells[sj]
-            cell = level[dj] ^ bit
-            level[dj] = cell
-            if not cell:
-                deg_mask[sj] ^= 1 << dj
-            sj -= 1
-            size[j] = sj
-            if i_left != (j < num_left):
-                dj -= 1
-                deg[j] = dj
-            level = cells[sj]
-            cell = level.get(dj, 0)
-            if not cell:
-                deg_mask[sj] |= 1 << dj
-            level[dj] = cell | bit
+            if alive[j]:
+                sj = size[j] - 1
+                size[j] = sj
+                dj = deg[j]
+                if i_left != (j < num_left):
+                    dj -= 1
+                    deg[j] = dj
+                heappush(cells[sj], dj * n + j)
         if s_ptr > 0:
             s_ptr -= 1
     return bicore, order
@@ -221,13 +190,15 @@ def _peel_exact_flat(
 
 
 def _peel_flat(
-    graph: BipartiteGraph, peel, prepared=None
+    graph: Optional[BipartiteGraph], peel, prepared=None
 ) -> Tuple[Dict[VertexKey, int], List[VertexKey]]:
     """Run a flat-engine peel and translate ids back to vertex keys.
 
     When a :class:`~repro.graph.prepared.PreparedGraph` is supplied its
     CSR snapshot and flat ``N_{<=2}`` arrays are reused instead of being
-    re-derived — the whole point of preparing a graph once.
+    re-derived — the whole point of preparing a graph once — and
+    ``graph`` is not read (a residual snapshot's label graph is never
+    built for its peel).
     """
     if prepared is not None:
         csr = prepared.csr
@@ -251,7 +222,7 @@ def flat_bicore_decomposition(
     This is the entry point :meth:`repro.graph.prepared.PreparedGraph.
     bicore_decomposition` memoises; calling it directly always re-peels.
     """
-    return _peel_flat(prepared.graph, _peel_bucket_flat, prepared=prepared)
+    return _peel_flat(None, _peel_bucket_flat, prepared=prepared)
 
 
 # ----------------------------------------------------------------------

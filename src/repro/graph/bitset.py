@@ -64,8 +64,7 @@ class IndexedBitGraph:
     adj_left:
         ``adj_left[i]`` is a bitmask over right indices; bit ``j`` is set
         iff ``(left_labels[i], right_labels[j])`` is an edge.  ``adj_right``
-        is the transpose and is derived automatically
-        (:meth:`from_right_rows` takes the rows of the other side).
+        is the transpose and is derived automatically.
     """
 
     __slots__ = (
@@ -85,9 +84,9 @@ class IndexedBitGraph:
         adj_left: List[int],
     ) -> None:
         adj_right, edges = _transpose(adj_left, len(right_labels))
-        self._assemble(left_labels, right_labels, adj_left, adj_right, edges)
+        self._fill(left_labels, right_labels, adj_left, adj_right, edges)
 
-    def _assemble(
+    def _fill(
         self,
         left_labels: List[Vertex],
         right_labels: List[Vertex],
@@ -107,21 +106,23 @@ class IndexedBitGraph:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_right_rows(
+    def _assemble(
         cls,
         left_labels: List[Vertex],
         right_labels: List[Vertex],
+        adj_left: List[int],
         adj_right: List[int],
+        edges: int,
     ) -> "IndexedBitGraph":
-        """The graph whose right vertex ``j`` has the left-index row ``adj_right[j]``.
+        """The graph whose rows on both sides, and edge count, are given.
 
-        The mirror of the constructor: ``adj_left`` is the derived
-        transpose.  A vertex-centred subgraph whose centre is on the left
-        knows its right side's rows, so it is built through here.
+        Nothing is transposed or checked: the caller guarantees that
+        ``adj_right`` is the transpose of ``adj_left`` and that ``edges``
+        counts their bits.  A vertex-centred subgraph fills both sides in
+        one pass over its tails, so it is built through here.
         """
         graph = cls.__new__(cls)
-        adj_left, edges = _transpose(adj_right, len(left_labels))
-        graph._assemble(left_labels, right_labels, adj_left, adj_right, edges)
+        graph._fill(left_labels, right_labels, adj_left, adj_right, edges)
         return graph
 
     @classmethod

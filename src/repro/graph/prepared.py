@@ -23,7 +23,10 @@ bundle:
 * the ``k``-core residual snapshots (:meth:`PreparedGraph.for_subgraph`),
   memoised by ``k``.  A residual's CSR is cut from the parent's arrays
   and it inherits the parent's core numbers, so a warm solve runs no
-  peel and builds no graph in S1, and a cold one peels once.
+  peel and builds no graph in S1, and a cold one peels once.  A
+  residual's label-keyed :attr:`PreparedGraph.graph` is built on its
+  first read, which only the ``sets`` kernel and label-level callers
+  make, so a bits solve builds no residual graph at all.
 
 All flat arrays are plain Python lists.  :meth:`PreparedGraph.to_shm`
 publishes the CSR arrays, the ``N_{<=2}`` arrays and a pickled copy of
@@ -63,8 +66,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import struct
-from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Vertex
@@ -200,7 +202,8 @@ class PreparedGraph:
     """Immutable once-indexed bundle of a graph's flat solve artifacts."""
 
     __slots__ = (
-        "graph",
+        "_graph",
+        "_lineage",
         "csr",
         "labels",
         "_fingerprint",
@@ -212,8 +215,11 @@ class PreparedGraph:
         "_children",
     )
 
-    def __init__(self, graph: BipartiteGraph, csr: CSRBipartite) -> None:
-        self.graph = graph
+    def __init__(self, graph: Optional[BipartiteGraph], csr: CSRBipartite) -> None:
+        self._graph = graph
+        #: How a residual builds its label graph on first read (``None``
+        #: once built, and for a bundle born with its graph).
+        self._lineage: Optional[_Lineage] = None
         self.csr = csr
         #: Label of every dense id (the ``(side, label)`` key minus the
         #: side marker): the id→label boundary map of the CSR subgraph
@@ -236,6 +242,15 @@ class PreparedGraph:
     def prepare(cls, graph: BipartiteGraph) -> "PreparedGraph":
         """Index ``graph`` once and return the prepared bundle."""
         return cls(graph, CSRBipartite.from_bipartite(graph))
+
+    @property
+    def graph(self) -> BipartiteGraph:
+        """The label-keyed graph (a residual builds it on first read)."""
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = self._lineage.build()
+            self._lineage = None
+        return graph
 
     # ------------------------------------------------------------------
     # memoised derived artifacts
@@ -373,30 +388,26 @@ class PreparedGraph:
         * It inherits ``[c for c in cores if c >= k]`` as its core
           numbers: a vertex of the ``k``-core has the same core number
           there as in the whole graph, so it never needs a peel.
-        * Its label-keyed graph is built exactly like
-          :func:`repro.cores.core.k_core` builds it from this bundle's
-          graph (a set comprehension over the vertices in insertion
-          order, then ``induced_subgraph``).  The ``sets`` kernel and the
-          degeneracy order iterate that graph in insertion order, so a
-          chain of reductions is taken as ``for_subgraph`` on the
-          previous residual, never on the root.
+        * Its label-keyed graph is built only when :attr:`graph` is first
+          read, which the bits pipeline never does.  It is then built
+          exactly like :func:`repro.cores.core.k_core` builds it from this
+          bundle's graph (a set comprehension over the vertices in
+          insertion order, then ``induced_subgraph``).  The ``sets``
+          kernel iterates that graph in insertion order, so a chain of
+          reductions is built from the previous residual's graph, never
+          from the root's.  The child keeps a :class:`_Lineage` of
+          graphs, not this bundle: this bundle's ``_children`` memo
+          already holds the child, and a back-reference would make every
+          cold bundle cyclic garbage.
         """
         cores = self.core_numbers()
         if k <= min(cores, default=k):
             return self
         child = self._children.get(k)
         if child is None:
-            keep = [core >= k for core in cores]
-            num_left = self.csr.num_left
-            labels = self.labels
-            left = set(compress(labels[:num_left], keep[:num_left]))
-            right = set(compress(labels[num_left:], keep[num_left:]))
-            graph = self.graph
-            residual = graph.induced_subgraph(
-                {u for u in graph.left_vertices() if u in left},
-                {v for v in graph.right_vertices() if v in right},
-            )
-            child = PreparedGraph(residual, self.csr.induced(keep))
+            child = PreparedGraph(None, self.csr.induced([core >= k for core in cores]))
+            parent = self._graph if self._graph is not None else self._lineage
+            child._lineage = _Lineage(parent, child.labels, child.csr.num_left)
             child._cores = [core for core in cores if core >= k]
             if len(self._children) >= _MAX_CHILDREN:
                 self._children.pop(next(iter(self._children)))
@@ -594,6 +605,43 @@ class PreparedGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PreparedGraph({self.csr!r})"
+
+
+class _Lineage:
+    """How a residual's label graph is induced from its parent's.
+
+    ``parent`` is the parent bundle's graph, or the parent's own lineage
+    while that graph is unbuilt, so building a residual of a residual
+    builds (and memoises) the intermediate graph once, for both bundles.
+    """
+
+    __slots__ = ("parent", "labels", "num_left", "graph")
+
+    def __init__(
+        self,
+        parent: Union[BipartiteGraph, "_Lineage"],
+        labels: List[Vertex],
+        num_left: int,
+    ) -> None:
+        self.parent = parent
+        self.labels = labels
+        self.num_left = num_left
+        self.graph: Optional[BipartiteGraph] = None
+
+    def build(self) -> BipartiteGraph:
+        """The residual's graph, induced once from the parent's."""
+        if self.graph is None:
+            parent = self.parent
+            if isinstance(parent, _Lineage):
+                parent = parent.build()
+            left = set(self.labels[: self.num_left])
+            right = set(self.labels[self.num_left :])
+            self.graph = parent.induced_subgraph(
+                {u for u in parent.left_vertices() if u in left},
+                {v for v in parent.right_vertices() if v in right},
+            )
+            self.parent = None
+        return self.graph
 
 
 class OrderView:

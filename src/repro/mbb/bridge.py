@@ -47,11 +47,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.exceptions import InvalidParameterError
-from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph
+from repro.graph.bipartite import BipartiteGraph
 from repro.graph.bitset import core_numbers_masks, k_core_masks
 from repro.graph.prepared import PreparedGraph, ensure_prepared_for
 from repro.cores.core import core_numbers
-from repro.cores.orders import ORDER_BIDEGENERACY, search_order
+from repro.cores.orders import ORDER_BIDEGENERACY
 from repro.mbb.context import SearchAborted, SearchContext
 from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS, _check_kernel
 from repro.mbb.heuristics import core_heuristic, core_heuristic_bits
@@ -164,7 +164,7 @@ _SCANS = {KERNEL_BITS: _scan_bits, KERNEL_SETS: _scan_sets}
 
 
 def bridge_mbb(
-    graph: BipartiteGraph,
+    graph: Optional[BipartiteGraph],
     context: SearchContext,
     *,
     order: str = ORDER_BIDEGENERACY,
@@ -179,7 +179,9 @@ def bridge_mbb(
     Parameters
     ----------
     graph:
-        The residual graph produced by the heuristic stage.
+        The residual graph produced by the heuristic stage, or ``None``
+        when ``prepared`` is given: the stage then reads only the
+        snapshot, and the bits kernel never builds its label graph.
     context:
         Shared search context carrying the incumbent found so far.  Its
         :meth:`~repro.mbb.context.SearchContext.checkpoint` is polled once
@@ -199,7 +201,7 @@ def bridge_mbb(
         implementation for ablations.
     total_order:
         Optional precomputed total search order (must be the order that
-        ``order`` names, over exactly this graph's vertices).  Computing
+        ``order`` names, over exactly this graph's vertex keys).  Computing
         the bidegeneracy order is the kernel-independent fixed cost of
         this stage; callers that already hold it — ``hbv_mbb``, which
         computes it once and records its wall time as the
@@ -218,28 +220,30 @@ def bridge_mbb(
     """
     _check_kernel(kernel)
     outcome = BridgeOutcome(best=context.best)
-    if graph.num_vertices == 0:
-        return outcome
-
-    if prepared is not None:
-        ensure_prepared_for(prepared, graph)
+    if prepared is None:
+        if graph.num_vertices == 0:
+            return outcome
+        prepared = PreparedGraph.prepare(graph)
+    else:
+        if graph is not None:
+            ensure_prepared_for(prepared, graph)
+        if prepared.csr.num_vertices == 0:
+            return outcome
     scan = _SCANS[kernel]
     if total_order is None:
-        total_order = search_order(graph, order, prepared=prepared)
+        # The memoised list itself, so the order view is memoised too.
+        total_order = prepared.search_order(order)
     else:
         # A stale order (e.g. computed before the heuristic stage's core
         # reductions shrank the graph) would otherwise surface as a bare
         # KeyError deep inside member-set construction.
-        expected = {(LEFT, u) for u in graph.left_vertices()}
-        expected.update((RIGHT, v) for v in graph.right_vertices())
-        if len(total_order) != len(expected) or set(total_order) != expected:
+        keys = prepared.csr.keys
+        if len(total_order) != len(keys) or set(total_order) != set(keys):
             raise InvalidParameterError(
                 "total_order must be a permutation of the graph's "
                 "(side, label) vertex keys; it covers a different vertex set "
                 "(was it computed on a pre-reduction graph?)"
             )
-    if prepared is None:
-        prepared = PreparedGraph.prepare(graph)
     subgraphs = iter_vertex_centred_subgraphs_csr(prepared, total_order)
     surviving: List[VertexCentredSubgraph] = []
     local_best = Biclique.empty()

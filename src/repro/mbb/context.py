@@ -52,7 +52,14 @@ class SearchAborted(Exception):
 
 @dataclass
 class SearchContext:
-    """Mutable incumbent + budget + statistics for one solver invocation."""
+    """Mutable incumbent + budget + statistics for one solver invocation.
+
+    ``best_side`` is a plain int, the side size of :attr:`best`: the dense
+    kernel reads it several times per search node.  Every write of
+    :attr:`best` (the offers, a seeded bound, a caller's assignment, the
+    generated ``__init__``) goes through :meth:`__setattr__`, which keeps
+    it in step, so none can leave it stale.
+    """
 
     best: Biclique = field(default_factory=Biclique.empty)
     stats: SearchStats = field(default_factory=SearchStats)
@@ -71,15 +78,15 @@ class SearchContext:
     aborted: bool = False
     cancelled: bool = False
 
-    @property
-    def best_side(self) -> int:
-        """Side size of the incumbent balanced biclique."""
-        return self.best.side_size
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name == "best":
+            object.__setattr__(self, "best_side", value.side_size)
 
     @property
     def best_total(self) -> int:
         """Total vertex count of the incumbent after balancing."""
-        return 2 * self.best.side_size
+        return 2 * self.best_side
 
     @property
     def elapsed(self) -> float:
@@ -97,7 +104,7 @@ class SearchContext:
         ``True`` when the incumbent improved.
         """
         candidate = Biclique.of(left, right).balanced()
-        if candidate.side_size > self.best.side_size:
+        if candidate.side_size > self.best_side:
             self.best = candidate
             return True
         return False
@@ -105,7 +112,7 @@ class SearchContext:
     def offer_biclique(self, biclique: Biclique) -> bool:
         """Offer an already-built :class:`Biclique` as a new incumbent."""
         balanced = biclique.balanced()
-        if balanced.side_size > self.best.side_size:
+        if balanced.side_size > self.best_side:
             self.best = balanced
             return True
         return False

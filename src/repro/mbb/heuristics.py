@@ -17,7 +17,13 @@ core seeds, the Lemma 5 degeneracy test and every Lemma 4 residual, and
 each residual is a snapshot memoised by ``k`` on its parent, so a warm
 solve runs no peel and builds no graph in S1.  The greedy itself stays on
 the label-keyed graph's C-level set intersections (:func:`greedy_extend`),
-for both kernels.  The label-keyed seed helpers (:func:`degree_heuristic`,
+for both kernels.  Every seed grows on the input's own graph: a residual's
+core seeds are restricted to the residual's labels, which gives the picks
+the residual graph would give without building that graph.  The greedy
+makes the picks of the textbook full-scan loop with a fraction of its
+intersections: its first step needs no two-hop union, and later steps
+stop scanning once no remaining candidate can reach the best count.  The
+label-keyed seed helpers (:func:`degree_heuristic`,
 :func:`core_heuristic`) rank seeds the same way and serve the ``sets``
 ablation of the bridging stage, the adapted baselines and the benches.
 
@@ -36,11 +42,11 @@ import heapq
 from dataclasses import dataclass
 from itertools import islice
 from operator import neg, sub
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
-from repro.graph.bitset import IndexedBitGraph, core_numbers_masks, iter_bits
+from repro.graph.bitset import IndexedBitGraph, core_numbers_masks
 from repro.graph.prepared import PreparedGraph, ensure_prepared_for
 from repro.cores.core import core_numbers
 from repro.mbb.context import SearchAborted, SearchContext
@@ -58,69 +64,136 @@ def greedy_extend(
 
     Starting from ``A = {seed}`` the routine alternately extends the
     lagging side, always choosing the candidate that keeps the largest
-    number of candidates alive on the other side.  This is the standard
-    maximum-degree greedy rule the paper uses inside ``hMBB``; it runs in
-    ``O(d^2)`` around the seed where ``d`` is the seed's degree, so seeding
-    it from a handful of top vertices stays near-linear overall.
+    number of candidates alive on the other side (ties to the smallest
+    ``repr``).  This is the standard maximum-degree greedy rule the paper
+    uses inside ``hMBB``; it runs in ``O(d^2)`` around the seed where
+    ``d`` is the seed's degree, so seeding it from a handful of top
+    vertices stays near-linear overall.
+
+    The picks are those of the textbook loop, which scans every candidate
+    against the other side's candidates at each step, but two facts make
+    most of that loop's set intersections unnecessary:
+
+    * The first step never builds the seed's two-hop union.  Its
+      candidates are the seed's neighbours, and each keeps exactly its
+      own degree minus one (the seed) of that union, so the pick is the
+      neighbour of largest degree and the two candidate sets follow from
+      its row and the seed's.
+    * Candidate sets only shrink, so a candidate's kept count from its
+      side's previous scan (before its first scan, its degree) bounds its
+      count now.  Each step evaluates candidates in descending bound order
+      and stops once the bound falls below the best count found: every
+      candidate that could tie is still evaluated, so the tie-break picks
+      the same vertex.
     """
+    return _greedy_sets(graph, seed_side, seed_vertex, None, None)
+
+
+def _greedy_sets(
+    graph: BipartiteGraph,
+    seed_side: str,
+    seed_vertex: Vertex,
+    left: Optional[Set[Vertex]],
+    right: Optional[Set[Vertex]],
+) -> Biclique:
+    """:func:`greedy_extend` on the subgraph of ``graph`` induced by ``left`` and ``right``.
+
+    ``None`` for both means the whole graph.  Only the first step reads
+    the restriction: it cuts the seed's row and the first pick's row down
+    to it, and "degree" there means the degree inside it.  Every later
+    candidate set is an intersection with those two, so later steps make
+    the pick the induced subgraph's greedy makes without looking at the
+    restriction again.
+    """
+    neighbors_left = graph.neighbors_left
+    neighbors_right = graph.neighbors_right
     if seed_side == LEFT:
-        a = {seed_vertex}
-        b: set = set()
-        cb = set(graph.neighbors_left(seed_vertex))
-        ca: set = set()
-        for v in cb:
-            ca.update(graph.neighbors_right(v))
-        ca.discard(seed_vertex)
+        seed_rows, first_rows = neighbors_left, neighbors_right
+        seed_allowed, first_allowed = left, right
     else:
-        b = {seed_vertex}
-        a = set()
-        ca = set(graph.neighbors_right(seed_vertex))
-        cb = set()
-        for u in ca:
-            cb.update(graph.neighbors_left(u))
-        cb.discard(seed_vertex)
+        seed_rows, first_rows = neighbors_right, neighbors_left
+        seed_allowed, first_allowed = right, left
+    first = seed_rows(seed_vertex)
+    first = set(first) if first_allowed is None else first & first_allowed
+    if not first:
+        return Biclique.empty()
+    # A neighbour ``v`` keeps its degree minus one (the seed) of the
+    # seed's two-hop union, so the pick is the neighbour of largest degree.
+    first_bound = {v: len(first_rows(v)) for v in first}
+    if seed_allowed is None:
+        top = max(first_bound.values())
+        pick = min((v for v in first if first_bound[v] == top), key=repr)
+        pick_row = set(first_rows(pick))
+    else:
+        pick = _best_kept(first, seed_allowed, first_rows, first_bound)
+        pick_row = first_rows(pick) & seed_allowed
+    pick_row.discard(seed_vertex)
+    first.discard(pick)
+    # Every first-step count included the seed, which is no candidate.
+    first_bound = {v: first_bound[v] - 1 for v in first}
+    # A seed-side candidate ``u`` is a neighbour of ``pick``, which is no
+    # longer a candidate, so its degree minus one bounds its count.
+    seed_bound = {u: len(seed_rows(u)) - 1 for u in pick_row}
+    if seed_side == LEFT:
+        a, b = {seed_vertex}, {pick}
+        ca, cb = pick_row, first
+        bound_left, bound_right = seed_bound, first_bound
+    else:
+        a, b = {pick}, {seed_vertex}
+        ca, cb = first, pick_row
+        bound_left, bound_right = first_bound, seed_bound
 
     while True:
         extend_left = len(a) <= len(b)
         if extend_left:
-            candidates, others = ca, cb
+            candidates, others, rows, bound = ca, cb, neighbors_left, bound_left
         else:
-            candidates, others = cb, ca
+            candidates, others, rows, bound = cb, ca, neighbors_right, bound_right
         if not candidates:
-            # Cannot extend the lagging side any further; try the other side
-            # only if it is the lagging one next iteration (it will not be),
-            # so stop.
             break
-        best_vertex = None
-        best_kept = -1
-        best_repr = ""
-        # Ties break on the smallest ``repr`` so the choice is deterministic
-        # across interpreter runs (set order is hash order for string
-        # labels) and identical to the bitset variant's index-order scan —
-        # a single pass, no sorted copy of the candidate set per step.
-        for vertex in candidates:
-            if extend_left:
-                kept = len(graph.neighbors_left(vertex) & others)
-            else:
-                kept = len(graph.neighbors_right(vertex) & others)
-            if kept < best_kept:
-                continue
-            vertex_repr = repr(vertex)
-            if kept > best_kept or vertex_repr < best_repr:
-                best_kept = kept
-                best_vertex = vertex
-                best_repr = vertex_repr
-        if best_vertex is None:
-            break
+        best_vertex = _best_kept(candidates, others, rows, bound)
         if extend_left:
             a.add(best_vertex)
             ca.discard(best_vertex)
-            cb &= graph.neighbors_left(best_vertex)
+            cb &= neighbors_left(best_vertex)
         else:
             b.add(best_vertex)
             cb.discard(best_vertex)
-            ca &= graph.neighbors_right(best_vertex)
+            ca &= neighbors_right(best_vertex)
     return Biclique.of(a, b).balanced()
+
+
+def _best_kept(
+    candidates: Set[Vertex],
+    others: Set[Vertex],
+    rows: Callable[[Vertex], Set[Vertex]],
+    bound: Dict[Vertex, int],
+) -> Vertex:
+    """The candidate whose row keeps the most of ``others``.
+
+    ``bound[v]`` must be an upper bound of ``v``'s count; each evaluated
+    candidate's entry is lowered to its exact count, which bounds it at
+    the next scan because ``others`` only shrinks.  Candidates run in
+    descending bound order until the bound drops below the best count, so
+    every candidate that could tie is evaluated and ties go to the
+    smallest ``repr``, whatever the set's (hash) iteration order.
+    """
+    best_vertex = None
+    best_kept = -1
+    best_repr = ""
+    for vertex in sorted(candidates, key=bound.__getitem__, reverse=True):
+        if bound[vertex] < best_kept:
+            break
+        kept = len(rows(vertex) & others)
+        bound[vertex] = kept
+        if kept < best_kept:
+            continue
+        vertex_repr = repr(vertex)
+        if kept > best_kept or vertex_repr < best_repr:
+            best_kept = kept
+            best_vertex = vertex
+            best_repr = vertex_repr
+    return best_vertex
 
 
 def greedy_extend_bits(
@@ -144,25 +217,39 @@ def greedy_extend_bits(
 def _greedy_masks(
     graph: IndexedBitGraph, seed_side: str, seed_index: int
 ) -> Tuple[int, int]:
-    """The ``(a, b)`` masks :func:`greedy_extend_bits` grows, unbalanced."""
+    """The ``(a, b)`` masks :func:`greedy_extend_bits` grows, unbalanced.
+
+    The first step is :func:`greedy_extend`'s: no two-hop union, the
+    seed's neighbour with the fullest row is the pick.  Later steps scan
+    every candidate, since one ``&`` and one ``bit_count`` per candidate
+    leave lazy bounds nothing to save.
+    """
     adj_left = graph.adj_left
     adj_right = graph.adj_right
+    seed_bit = 1 << seed_index
     if seed_side == LEFT:
-        a = 1 << seed_index
-        b = 0
-        cb = adj_left[seed_index]
-        ca = 0
-        for j in iter_bits(cb):
-            ca |= adj_right[j]
-        ca &= ~a
+        first, first_rows = adj_left[seed_index], adj_right
     else:
-        b = 1 << seed_index
-        a = 0
-        ca = adj_right[seed_index]
-        cb = 0
-        for i in iter_bits(ca):
-            cb |= adj_left[i]
-        cb &= ~b
+        first, first_rows = adj_right[seed_index], adj_left
+    if not first:
+        return (seed_bit, 0) if seed_side == LEFT else (0, seed_bit)
+    best_bit = 0
+    best_count = -1
+    remaining = first
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        count = first_rows[low.bit_length() - 1].bit_count()
+        if count > best_count:
+            best_count = count
+            best_bit = low
+    pick_row = first_rows[best_bit.bit_length() - 1] & ~seed_bit
+    if seed_side == LEFT:
+        a, b = seed_bit, best_bit
+        ca, cb = pick_row, first ^ best_bit
+    else:
+        a, b = best_bit, seed_bit
+        ca, cb = first ^ best_bit, pick_row
 
     while True:
         extend_left = a.bit_count() <= b.bit_count()
@@ -363,7 +450,8 @@ def h_mbb(
     Seeds rank by ``(-degree, id)`` and ``(-core, id)``; dense ids are the
     ``(side, repr(label))`` order, the tie-break of :func:`degree_heuristic`
     and :func:`core_heuristic`.  Each seed is grown by the set-based
-    :func:`greedy_extend` on the label-keyed graph of its snapshot.
+    greedy on ``graph``, restricted to the residual's labels for the core
+    seeds, so no residual's label graph is built here.
 
     Budgets are enforced: every greedy seed polls ``context.checkpoint()``,
     so an engine deadline or cancellation hook stops the stage between two
@@ -389,25 +477,37 @@ def h_mbb(
 
 
 def _extend_seeds(
-    prepared: PreparedGraph,
+    root: PreparedGraph,
+    snapshot: PreparedGraph,
     negated_scores: Iterable[int],
     top_r: int,
     context: SearchContext,
 ) -> None:
     """Grow a greedy biclique from each of the ``top_r`` best-scored ids.
 
-    ``negated_scores`` holds ``-score`` per dense id, so plain
-    ``(-score, id)`` tuple order ranks seeds by descending score with ties
-    to the smallest id, with no per-vertex key function.  Each seed polls
-    the checkpoint first and offers its biclique as soon as it is found.
+    ``negated_scores`` holds ``-score`` per dense id of ``snapshot``, so
+    plain ``(-score, id)`` tuple order ranks seeds by descending score
+    with ties to the smallest id, with no per-vertex key function.  Each
+    seed polls the checkpoint first and offers its biclique as soon as it
+    is found.
+
+    Seeds grow on ``root``'s label graph.  When ``snapshot`` is one of
+    its residuals the greedy is restricted to the residual's labels,
+    which makes the picks the residual's own graph would give, so no
+    residual graph is built for S1.
     """
-    graph = prepared.graph
-    keys = prepared.csr.keys
+    graph = root.graph
+    within = (None, None)
+    if snapshot is not root:
+        labels = snapshot.labels
+        num_left = snapshot.csr.num_left
+        within = (set(labels[:num_left]), set(labels[num_left:]))
+    keys = snapshot.csr.keys
     ranked = zip(negated_scores, range(len(keys)), strict=True)
     for _, seed in heapq.nsmallest(top_r, ranked):
         context.checkpoint()
         side, label = keys[seed]
-        context.offer_biclique(greedy_extend(graph, side, label))
+        context.offer_biclique(_greedy_sets(graph, side, label, *within))
 
 
 def _reduce(
@@ -426,7 +526,11 @@ def _h_mbb(
     # degeneracy is its maximum core number.
     indptr = prepared.csr.indptr
     _extend_seeds(
-        prepared, map(sub, indptr, islice(indptr, 1, None)), top_r, context
+        prepared,
+        prepared,
+        map(sub, indptr, islice(indptr, 1, None)),
+        top_r,
+        context,
     )
     context.stats.heuristic_side = max(
         context.stats.heuristic_side, context.best_side
@@ -443,7 +547,9 @@ def _h_mbb(
     # ``degeneracy``: the Lemma 5 check is repeated against the improved
     # incumbent before the second reduction.
     side_before = context.best_side
-    _extend_seeds(residual, map(neg, residual.core_numbers()), top_r, context)
+    _extend_seeds(
+        prepared, residual, map(neg, residual.core_numbers()), top_r, context
+    )
     if context.best_side > side_before:
         context.stats.heuristic_side = max(
             context.stats.heuristic_side, context.best_side

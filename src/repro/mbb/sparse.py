@@ -14,7 +14,8 @@ The framework chains three stages that share a single incumbent:
 The stages share one :class:`~repro.graph.prepared.PreparedGraph`: the
 caller's (the engine cache's) or one prepared on entry.  S1 reduces it to
 a residual snapshot memoised on the bundle, and S2 and S3 run on that
-snapshot's graph, CSR arrays and memoised search order.
+snapshot's CSR arrays and memoised search order; its label graph is built
+only for the ``sets`` kernel.
 
 Every switch the paper ablates in Table 6 is exposed through
 :class:`SparseConfig`: the heuristic stage (``bd1``), core/bicore based
@@ -185,8 +186,9 @@ def hbv_mbb(
     # Step 1: heuristics and reduction.
     # ------------------------------------------------------------------
     # One prepared snapshot backs the whole solve: S1 reduces it to a
-    # residual snapshot (memoised on the bundle), and that snapshot's own
-    # graph, CSR arrays and memoised order feed S2 and S3.
+    # residual snapshot (memoised on the bundle), and that snapshot's CSR
+    # arrays and memoised order feed S2 and S3.  Its label graph is built
+    # only if the sets kernel reads it.
     residual = prepared
     if config.use_heuristic:
         outcome = h_mbb(
@@ -232,7 +234,7 @@ def hbv_mbb(
         with context.timed_stat("order_seconds"):
             total_order = residual.search_order(config.effective_order)
     bridge = bridge_mbb(
-        residual.graph,
+        None,
         context,
         order=config.effective_order,
         use_core_pruning=config.use_core_pruning,

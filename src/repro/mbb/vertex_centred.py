@@ -67,7 +67,7 @@ class VertexCentredSubgraph:
         "other_positions",
         "tails",
         "view",
-        "parent",
+        "prepared",
         "degeneracy",
         "center_index",
         "_members",
@@ -83,7 +83,7 @@ class VertexCentredSubgraph:
         other_positions: List[int],
         tails: List[List[int]],
         view: OrderView,
-        parent: BipartiteGraph,
+        prepared: PreparedGraph,
     ) -> None:
         self.center = center
         self.position = position
@@ -91,7 +91,9 @@ class VertexCentredSubgraph:
         self.other_positions = other_positions
         self.tails = tails
         self.view = view
-        self.parent = parent
+        #: The snapshot the view belongs to; its label graph is read only
+        #: when a consumer asks for labels or for :attr:`graph`.
+        self.prepared = prepared
         #: Degeneracy of the induced subgraph, cached by the bridging stage
         #: so its re-filter pass (and any later consumer) never re-peels.
         #: ``None`` until a stage that ran a core decomposition stores it.
@@ -192,12 +194,13 @@ class VertexCentredSubgraph:
             later_other = set(map(labels.__getitem__, self.other_positions))
             own = set(map(labels.__getitem__, self.own_positions))
             side, label = self.center
+            parent = self.prepared.graph
             if side == LEFT:
-                neighbours_of_center = self.parent.neighbors_left(label)
-                neighbours_of_other = self.parent.neighbors_right
+                neighbours_of_center = parent.neighbors_left(label)
+                neighbours_of_other = parent.neighbors_right
             else:
-                neighbours_of_center = self.parent.neighbors_right(label)
-                neighbours_of_other = self.parent.neighbors_left
+                neighbours_of_center = parent.neighbors_right(label)
+                neighbours_of_other = parent.neighbors_left
             other_members = {v for v in neighbours_of_center if v in later_other}
             own_members = {label}
             for v in other_members:
@@ -219,7 +222,7 @@ class VertexCentredSubgraph:
         """
         if self._graph is None:
             left, right = self._label_members()
-            self._graph = self.parent.induced_subgraph(left, right)
+            self._graph = self.prepared.graph.induced_subgraph(left, right)
         return self._graph
 
     def to_bitgraph(self) -> IndexedBitGraph:
@@ -229,11 +232,14 @@ class VertexCentredSubgraph:
         id, which is the ``(side, repr(label))`` order, so the result
         equals ``IndexedBitGraph.from_bipartite(parent, left_members,
         right_members)`` — labels, rows, index maps and so every
-        tie-break.  Other-side member ``q``'s row is its later tail plus
-        the centre, as bits; the own side's rows are one transpose.  The
-        bridging stage (Algorithm 6) runs its core prunes and local
-        heuristic on this object and the verification stage
-        (Algorithm 8) searches the *same* instance.
+        tie-break.  One pass over the ranked tails fills both sides'
+        rows: other-side member ``r``'s row is the centre plus its tail,
+        and every own member in that tail gains bit ``r``.  The centre's
+        own row is every other-side bit, and the edge count is the tail
+        lengths plus one edge per other-side member, so nothing is
+        transposed.  The bridging stage (Algorithm 6) runs its core
+        prunes and local heuristic on this object and the verification
+        stage (Algorithm 8) searches the *same* instance.
         """
         if self._bitgraph is None:
             view = self.view
@@ -249,15 +255,29 @@ class VertexCentredSubgraph:
                 range(len(other)), key=[order_ids[q] for q in other].__getitem__
             )
             bit = bit_of.__getitem__
-            rows = [sum(map(bit, tails[k])) | center_bit for k in ranked]
+            # Own rows by position, in ``own`` order.
+            own_rows = dict.fromkeys(own, 0)
+            other_rows: List[int] = []
+            edges = len(other)
+            for r, k in enumerate(ranked):
+                tail = tails[k]
+                edges += len(tail)
+                other_rows.append(sum(map(bit, tail)) | center_bit)
+                other_bit = 1 << r
+                for p in tail:
+                    own_rows[p] |= other_bit
+            own_rows[self.position] = (1 << len(other)) - 1
             own_labels = [labels[p] for p in own]
             other_labels = [labels[other[k]] for k in ranked]
+            own_adj = list(own_rows.values())
             if self.center[0] == LEFT:
-                self._bitgraph = IndexedBitGraph.from_right_rows(
-                    own_labels, other_labels, rows
+                self._bitgraph = IndexedBitGraph._assemble(
+                    own_labels, other_labels, own_adj, other_rows, edges
                 )
             else:
-                self._bitgraph = IndexedBitGraph(other_labels, own_labels, rows)
+                self._bitgraph = IndexedBitGraph._assemble(
+                    other_labels, own_labels, other_rows, own_adj, edges
+                )
         return self._bitgraph
 
 
@@ -285,7 +305,6 @@ def iter_vertex_centred_subgraphs_csr(
     row_ptr = view.row_ptr
     order_ids = view.order_ids
     keys = prepared.csr.keys
-    parent = prepared.graph
     make_subgraph = VertexCentredSubgraph
     end = 0
     for position in range(len(order_ids)):
@@ -303,7 +322,7 @@ def iter_vertex_centred_subgraphs_csr(
         own = set().union(*tails)
         own.add(position)
         yield make_subgraph(
-            keys[order_ids[position]], position, own, other, tails, view, parent
+            keys[order_ids[position]], position, own, other, tails, view, prepared
         )
 
 

@@ -203,6 +203,46 @@ class TestSolveReportRoundTrip:
             SolveReport.from_dict(payload)
 
 
+#: Specs built in Python with a field of the wrong type: each is an
+#: ``invalid_parameter`` error, as the same field is on the wire.
+_MISTYPED_SPECS = {
+    "float-n_left": GraphSpec.random(6.5, 6, 0.5),
+    "float-power-law-n_left": GraphSpec.power_law(20.5, 20, 2.0),
+    "string-density": GraphSpec.random(6, 6, "x"),
+    "float-seed": GraphSpec.random(6, 6, 0.5, seed=1.5),
+    "bool-n_right": GraphSpec.random(6, True, 0.5),
+    "float-seed-dataset": GraphSpec(kind="dataset", name="unicodelang", seed=1.5),
+}
+
+
+class TestPythonBuiltSpecChecks:
+    @pytest.mark.parametrize("case", sorted(_MISTYPED_SPECS))
+    def test_mistyped_field_is_an_invalid_parameter(self, case):
+        spec = _MISTYPED_SPECS[case]
+        with pytest.raises(InvalidParameterError):
+            spec.materialise()
+        (report,) = MBBEngine().solve_many(
+            [SolveRequest(graph=spec, backend="sparse")], parallel=False
+        )
+        assert report.status == "error"
+        assert report.error.kind == "invalid_parameter"
+
+    def test_warm_dataset_spec_is_checked_too(self):
+        # A repeated dataset request skips materialise; its spec is still
+        # checked before the cached bundle is looked up.
+        engine = MBBEngine()
+        engine.solve(SolveRequest(graph=GraphSpec.dataset("unicodelang"), backend="sparse"))
+        with pytest.raises(InvalidParameterError):
+            engine.solve(
+                SolveRequest(graph=_MISTYPED_SPECS["float-seed-dataset"], backend="sparse")
+            )
+
+    def test_python_only_values_still_pass(self):
+        # From Python, seed=None draws a fresh graph on every materialise.
+        assert GraphSpec.random(6, 6, 0.5, seed=None).materialise().num_left == 6
+        assert GraphSpec.power_law(20, 20, 2, seed=3).materialise().num_left == 20
+
+
 class TestSweepRequests:
     def test_expands_cartesian_product_with_tags(self):
         from repro.api import sweep_requests
@@ -255,6 +295,25 @@ class TestSweepRequests:
             sweep_requests([], ["sparse"])
         with pytest.raises(InvalidParameterError):
             sweep_requests(["unicodelang"], [])
+
+    @pytest.mark.parametrize(
+        "budgets",
+        [
+            {"time_budget": float("nan")},
+            {"time_budget": float("inf")},
+            {"time_budget": -1.0},
+            {"node_budget": -1},
+        ],
+    )
+    def test_unusable_budgets_rejected_up_front(self, budgets):
+        # batch would reject each of these for the whole file; a NaN is
+        # not even valid JSON.  Budget-less backends get no budget, but
+        # the value is still wrong.
+        from repro.api import sweep_requests
+
+        for backends in (["sparse"], ["mvb"]):
+            with pytest.raises(InvalidParameterError):
+                sweep_requests(["unicodelang"], backends, **budgets)
 
     def test_budgets_omitted_for_budget_less_backends(self):
         from repro.api import sweep_requests

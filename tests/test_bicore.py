@@ -8,6 +8,9 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph
 from repro.graph.generators import (
     complete_bipartite,
+    crown_graph,
+    cycle_bipartite,
+    grid_union_of_bicliques,
     path_bipartite,
     random_bipartite,
     random_power_law_bipartite,
@@ -39,6 +42,18 @@ def _build_corpus():
 #: Random-graph corpus shared by the impl-equivalence properties — built
 #: once; every consumer only reads the graphs.
 GRAPH_CORPUS = _build_corpus()
+
+#: Families where many vertices share ``(|N_<=2|, degree)`` at every step,
+#: so the bucket peel's heaps hold many stale entries and the id
+#: tie-break decides almost every pop.
+TIE_HEAVY = {
+    "complete": lambda: complete_bipartite(5, 7),
+    "crown": lambda: crown_graph(7),
+    "star": lambda: star_bipartite(9),
+    "path": lambda: path_bipartite(13),
+    "cycle": lambda: cycle_bipartite(16),
+    "bicliques": lambda: grid_union_of_bicliques([3, 4, 4, 2], seed=5, noise_edges=6),
+}
 
 
 class TestBicoreNumbers:
@@ -94,6 +109,13 @@ class TestImplEquivalence:
         exact = bicore_decomposition(graph, impl=IMPL_EXACT)
         # Same bicore numbers AND the identical peel order: both share
         # the (|N_<=2|, 1-hop degree, id) priority bit for bit.
+        assert bucket == exact
+
+    @pytest.mark.parametrize("family", sorted(TIE_HEAVY))
+    def test_impls_agree_on_tie_heavy_families(self, family):
+        graph = TIE_HEAVY[family]()
+        bucket = bicore_decomposition(graph, impl=IMPL_BUCKET)
+        exact = bicore_decomposition(graph, impl=IMPL_EXACT)
         assert bucket == exact
 
     def test_impls_agree_on_a_stand_in(self):

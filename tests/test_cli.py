@@ -247,6 +247,21 @@ class TestSweepCommand:
         payload = json.loads(out)
         assert len(payload["requests"]) == 2 * len(TOUGH_DATASETS)
 
+    @pytest.mark.parametrize(
+        "flag", [["--time-budget", "nan"], ["--time-budget", "-2"], ["--node-budget", "-1"]]
+    )
+    def test_sweep_rejects_an_unusable_budget_before_writing(self, tmp_path, capsys, flag):
+        sweep_path = tmp_path / "sweep.json"
+        exit_code = main(
+            ["sweep", "--datasets", "unicodelang", "--backends", "sparse", "--output", str(sweep_path)]
+            + flag
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith("error: ") and "budget" in captured.err
+        assert captured.out == ""
+        assert not sweep_path.exists()
+
     def test_sweep_output_file_feeds_batch(self, tmp_path, capsys):
         sweep_path = tmp_path / "sweep.json"
         exit_code = main(

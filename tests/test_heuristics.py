@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph
@@ -16,6 +18,7 @@ from repro.graph.generators import (
 from repro.cores.core import core_numbers, degeneracy
 from repro.exceptions import InvalidParameterError
 from repro.graph.prepared import PreparedGraph
+from repro.mbb import heuristics
 from repro.mbb.context import SearchAborted, SearchContext
 from repro.mbb.heuristics import (
     core_heuristic,
@@ -26,7 +29,55 @@ from repro.mbb.heuristics import (
     h_mbb,
 )
 from repro.mbb.reductions import core_reduce
+from repro.mbb.result import Biclique
 from repro.baselines.brute_force import brute_force_side_size
+from repro.workloads.datasets import DATASETS, load_dataset
+
+
+def reference_greedy(
+    graph: BipartiteGraph, seed_side: str, seed_vertex
+) -> Biclique:
+    """The full-scan label greedy, the oracle of both production greedies.
+
+    Builds the seed's whole two-hop union as the first opposite-side
+    candidate set, then at every step intersects every candidate's row
+    with the other side's candidates and keeps the largest count, ties to
+    the smallest ``repr``.  :func:`greedy_extend` and
+    :func:`greedy_extend_bits` must make exactly these picks.
+    """
+    if seed_side == LEFT:
+        a, b = {seed_vertex}, set()
+        cb = set(graph.neighbors_left(seed_vertex))
+        ca = set()
+        for v in cb:
+            ca.update(graph.neighbors_right(v))
+        ca.discard(seed_vertex)
+    else:
+        a, b = set(), {seed_vertex}
+        ca = set(graph.neighbors_right(seed_vertex))
+        cb = set()
+        for u in ca:
+            cb.update(graph.neighbors_left(u))
+        cb.discard(seed_vertex)
+    while True:
+        extend_left = len(a) <= len(b)
+        if extend_left:
+            candidates, others, rows = ca, cb, graph.neighbors_left
+        else:
+            candidates, others, rows = cb, ca, graph.neighbors_right
+        if not candidates:
+            break
+        scored = [(-len(rows(x) & others), repr(x), x) for x in candidates]
+        best = min(scored, key=itemgetter(0, 1))[2]
+        if extend_left:
+            a.add(best)
+            ca.discard(best)
+            cb &= rows(best)
+        else:
+            b.add(best)
+            cb.discard(best)
+            ca &= rows(best)
+    return Biclique.of(a, b).balanced()
 
 
 def reference_h_mbb(graph: BipartiteGraph, top_r: int, context: SearchContext):
@@ -102,6 +153,106 @@ class TestGreedyExtend:
         graph = random_bipartite(8, 8, 0.5, seed=seed)
         optimum = brute_force_side_size(graph)
         assert greedy_extend(graph, LEFT, 0).side_size <= optimum
+
+
+def _assert_both_greedies_match_the_reference(graph, seeds=None, within=None):
+    """Check every seed of ``graph`` (or of ``seeds``) in both kernels.
+
+    With ``within = (left, right)`` the label greedy runs restricted to
+    that induced subgraph of ``graph`` (S1's residual seeds), and the
+    reference and the mask greedy run on the subgraph itself.
+    """
+    target = graph if within is None else graph.induced_subgraph(*within)
+    bitgraph = IndexedBitGraph.from_bipartite(target)
+    if seeds is None:
+        seeds = [(LEFT, u) for u in target.left_vertices()]
+        seeds.extend((RIGHT, v) for v in target.right_vertices())
+    for side, label in seeds:
+        expected = reference_greedy(target, side, label)
+        if within is None:
+            assert greedy_extend(graph, side, label) == expected, (side, label)
+        else:
+            grown = heuristics._greedy_sets(graph, side, label, *within)
+            assert grown == expected, (side, label)
+        index = (bitgraph.left_index if side == LEFT else bitgraph.right_index)[label]
+        assert greedy_extend_bits(bitgraph, side, index) == expected, (side, label)
+    return len(seeds)
+
+
+def _residual_labels(prepared: PreparedGraph):
+    labels = prepared.labels
+    num_left = prepared.csr.num_left
+    return set(labels[:num_left]), set(labels[num_left:])
+
+
+class TestGreedyMatchesReference:
+    """Same picks with fewer intersections: the full-scan greedy is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_power_law_and_mixed_label_graphs(self, seed):
+        for graph in (
+            random_bipartite(12, 15, 0.25 + 0.05 * seed, seed=seed),
+            random_power_law_bipartite(50, 40, 3.0, seed=seed),
+            _mixed_labels(random_power_law_bipartite(40, 40, 4.0, seed=seed)),
+        ):
+            _assert_both_greedies_match_the_reference(graph)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_restricted_seeds(self, seed):
+        # Every vertex of every k-core residual, on int and mixed labels:
+        # the restricted greedy on the whole graph makes the residual
+        # graph's own picks.
+        for graph in (
+            random_power_law_bipartite(60, 50, 5.0, seed=seed),
+            _mixed_labels(random_power_law_bipartite(50, 50, 5.0, seed=seed)),
+        ):
+            prepared = PreparedGraph.prepare(graph)
+            checked = 0
+            for k in range(1, max(prepared.core_numbers()) + 1):
+                residual = prepared.for_subgraph(k)
+                if residual is prepared or not residual.csr.num_vertices:
+                    continue
+                checked += _assert_both_greedies_match_the_reference(
+                    graph, within=_residual_labels(residual)
+                )
+            assert checked > 0
+
+    def test_degenerate_seeds(self):
+        # No neighbours, one neighbour, a star's hub and leaves, and a
+        # complete graph where every count ties.
+        graph = star_bipartite(4)
+        graph.add_left_vertex("isolated")
+        graph.add_right_vertex("alone")
+        _assert_both_greedies_match_the_reference(graph)
+        _assert_both_greedies_match_the_reference(complete_bipartite(4, 6))
+
+    def test_every_s1_seed_of_the_stand_ins(self, monkeypatch):
+        # Record the seeds h_mbb really grows (degree seeds on the input,
+        # core seeds restricted to the Lemma 4 residual) and check each.
+        grown = []
+        production = heuristics._greedy_sets
+
+        def recording(graph, side, label, left, right):
+            grown.append((graph, side, label, left, right))
+            return production(graph, side, label, left, right)
+
+        monkeypatch.setattr(heuristics, "_greedy_sets", recording)
+        for name in DATASETS:
+            h_mbb(load_dataset(name))
+        monkeypatch.undo()
+        assert len(grown) >= 5 * len(DATASETS)
+        # One group per graph and restriction; ``grown`` keeps every set
+        # alive, so the ids are unique.
+        groups = {}
+        for graph, side, label, left, right in grown:
+            within = None if left is None else (left, right)
+            key = (id(graph), id(left), id(right))
+            groups.setdefault(key, (graph, within, []))[2].append((side, label))
+        restricted = 0
+        for graph, within, seeds in groups.values():
+            _assert_both_greedies_match_the_reference(graph, seeds, within)
+            restricted += within is not None
+        assert restricted > 0
 
 
 class TestSeededHeuristics:

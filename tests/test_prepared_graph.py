@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -32,7 +32,7 @@ from repro.cores.bicore import (
 from repro.cores.orders import ALL_ORDERS, ORDER_BIDEGENERACY, search_order
 from repro.mbb.bridge import bridge_mbb
 from repro.mbb.context import SearchContext
-from repro.mbb.sparse import hbv_mbb
+from repro.mbb.sparse import SparseConfig, hbv_mbb
 from repro.mbb.vertex_centred import (
     iter_vertex_centred_subgraphs,
     iter_vertex_centred_subgraphs_csr,
@@ -179,6 +179,94 @@ class TestPreparedGraph:
                 assert list(child.csr.indices) == list(fresh.csr.indices)
                 assert child.core_numbers() == flat_core_numbers(fresh.csr)
                 bundle = child
+
+
+class TestLazyResidualGraph:
+    """Residuals carry CSR and cores; their label graph is built on first read."""
+
+    @staticmethod
+    def _iteration_order(graph: BipartiteGraph):
+        return (
+            [(u, list(graph.neighbors_left(u))) for u in graph.left_vertices()],
+            [(v, list(graph.neighbors_right(v))) for v in graph.right_vertices()],
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chained_residual_graph_is_the_k_core_build(self, seed):
+        # Down a chain of two reductions, on int and mixed labels, the
+        # lazily built graph equals k_core of the previous residual's
+        # graph in content and in every iteration order the sets kernel
+        # reads.  The chain is read child first, then parent, so the
+        # shared lineage is exercised in both directions.
+        strings = BipartiteGraph(
+            edges=[
+                (f"u{u}", f"v{v}")
+                for u, v in random_power_law_bipartite(150, 150, 6.0, seed=seed).edges()
+            ]
+        )
+        for graph in (
+            random_power_law_bipartite(70, 50, 5.0, seed=seed),
+            mixed_label_graph(seed),
+            strings,
+        ):
+            bundle = PreparedGraph.prepare(graph)
+            first = bundle.for_subgraph(2)
+            second = first.for_subgraph(3)
+            eager_first = k_core(graph, 2)
+            eager_second = k_core(eager_first, 3)
+            if second is not first:
+                assert self._iteration_order(second.graph) == self._iteration_order(
+                    eager_second
+                )
+            if first is not bundle:
+                assert self._iteration_order(first.graph) == self._iteration_order(
+                    eager_first
+                )
+                assert first.graph is first.graph
+
+    def test_cold_bits_solve_builds_no_label_graph(self, monkeypatch):
+        # jester's S1 reduces the graph and the solve ends at S3, so S1,
+        # the order, S2 and S3 all run on a residual snapshot.
+        graph = load_dataset("jester")
+        calls = []
+        induced = BipartiteGraph.induced_subgraph
+
+        def counting_induced(self, left, right):
+            calls.append(self)
+            return induced(self, left, right)
+
+        monkeypatch.setattr(BipartiteGraph, "induced_subgraph", counting_induced)
+        prepared = PreparedGraph.prepare(graph)
+        result = hbv_mbb(graph, prepared=prepared)
+        assert result.terminated_at == "S3"
+        assert prepared._children
+        assert calls == []
+
+    @pytest.mark.parametrize("dataset", ["jester", "moreno-crime", "discogs-style"])
+    def test_sets_solve_matches_eager_residual_graphs(self, dataset, monkeypatch):
+        # The sets kernel's counters follow the residual graph's iteration
+        # order.  A solve whose residuals get k_core's graph up front
+        # reports the same witness and counters as the lazy build.
+        graph = load_dataset(dataset)
+        config = SparseConfig(kernel="sets")
+        lazy = hbv_mbb(graph, config=config, prepared=PreparedGraph.prepare(graph))
+        for_subgraph = PreparedGraph.for_subgraph
+
+        def eager_for_subgraph(self, k):
+            child = for_subgraph(self, k)
+            if child is not self and child._graph is None:
+                child._graph = k_core(self.graph, k)
+            return child
+
+        monkeypatch.setattr(PreparedGraph, "for_subgraph", eager_for_subgraph)
+        eager = hbv_mbb(graph, config=config, prepared=PreparedGraph.prepare(graph))
+        assert (lazy.biclique, lazy.terminated_at) == (eager.biclique, eager.terminated_at)
+        assert _counters(lazy) == _counters(eager)
+
+
+def _counters(result):
+    stats = asdict(result.stats)
+    return {key: value for key, value in stats.items() if not key.endswith("_seconds")}
 
 
 class TestFingerprint:

@@ -97,3 +97,39 @@ class TestMBBResult:
         text = str(result)
         assert "S3" in text
         assert "best-effort" in text
+
+
+class TestSearchContextBestSide:
+    """``best_side`` is a plain int kept in step with every incumbent write."""
+
+    @staticmethod
+    def _in_step(context) -> bool:
+        return context.best_side == context.best.side_size
+
+    def test_every_write_path_keeps_best_side_in_step(self):
+        import pickle
+
+        from repro.mbb.context import SearchContext
+        from repro.mbb.result import Biclique
+        from repro.mbb.size_constrained import _seed_bound
+
+        context = SearchContext()
+        assert context.best_side == 0 and self._in_step(context)
+        assert context.offer([1, 2, 3], ["a", "b"])
+        assert context.best_side == 2 and self._in_step(context)
+        assert not context.offer([4], ["c"])
+        assert context.offer_biclique(Biclique.of(range(5), "abcd"))
+        assert context.best_side == 4 and self._in_step(context)
+        _seed_bound(context, 6)
+        assert context.best_side == 6 and self._in_step(context)
+        context.best = Biclique.of(range(5), range(2))
+        assert context.best_side == 2 and self._in_step(context)
+        context.best = Biclique.empty()
+        assert context.best_side == 0 and self._in_step(context)
+        seeded = SearchContext(best=Biclique.of(range(3), range(7)))
+        assert seeded.best_side == 3 and self._in_step(seeded)
+        assert seeded.best_total == 6
+        restored = pickle.loads(pickle.dumps(seeded))
+        assert restored.best_side == 3 and self._in_step(restored)
+        assert restored.offer(range(4), range(4))
+        assert restored.best_side == 4 and self._in_step(restored)

@@ -312,3 +312,67 @@ class TestOrderStageStat:
         assert report.stats["order_seconds"] > 0.0
         clone = SolveReport.from_json(report.to_json())
         assert clone.stats["order_seconds"] == report.stats["order_seconds"]
+
+
+#: Run in a child process: default hbvMBB solves (both kernels) of
+#: string-labelled planted graphs, printed as JSON.  String hashes depend
+#: on ``PYTHONHASHSEED``, so a pick that followed set iteration order in
+#: S1's greedy, its residual-restricted seeds or S2's local heuristic
+#: would show up as a difference between two children.
+_HBV_HASH_SEED_PROBE = """
+import json, random
+from dataclasses import asdict
+from repro.graph.bipartite import BipartiteGraph
+from repro.graph.generators import random_power_law_bipartite
+from repro.mbb.sparse import SparseConfig, hbv_mbb
+
+out = []
+for seed in range(16):
+    rng = random.Random(seed)
+    base = random_power_law_bipartite(80, 80, 3.0, seed=rng)
+    edges = set(base.edges())
+    for _ in range(3):
+        left, right = rng.sample(range(80), 9), rng.sample(range(80), 9)
+        edges.update((u, v) for u in left for v in right if rng.random() < 0.8)
+    graph = BipartiteGraph(edges=[(f"u{u}", f"v{v}") for u, v in sorted(edges)])
+    for kernel in ("bits", "sets"):
+        result = hbv_mbb(graph, config=SparseConfig(kernel=kernel))
+        stats = asdict(result.stats)
+        out.append({
+            "witness": [sorted(result.biclique.left), sorted(result.biclique.right)],
+            "terminated_at": result.terminated_at,
+            "counters": {key: value for key, value in stats.items()
+                         if not key.endswith("_seconds")},
+        })
+print(json.dumps(out))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_string_labelled_hbv_report_ignores_the_hash_seed(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        def probe(hash_seed: str) -> list:
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = hash_seed
+            env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+            completed = subprocess.run(
+                [sys.executable, "-c", _HBV_HASH_SEED_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            return json.loads(completed.stdout)
+
+        first, second = probe("1"), probe("2")
+        assert len(first) == len(second) == 32
+        assert {report["terminated_at"] for report in first} >= {"S2", "S3"}
+        assert first == second
