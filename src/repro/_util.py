@@ -24,8 +24,8 @@ def recursion_headroom_for(num_vertices: int) -> int:
 
 
 def is_finite_number(value: float) -> bool:
-    """``False`` for NaN, an infinity or an int too large for a float."""
+    """``False`` for NaN, an infinity, an int too large for a float or a non-number."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False

@@ -303,15 +303,23 @@ _SHARED_PREPARED_CACHE = PreparedGraphCache()
 
 
 def _check_max_workers(max_workers: Optional[int]) -> None:
-    """Reject a worker count below one (``None`` means the default)."""
-    if max_workers is not None and max_workers < 1:
-        raise InvalidParameterError(f"max_workers must be positive, got {max_workers}")
+    """Reject a worker count that is not an int of at least one.
+
+    ``None`` means the default.  A bool is not a count, although
+    ``True`` compares equal to 1.
+    """
+    if max_workers is None:
+        return
+    if isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1:
+        raise InvalidParameterError(
+            f"max_workers must be a positive integer, got {max_workers!r}"
+        )
 
 
 def _check_finite(name: str, seconds: Optional[float]) -> None:
-    """Reject a NaN or infinite duration (``None`` means unset)."""
-    if seconds is not None and not is_finite_number(seconds):
-        raise InvalidParameterError(f"{name} must be a finite number, got {seconds}")
+    """Reject a duration that is not a finite number (``None`` means unset)."""
+    if seconds is not None and (isinstance(seconds, bool) or not is_finite_number(seconds)):
+        raise InvalidParameterError(f"{name} must be a finite number, got {seconds!r}")
 
 
 def _classify_error(exc: BaseException) -> str:
@@ -472,13 +480,13 @@ class MBBEngine:
         must be the graph the request's spec describes.  Nothing proves
         that, so such a solve neither reads nor records the spec memo.
         """
+        request.validate()
         spec_key = None
         if (
             graph is None
             and request.graph.kind == SOURCE_DATASET
             and get_backend(request.backend).info.supports_prepared
         ):
-            request.graph.validate()
             spec_key = request.graph.name
             graph = self.prepared_cache._graph_for_spec(spec_key)
         if graph is None:
@@ -721,10 +729,12 @@ class MBBEngine:
         try:
             for idx, request in enumerate(batch):
                 try:
-                    # The watchdog limit is ``time_budget`` plus grace, so a
-                    # non-finite budget is refused here, before it reaches
-                    # the deadline arithmetic.
-                    _check_finite("time_budget", request.time_budget)
+                    # Checked here, in the parent: a worker that rejected
+                    # the wire form could only report a placeholder
+                    # request, and the watchdog limit is ``time_budget``
+                    # plus grace, so a non-finite or non-number budget
+                    # must not reach the deadline arithmetic.
+                    request.validate()
                 except InvalidParameterError as exc:
                     attempts[idx] = 1
                     finish(idx, _error_report(request, exc))

@@ -399,6 +399,25 @@ class SolveRequest:
         data["graph"] = GraphSpec.from_dict(data["graph"])  # type: ignore[arg-type]
         return cls(**data)  # type: ignore[arg-type]
 
+    def validate(self) -> None:
+        """Apply :meth:`from_dict`'s field type checks to this request.
+
+        A request built in Python skips the wire checks, so
+        :meth:`~repro.api.engine.MBBEngine.solve` and ``solve_many`` run
+        these first: a float budget or seed, or a string budget, is then
+        an :class:`~repro.exceptions.InvalidParameterError`, as it is on
+        the wire, whichever path the request takes.  The graph spec is
+        checked with :meth:`GraphSpec.validate`.  ``None`` passes for
+        every field, as it does in :meth:`to_dict`.
+        """
+        present = {
+            name: value
+            for name in _REQUEST_FIELD_TYPES
+            if (value := getattr(self, name)) is not None
+        }
+        _check_scalar_fields(type(self), present, _REQUEST_FIELD_TYPES, "solve request")
+        self.graph.validate()
+
     def to_json(self) -> str:
         """Serialise to a JSON string (lossless; see :meth:`from_json`)."""
         return json.dumps(self.to_dict(), sort_keys=True)

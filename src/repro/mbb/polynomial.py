@@ -15,19 +15,29 @@ sets, combines the components with a dynamic program over the frontier
 (the paper's table ``t``), adds back the "trivial" vertices with no missing
 neighbour, and returns the best achievable balanced biclique.
 
-The bitset solver bounds a node before any of that work.  By König's
-theorem an independent set of a bipartite graph has at most ``|V| - nu``
-vertices, ``nu`` being the maximum matching: ``ceil(n/2)`` on an
-``n``-vertex complement path and ``n/2`` on an (even) cycle.  With ``alpha``
-the sum of these over the components, no extension of the node has a side
-above ``(base_left + base_right + alpha) // 2``, where the bases count the
-partial sides plus the trivial candidates.  Most nodes the search hands
-over cannot beat the incumbent even by that bound, and they return
-``None`` without building a frontier.  Every frontier point picks an
-independent set, so no point exceeds the bound: a node the exit rejects
-would have returned ``None`` anyway, and every other node runs the
-unchanged program.  The label-keyed :func:`solve_polynomial_case` always
-runs the full program and serves as the reference.
+The bitset solver bounds a node before any of that work, in two steps.
+By König's theorem an independent set of a bipartite graph has at most
+``|V| - nu`` vertices, ``nu`` being the maximum matching: ``ceil(n/2)`` on
+an ``n``-vertex complement path and ``n/2`` on an (even) cycle.  With
+``alpha`` the sum of these over the components, no extension of the node
+has a side above ``(base_left + base_right + alpha) // 2``, where the bases
+count the partial sides plus the trivial candidates.
+
+The first step needs no walk.  Let ``n`` count the candidates and ``E`` the
+complement edges between them.  Each non-trivial component is a path (one
+edge fewer than vertices) or a cycle (as many), so the ``n_H`` non-trivial
+candidates form exactly ``n_H - E`` paths and ``alpha <= (n_H + n_H - E) /
+2``.  Adding the ``n - n_H`` trivial candidates back, no side exceeds
+``(|A| + |B| + (2n - E) // 2) // 2``, which is never below the König
+bound.  ``E`` is one popcount per left candidate, so most nodes the search
+hands over are rejected before a single miss mask is stored.  The second
+step walks the components and applies the König bound itself.
+
+Every frontier point picks an independent set, so no point exceeds either
+bound: a node an exit rejects would have returned ``None`` anyway, and
+every other node runs the unchanged program.  The label-keyed
+:func:`solve_polynomial_case` always runs the full program and serves as
+the reference.
 """
 
 from __future__ import annotations
@@ -343,18 +353,36 @@ def solve_polynomial_case_bits(
     built, which matters because dense searches spend a large share of
     their time in this polynomial case.
 
-    Before the dynamic program runs, the node is bounded from the
-    component lengths alone (see the module docstring): it returns
-    ``None`` when ``(base_left + base_right + alpha) // 2`` does not beat
-    the incumbent, ``alpha`` being the König independence number of the
-    complement.  No frontier point exceeds that bound, so the result,
-    witness included, is the one the full program gives; the exit only
-    skips the frontiers of nodes that cannot win.
+    Before the dynamic program runs, the node is bounded twice (see the
+    module docstring).  It returns ``None`` when ``(|A| + |B| + (2n - E)
+    // 2) // 2`` does not beat the incumbent, ``n`` counting the
+    candidates and ``E`` the complement edges between them, before any
+    miss mask is stored or any component walked.  Otherwise it walks the
+    components and returns ``None`` when ``(base_left + base_right +
+    alpha) // 2`` does not, ``alpha`` being the König independence number
+    of the complement.  No frontier point exceeds either bound, so the
+    result, witness included, is the one the full program gives; the
+    exits only skip the work of nodes that cannot win.
     """
     adj_left = graph.adj_left
     adj_right = graph.adj_right
     ca = state.ca
     cb = state.cb
+    best_side = context.best_side
+
+    # Walk-free exit: the complement's paths number n_H - E, so the
+    # candidates contribute at most (2n - E) // 2 independent vertices.
+    ca_size = ca.bit_count()
+    cb_size = cb.bit_count()
+    complement_edges = ca_size * cb_size
+    remaining = ca
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        complement_edges -= (adj_left[low.bit_length() - 1] & cb).bit_count()
+    independent = (2 * (ca_size + cb_size) - complement_edges) // 2
+    if (state.a.bit_count() + state.b.bit_count() + independent) // 2 <= best_side:
+        return None
 
     miss_left: Dict[int, int] = {}
     miss_right: Dict[int, int] = {}
@@ -418,7 +446,6 @@ def solve_polynomial_case_bits(
     base_right_mask = state.b | trivial_right_mask
     base_left = base_left_mask.bit_count()
     base_right = base_right_mask.bit_count()
-    best_side = context.best_side
     # König exit: an independent set holds at most ceil(n/2) vertices of
     # an n-vertex complement path and n/2 of an (even) cycle, and the
     # balanced side is at most half the vertices picked.

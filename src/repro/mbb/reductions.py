@@ -140,79 +140,106 @@ def reduce_node_bits(
     ``&`` and one ``bit_count`` each.  The state is modified in place.
 
     Each pass over one side checks both lemmas with a single neighbourhood
-    intersection per candidate (the conditions only read the *other* side's
-    masks, which a pass over this side never mutates), and a side is only
-    rescanned when the opposite side changed since its last scan.
+    intersection and one comparison chain per candidate (the conditions
+    only read the *other* side's masks, which a pass over this side never
+    mutates).  A side is rescanned only when the opposite side *removed* a
+    vertex since its last scan.  A forced vertex is adjacent to every
+    opposite candidate, so forcing it lowers each opposite candidate's
+    kept count by one and raises the opposite partial side by one: every
+    Lemma 2 sum, Lemma 1 test and missing count on the other side stays
+    what it was, and the skipped rescan would have removed and forced
+    nothing.
 
     As a byproduct of the final scans the function returns, per side, the
     surviving candidate with the most (>= 3) missing neighbours as
     ``(missing, bit, neighbour_mask)`` — exactly the triviality-last branch
     selection of Algorithm 3 — or ``None`` when every survivor of that side
     misses at most two neighbours (the Lemma 3 polynomial precondition).
-    The values are valid because each side's final scan evaluates every
-    surviving candidate against the other side's final masks.
+    The values are valid because each side's final scan saw every
+    surviving candidate, and only forcings, which leave every missing
+    count as it was, can have happened on the other side since.  Such
+    forcings did shrink the opposite candidate mask, so the neighbour mask
+    of a side that was not rescanned is cut to the final opposite mask:
+    the include child takes it as its candidate set.
     """
     target = context.best_side + 1
     adj_left = graph.adj_left
     adj_right = graph.adj_right
-    stats = context.stats
     a = state.a
     b = state.b
     ca = state.ca
     cb = state.cb
+    removed = 0
+    forced = 0
     best_left: Optional[BranchCandidate] = None
     best_right: Optional[BranchCandidate] = None
     scan_left = True
     scan_right = True
+    # Per side: it forced a vertex since the other side's last scan.
+    forced_left = False
+    forced_right = False
     while scan_left or scan_right:
         if scan_left:
             scan_left = False
-            best_left = None
-            best_missing = 2
-            b_size = b.bit_count()
+            forced_right = False
+            need = target - b.bit_count()
             cb_size = cb.bit_count()
+            # A candidate is the best so far when it keeps fewer than
+            # ``limit`` opposite candidates, i.e. misses more than the
+            # best so far (at least three).
+            limit = cb_size - 2
+            best_left = None
             remaining = ca
             while remaining:
                 low = remaining & -remaining
                 remaining ^= low
                 neighbours = adj_left[low.bit_length() - 1] & cb
                 kept = neighbours.bit_count()
-                if b_size + kept < target:
+                if kept < need:
                     ca ^= low
-                    stats.reductions_removed += 1
+                    removed += 1
                     scan_right = True
+                elif kept < limit:
+                    # kept < cb_size - 2, so this candidate is not forced.
+                    limit = kept
+                    best_left = (cb_size - kept, low, neighbours)
                 elif neighbours == cb:
                     ca ^= low
                     a |= low
-                    stats.reductions_forced += 1
-                    scan_right = True
-                elif cb_size - kept > best_missing:
-                    best_missing = cb_size - kept
-                    best_left = (best_missing, low, neighbours)
+                    forced += 1
+                    forced_left = True
         if scan_right:
             scan_right = False
-            best_right = None
-            best_missing = 2
-            a_size = a.bit_count()
+            forced_left = False
+            need = target - a.bit_count()
             ca_size = ca.bit_count()
+            limit = ca_size - 2
+            best_right = None
             remaining = cb
             while remaining:
                 low = remaining & -remaining
                 remaining ^= low
                 neighbours = adj_right[low.bit_length() - 1] & ca
                 kept = neighbours.bit_count()
-                if a_size + kept < target:
+                if kept < need:
                     cb ^= low
-                    stats.reductions_removed += 1
+                    removed += 1
                     scan_left = True
+                elif kept < limit:
+                    limit = kept
+                    best_right = (ca_size - kept, low, neighbours)
                 elif neighbours == ca:
                     cb ^= low
                     b |= low
-                    stats.reductions_forced += 1
-                    scan_left = True
-                elif ca_size - kept > best_missing:
-                    best_missing = ca_size - kept
-                    best_right = (best_missing, low, neighbours)
+                    forced += 1
+                    forced_right = True
+    if forced_right and best_left is not None:
+        best_left = (best_left[0], best_left[1], best_left[2] & cb)
+    if forced_left and best_right is not None:
+        best_right = (best_right[0], best_right[1], best_right[2] & ca)
+    stats = context.stats
+    stats.reductions_removed += removed
+    stats.reductions_forced += forced
     state.a = a
     state.b = b
     state.ca = ca

@@ -64,7 +64,7 @@ class TestSolveGraph:
             SolveRequest(graph=GraphSpec.random(4, 4, 0.5, seed=seed), backend="dense")
             for seed in range(2)
         ]
-        for seconds in (math.nan, math.inf):
+        for seconds in (math.nan, math.inf, "x", True):
             for field in ("watchdog_grace_seconds", "backoff_seconds", "backoff_cap_seconds"):
                 with pytest.raises(InvalidParameterError):
                     RetryPolicy(**{field: seconds})
@@ -82,7 +82,9 @@ class TestSolveGraph:
             SolveRequest(graph=GraphSpec.random(4, 4, 0.5, seed=seed), backend="dense")
             for seed in range(2)
         ]
-        for max_workers in (0, -3):
+        # A bool is no count although True == 1, and neither is a float
+        # or a string.
+        for max_workers in (0, -3, 1.5, "2", True):
             with pytest.raises(InvalidParameterError):
                 MBBEngine(max_workers=max_workers)
             with pytest.raises(InvalidParameterError):

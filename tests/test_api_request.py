@@ -243,6 +243,55 @@ class TestPythonBuiltSpecChecks:
         assert GraphSpec.power_law(20, 20, 2, seed=3).materialise().num_left == 20
 
 
+def _mistyped_requests():
+    """Requests built in Python with a field of the wrong type."""
+    spec = GraphSpec.random(6, 6, 0.5, seed=1)
+    return {
+        "float-node_budget": SolveRequest(graph=spec, backend="dense", node_budget=2.5),
+        "float-seed": SolveRequest(graph=spec, backend="dense", seed=1.5),
+        "string-node_budget": SolveRequest(graph=spec, backend="dense", node_budget="x"),
+        "string-time_budget": SolveRequest(graph=spec, backend="dense", time_budget="x"),
+        "float-n_left-spec": SolveRequest(
+            graph=GraphSpec.random(6.5, 6, 0.5), backend="dense"
+        ),
+    }
+
+
+class TestPythonBuiltRequestChecks:
+    @pytest.mark.parametrize("case", sorted(_mistyped_requests()))
+    def test_validate_rejects_what_the_wire_rejects(self, case):
+        request = _mistyped_requests()[case]
+        with pytest.raises(InvalidParameterError):
+            request.validate()
+        with pytest.raises(InvalidParameterError):
+            SolveRequest.from_dict(request.to_dict())
+        with pytest.raises(InvalidParameterError):
+            MBBEngine().solve(request)
+        # Also when the caller hands the graph in.
+        with pytest.raises(InvalidParameterError):
+            MBBEngine().solve(request, graph=random_bipartite(6, 6, 0.5, seed=1))
+
+    def test_both_batch_paths_report_the_callers_request(self):
+        cases = _mistyped_requests()
+        good = SolveRequest(graph=GraphSpec.random(6, 6, 0.5, seed=1), backend="dense")
+        batch = [*cases.values(), good]
+        serial = MBBEngine().solve_many(batch, parallel=False)
+        pooled = MBBEngine(max_workers=2).solve_many(batch)
+        for reports in (serial, pooled):
+            assert [report.status for report in reports] == ["error"] * len(cases) + ["ok"]
+            for (case, request), report in zip(cases.items(), reports[:-1], strict=True):
+                assert report.error.kind == "invalid_parameter", case
+                assert report.request == request, case
+        assert pooled[-1].side_size == serial[-1].side_size
+
+    def test_python_only_values_still_pass(self):
+        request = SolveRequest(
+            graph=GraphSpec.random(6, 6, 0.5, seed=None), backend="dense", seed=None
+        )
+        request.validate()
+        assert MBBEngine().solve(request).ok
+
+
 class TestSweepRequests:
     def test_expands_cartesian_product_with_tags(self):
         from repro.api import sweep_requests

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph
-from repro.graph.bitset import IndexedBitGraph
+from repro.graph.bitset import IndexedBitGraph, iter_bits
 from repro.graph.generators import (
     complete_bipartite,
     crown_graph,
@@ -290,3 +290,75 @@ class TestKoenigExit:
         )
         assert result == Biclique.of({0, 1}, {2, 3})
         assert result.is_valid_in(graph)
+
+
+class TestWalkFreeExit:
+    """Most Lemma 3 nodes are rejected before a miss mask or a walk.
+
+    The bound is ``(|A| + |B| + (2n - E) // 2) // 2`` for ``n`` candidates
+    with ``E`` complement edges between them.
+    """
+
+    @staticmethod
+    def _k44_minus(missing):
+        graph = complete_bipartite(4, 4)
+        for u, v in missing:
+            graph.remove_edge(u, v)
+        bits = IndexedBitGraph.from_bipartite(graph)
+        return graph, bits, BitNodeState(0, 0, bits.all_left_mask, bits.all_right_mask)
+
+    def test_exit_skips_the_walk(self, monkeypatch):
+        # One complement edge: (0 + 15 // 2) // 2 = 3, and the optimum is 3.
+        graph, bits, state = self._k44_minus([(0, 0)])
+        assert brute_force_mbb(graph).side_size == 3
+
+        def no_walk(mask):
+            raise AssertionError("the complement was walked")
+
+        monkeypatch.setattr(polynomial, "iter_bits", no_walk)
+        for incumbent in (3, 4):
+            context = _context_with_incumbent(incumbent)
+            assert solve_polynomial_case_bits(bits, state, context) is None
+        # Below the bound the node needs the walk, so the patch is live.
+        with pytest.raises(AssertionError, match="walked"):
+            solve_polynomial_case_bits(bits, state, _context_with_incumbent(2))
+
+    def test_koenig_exit_after_the_walk(self, monkeypatch):
+        # A 3-edge complement matching: the walk-free bound is
+        # (0 + 13 // 2) // 2 = 3, König's is (2 + 3) // 2 = 2.
+        graph, bits, state = self._k44_minus([(0, 0), (1, 1), (2, 2)])
+        assert brute_force_mbb(graph).side_size == 2
+        walks = []
+
+        def counting_iter_bits(mask):
+            walks.append(mask)
+            return iter_bits(mask)
+
+        def no_dp(sequence):
+            raise AssertionError("the Pareto DP ran")
+
+        monkeypatch.setattr(polynomial, "iter_bits", counting_iter_bits)
+        monkeypatch.setattr(polynomial, "_path_frontier_masks", no_dp)
+        monkeypatch.setattr(polynomial, "_cycle_frontier_masks", no_dp)
+        assert solve_polynomial_case_bits(bits, state, _context_with_incumbent(2)) is None
+        assert walks
+
+    @pytest.mark.parametrize(
+        "missing, incumbent, optimum",
+        [
+            # Walk-free bound 3, König bound 2: both exits pass at 1.
+            ([(0, 0), (1, 1), (2, 2)], 1, 2),
+            # No complement edge: both bounds are exactly the optimum 4.
+            ([], 3, 4),
+        ],
+    )
+    def test_neither_exit_fires(self, missing, incumbent, optimum):
+        graph, bits, state = self._k44_minus(missing)
+        result = solve_polynomial_case_bits(bits, state, _context_with_incumbent(incumbent))
+        assert result is not None
+        assert result.side_size == optimum
+        assert result.is_valid_in(graph)
+        expected = solve_polynomial_case(
+            graph, _full_state(graph), _context_with_incumbent(incumbent)
+        )
+        assert expected.side_size == optimum
