@@ -631,10 +631,13 @@ def sweep_requests(
     identify their cell without consulting the request's graph spec.
 
     Dataset names are validated against the stand-in registry, backend
-    names against the solver registry and the budgets as the engine
-    checks them (a non-negative node budget, a finite non-negative time
-    budget) up front, so a typo fails before a single (potentially long)
-    solve starts and no request file holds a value ``batch`` rejects.  Budgets are only attached to
+    names against the solver registry, the kernel, budgets and seed
+    against the request field types (:meth:`SolveRequest.validate`), and
+    the budgets as the engine checks them (a non-negative node budget, a
+    finite non-negative time budget) up front, so a typo fails with
+    :class:`~repro.exceptions.InvalidParameterError` before a single
+    (potentially long) solve starts and no request file holds a value
+    ``batch`` rejects.  Budgets are only attached to
     requests whose backend supports them (``supports_budgets`` in the
     registry metadata): a sweep mixing exact solvers with budget-less
     heuristics like ``mvb`` must not have every heuristic cell rejected —
@@ -644,6 +647,19 @@ def sweep_requests(
     from repro.api.registry import available_backends, get_backend
     from repro.workloads.datasets import DATASETS
 
+    # The request field types first, as SolveRequest.validate applies them,
+    # so the range checks below only ever compare numbers.
+    present = {
+        name: value
+        for name, value in (
+            ("kernel", kernel),
+            ("node_budget", node_budget),
+            ("time_budget", time_budget),
+            ("seed", seed),
+        )
+        if value is not None
+    }
+    _check_scalar_fields(SolveRequest, present, _REQUEST_FIELD_TYPES, "sweep")
     if node_budget is not None and node_budget < 0:
         raise InvalidParameterError(
             f"node_budget must be non-negative, got {node_budget}"

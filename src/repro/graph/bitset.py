@@ -15,6 +15,27 @@ The representation is immutable: branch-and-bound nodes carry plain ``int``
 masks, so branching needs no set copying at all (``include``/``exclude``
 children are derived with ``&``/``|``/``^`` on immutable integers).
 
+The hot mask loops walk set bits twelve at a time through
+:data:`CHUNK_BITS`, which lists the set-bit positions of every 12-bit
+value::
+
+    base = 0
+    while rest:
+        for i in CHUNK_BITS[rest & 0xFFF]:
+            ...  # vertex base + i
+        rest >>= 12
+        base += 12
+
+A set bit then costs one tuple step and one addition, where the lowbit
+walk (``low = m & -m; m ^= low; i = low.bit_length() - 1``) costs four
+operations and a method call.  The order is ascending either way, so
+every lowest-index tie-break is the same.  The chunk walk visits every
+12-bit chunk up to the highest set bit, so it loses on wide masks with
+few bits set (a 300-bit mask 2% full walks about 1.8x slower).  The
+masks it serves span a few chunks and are well filled: dense-search
+candidates, and vertex-centred subgraphs of a few dozen vertices at a
+density of 0.2 or more.
+
 Vertex labels are preserved through ``left_labels`` / ``right_labels`` (index
 to label) and ``left_index`` / ``right_index`` (label to index) so results
 can be reported in the caller's label space.
@@ -27,12 +48,29 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from repro.graph.bipartite import BipartiteGraph, Vertex
 
 
+def _chunk_bits() -> Tuple[Tuple[int, ...], ...]:
+    # Doubling: after step i the table covers every (i + 1)-bit value, and
+    # each new entry appends i, the highest bit so far, to an old entry.
+    table: List[Tuple[int, ...]] = [()]
+    for i in range(12):
+        table += [bits + (i,) for bits in table]
+    return tuple(table)
+
+
+#: ``CHUNK_BITS[v]`` is the ascending tuple of the set-bit positions of the
+#: 12-bit value ``v`` (4,096 entries, about 0.4 MB); see the module
+#: docstring for the walk it serves.
+CHUNK_BITS: Tuple[Tuple[int, ...], ...] = _chunk_bits()
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in increasing order."""
+    base = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        for i in CHUNK_BITS[mask & 0xFFF]:
+            yield base + i
+        mask >>= 12
+        base += 12
 
 
 def _transpose(rows: List[int], width: int) -> Tuple[List[int], int]:
@@ -390,7 +428,8 @@ def k_core_masks(
 
     This is the bitset counterpart of :func:`repro.cores.core.k_core`
     (Lemma 4): iteratively peel vertices with fewer than ``k`` surviving
-    neighbours until a fixpoint.  Unlike the set-based version it never
+    neighbours until a fixpoint, each pass walking its side in 12-bit
+    chunks (:data:`CHUNK_BITS`).  Unlike the set-based version it never
     materialises a subgraph copy — the core is returned as a pair of
     ``(left, right)`` masks that callers intersect into their candidate
     sets.
@@ -405,19 +444,23 @@ def k_core_masks(
     while changed:
         changed = False
         remaining = left
+        base = 0
         while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            i = low.bit_length() - 1
-            if (adj_left[i] & right).bit_count() < k:
-                left ^= low
-                changed = True
+            for i in CHUNK_BITS[remaining & 0xFFF]:
+                i += base
+                if (adj_left[i] & right).bit_count() < k:
+                    left ^= 1 << i
+                    changed = True
+            remaining >>= 12
+            base += 12
         remaining = right
+        base = 0
         while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            j = low.bit_length() - 1
-            if (adj_right[j] & left).bit_count() < k:
-                right ^= low
-                changed = True
+            for j in CHUNK_BITS[remaining & 0xFFF]:
+                j += base
+                if (adj_right[j] & left).bit_count() < k:
+                    right ^= 1 << j
+                    changed = True
+            remaining >>= 12
+            base += 12
     return left, right

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Iterable, Set
 
 from repro.graph.bipartite import Vertex
-from repro.graph.bitset import IndexedBitGraph
 from repro.mbb.context import SearchContext
 
 
@@ -69,33 +68,6 @@ def offer_completions(
         context.offer(a, set(b) | set(cb_list))
     if min(len(a) + len(ca_list), len(b)) > context.best_side:
         context.offer(set(a) | set(ca_list), b)
-
-
-def offer_completions_bits(
-    context: SearchContext,
-    graph: IndexedBitGraph,
-    a: int,
-    b: int,
-    ca: int,
-    cb: int,
-) -> None:
-    """Bitset counterpart of :func:`offer_completions`.
-
-    Mask-to-label translation only happens when a completion actually
-    improves the incumbent, so the common (non-improving) case costs four
-    popcounts and two comparisons.
-    """
-    a_size = a.bit_count()
-    b_size = b.bit_count()
-    best = context.best_side
-    if min(a_size, b_size + cb.bit_count()) > best:
-        context.offer(
-            graph.left_labels_of(a), graph.right_labels_of(b | cb)
-        )
-    if min(a_size + ca.bit_count(), b_size) > best:
-        context.offer(
-            graph.left_labels_of(a | ca), graph.right_labels_of(b)
-        )
 
 
 def trivial_upper_bound(num_left: int, num_right: int) -> int:

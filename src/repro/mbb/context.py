@@ -226,10 +226,28 @@ class SearchContext:
             )
 
     def enter_node(self, depth: int) -> None:
-        """Record entry into a branch-and-bound node and enforce budgets."""
-        self.stats.record_node(depth)
-        self.checkpoint()
-        if self.node_budget is not None and self.stats.nodes > self.node_budget:
+        """Record entry into a branch-and-bound node and enforce budgets.
+
+        The node is recorded inline (what :meth:`SearchStats.record_node`
+        does), and :meth:`checkpoint` runs only when it has something to
+        poll: a cancellation, a hook, a time budget or a deadline.  All
+        four are read at every node, so one assigned after construction
+        (as :class:`~repro.api.engine.MBBEngine` assigns ``deadline``)
+        fires at the next node.
+        """
+        stats = self.stats
+        stats.nodes += 1
+        stats.depth_sum += depth
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        if (
+            self.cancelled
+            or self.cancel_hook is not None
+            or self.time_budget is not None
+            or self.deadline is not None
+        ):
+            self.checkpoint()
+        if self.node_budget is not None and stats.nodes > self.node_budget:
             self.aborted = True
             raise SearchAborted(f"node budget {self.node_budget} exhausted")
 

@@ -22,7 +22,9 @@ Two interchangeable kernels implement the inner loop:
 * :data:`KERNEL_BITS` (default) — the graph is indexed into an
   :class:`~repro.graph.bitset.IndexedBitGraph` and every node carries four
   integer bitmasks; neighbourhood/candidate intersections are single ``&``
-  operations and cardinalities are ``int.bit_count()`` calls.
+  operations and cardinalities are ``int.bit_count()`` calls.  Its node
+  is fused: the bound, the two completions and the leaf records are
+  inline, on side counts taken once after the reduction.
 * :data:`KERNEL_SETS` — the original adjacency-set implementation, kept for
   ablation/benchmark comparisons and as the fallback for graphs whose
   labels resist indexing.
@@ -41,7 +43,7 @@ from repro._util import ensure_recursion_limit, recursion_headroom_for
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.graph.bitset import IndexedBitGraph
-from repro.mbb.bounds import is_bounded, offer_completions, offer_completions_bits
+from repro.mbb.bounds import is_bounded, offer_completions
 from repro.mbb.context import SearchAborted, SearchContext
 from repro.mbb.polynomial import (
     solve_polynomial_case,
@@ -239,32 +241,53 @@ def _dense_mbb_bits(
     depth: int,
     branching: str,
 ) -> None:
+    """One bitset ``denseMBB`` node and, recursively, its subtree.
+
+    The bound, the completions and the leaf records are inline: the four
+    side counts are taken once after the reduction and serve both
+    completions and the second bound, and a leaf updates the counters
+    directly.  The rules are those of :func:`~repro.mbb.bounds.is_bounded`
+    and :func:`~repro.mbb.bounds.offer_completions`, which the set
+    kernel's :func:`_dense_mbb` calls; only the bookkeeping is inline.
+    """
     context.enter_node(depth)
-    if is_bounded(
-        context,
-        state.a.bit_count(),
-        state.b.bit_count(),
-        state.ca.bit_count(),
-        state.cb.bit_count(),
+    stats = context.stats
+    # The bounding condition of Algorithm 1: min(|A|+|CA|, |B|+|CB|) <= best.
+    best = context.best_side
+    if (
+        state.a.bit_count() + state.ca.bit_count() <= best
+        or state.b.bit_count() + state.cb.bit_count() <= best
     ):
-        context.stats.bound_prunes += 1
-        context.record_leaf(depth)
+        stats.bound_prunes += 1
+        stats.leaf_count += 1
+        stats.leaf_depth_sum += depth
         return
 
     best_left, best_right = reduce_node_bits(graph, state, context)
-    offer_completions_bits(context, graph, state.a, state.b, state.ca, state.cb)
-    if is_bounded(
-        context,
-        state.a.bit_count(),
-        state.b.bit_count(),
-        state.ca.bit_count(),
-        state.cb.bit_count(),
-    ):
-        context.stats.bound_prunes += 1
-        context.record_leaf(depth)
+    a = state.a
+    b = state.b
+    ca = state.ca
+    cb = state.cb
+    a_size = a.bit_count()
+    b_size = b.bit_count()
+    left_size = a_size + ca.bit_count()
+    right_size = b_size + cb.bit_count()
+    # The one-sided completions (A, B ∪ CB) and (A ∪ CA, B); labels are
+    # built only for one that improves on the incumbent.
+    best = context.best_side
+    if a_size > best and right_size > best:
+        context.offer(graph.left_labels_of(a), graph.right_labels_of(b | cb))
+    if left_size > best and b_size > best:
+        context.offer(graph.left_labels_of(a | ca), graph.right_labels_of(b))
+    best = context.best_side
+    if left_size <= best or right_size <= best:
+        stats.bound_prunes += 1
+        stats.leaf_count += 1
+        stats.leaf_depth_sum += depth
         return
-    if not state.ca or not state.cb:
-        context.record_leaf(depth)
+    if not ca or not cb:
+        stats.leaf_count += 1
+        stats.leaf_depth_sum += depth
         return
 
     if branching == BRANCH_TRIVIALITY_LAST:
@@ -272,8 +295,9 @@ def _dense_mbb_bits(
         # missing the most (>= 3) opposite candidates.
         if best_left is None and best_right is None:
             # Lemma 3 applies: hand the node to the polynomial solver.
-            context.stats.polynomial_cases += 1
-            context.record_leaf(depth)
+            stats.polynomial_cases += 1
+            stats.leaf_count += 1
+            stats.leaf_depth_sum += depth
             result = solve_polynomial_case_bits(graph, state, context)
             if result is not None:
                 context.offer_biclique(result)
@@ -287,16 +311,17 @@ def _dense_mbb_bits(
     else:
         selection = _select_any_vertex_bits(graph, state)
         if selection is None:
-            context.record_leaf(depth)
+            stats.leaf_count += 1
+            stats.leaf_depth_sum += depth
             return
 
     side, bit, neighbours = selection
     if side == "L":
-        include = BitNodeState(state.a | bit, state.b, state.ca ^ bit, neighbours)
-        exclude = BitNodeState(state.a, state.b, state.ca ^ bit, state.cb)
+        include = BitNodeState(a | bit, b, ca ^ bit, neighbours)
+        exclude = BitNodeState(a, b, ca ^ bit, cb)
     else:
-        include = BitNodeState(state.a, state.b | bit, neighbours, state.cb ^ bit)
-        exclude = BitNodeState(state.a, state.b, state.ca, state.cb ^ bit)
+        include = BitNodeState(a, b | bit, neighbours, cb ^ bit)
+        exclude = BitNodeState(a, b, ca, cb ^ bit)
     _dense_mbb_bits(graph, context, include, depth + 1, branching)
     _dense_mbb_bits(graph, context, exclude, depth + 1, branching)
 

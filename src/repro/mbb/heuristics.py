@@ -46,7 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
-from repro.graph.bitset import IndexedBitGraph, core_numbers_masks
+from repro.graph.bitset import CHUNK_BITS, IndexedBitGraph, core_numbers_masks
 from repro.graph.prepared import PreparedGraph, ensure_prepared_for
 from repro.cores.core import core_numbers
 from repro.mbb.context import SearchAborted, SearchContext
@@ -222,7 +222,9 @@ def _greedy_masks(
     The first step is :func:`greedy_extend`'s: no two-hop union, the
     seed's neighbour with the fullest row is the pick.  Later steps scan
     every candidate, since one ``&`` and one ``bit_count`` per candidate
-    leave lazy bounds nothing to save.
+    leave lazy bounds nothing to save.  Both scans walk their masks in
+    12-bit chunks (:data:`~repro.graph.bitset.CHUNK_BITS`), in ascending
+    index order, so ties still go to the lowest index.
     """
     adj_left = graph.adj_left
     adj_right = graph.adj_right
@@ -233,17 +235,21 @@ def _greedy_masks(
         first, first_rows = adj_right[seed_index], adj_left
     if not first:
         return (seed_bit, 0) if seed_side == LEFT else (0, seed_bit)
-    best_bit = 0
+    best_index = 0
     best_count = -1
     remaining = first
+    base = 0
     while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        count = first_rows[low.bit_length() - 1].bit_count()
-        if count > best_count:
-            best_count = count
-            best_bit = low
-    pick_row = first_rows[best_bit.bit_length() - 1] & ~seed_bit
+        for i in CHUNK_BITS[remaining & 0xFFF]:
+            i += base
+            count = first_rows[i].bit_count()
+            if count > best_count:
+                best_count = count
+                best_index = i
+        remaining >>= 12
+        base += 12
+    best_bit = 1 << best_index
+    pick_row = first_rows[best_index] & ~seed_bit
     if seed_side == LEFT:
         a, b = seed_bit, best_bit
         ca, cb = pick_row, first ^ best_bit
@@ -259,19 +265,23 @@ def _greedy_masks(
             candidates, others, adj = cb, ca, adj_right
         if not candidates:
             break
-        best_bit = 0
+        best_index = 0
         best_neighbours = 0
         best_kept = -1
         remaining = candidates
+        base = 0
         while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            neighbours = adj[low.bit_length() - 1] & others
-            kept = neighbours.bit_count()
-            if kept > best_kept:
-                best_kept = kept
-                best_bit = low
-                best_neighbours = neighbours
+            for i in CHUNK_BITS[remaining & 0xFFF]:
+                i += base
+                neighbours = adj[i] & others
+                kept = neighbours.bit_count()
+                if kept > best_kept:
+                    best_kept = kept
+                    best_index = i
+                    best_neighbours = neighbours
+            remaining >>= 12
+            base += 12
+        best_bit = 1 << best_index
         if extend_left:
             a |= best_bit
             ca &= ~best_bit

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
 from repro.graph.bipartite import BipartiteGraph, Vertex
-from repro.graph.bitset import IndexedBitGraph
+from repro.graph.bitset import CHUNK_BITS, IndexedBitGraph
 from repro.cores.core import k_core
 from repro.mbb.context import SearchContext
 
@@ -142,8 +142,11 @@ def reduce_node_bits(
     Each pass over one side checks both lemmas with a single neighbourhood
     intersection and one comparison chain per candidate (the conditions
     only read the *other* side's masks, which a pass over this side never
-    mutates).  A side is rescanned only when the opposite side *removed* a
-    vertex since its last scan.  A forced vertex is adjacent to every
+    mutates).  A pass walks its candidates in 12-bit chunks
+    (:data:`~repro.graph.bitset.CHUNK_BITS`), lowest index first, so ties
+    still go to the lowest index; a vertex's bit is built only when it is
+    removed, forced or recorded.  A side is rescanned only when the
+    opposite side *removed* a vertex since its last scan.  A forced vertex is adjacent to every
     opposite candidate, so forcing it lowers each opposite candidate's
     kept count by one and raises the opposite partial side by one: every
     Lemma 2 sum, Lemma 1 test and missing count on the other side stays
@@ -190,24 +193,28 @@ def reduce_node_bits(
             limit = cb_size - 2
             best_left = None
             remaining = ca
+            base = 0
             while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                neighbours = adj_left[low.bit_length() - 1] & cb
-                kept = neighbours.bit_count()
-                if kept < need:
-                    ca ^= low
-                    removed += 1
-                    scan_right = True
-                elif kept < limit:
-                    # kept < cb_size - 2, so this candidate is not forced.
-                    limit = kept
-                    best_left = (cb_size - kept, low, neighbours)
-                elif neighbours == cb:
-                    ca ^= low
-                    a |= low
-                    forced += 1
-                    forced_left = True
+                for i in CHUNK_BITS[remaining & 0xFFF]:
+                    i += base
+                    neighbours = adj_left[i] & cb
+                    kept = neighbours.bit_count()
+                    if kept < need:
+                        ca ^= 1 << i
+                        removed += 1
+                        scan_right = True
+                    elif kept < limit:
+                        # kept < cb_size - 2, so this candidate is not forced.
+                        limit = kept
+                        best_left = (cb_size - kept, 1 << i, neighbours)
+                    elif neighbours == cb:
+                        low = 1 << i
+                        ca ^= low
+                        a |= low
+                        forced += 1
+                        forced_left = True
+                remaining >>= 12
+                base += 12
         if scan_right:
             scan_right = False
             forced_left = False
@@ -216,23 +223,27 @@ def reduce_node_bits(
             limit = ca_size - 2
             best_right = None
             remaining = cb
+            base = 0
             while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                neighbours = adj_right[low.bit_length() - 1] & ca
-                kept = neighbours.bit_count()
-                if kept < need:
-                    cb ^= low
-                    removed += 1
-                    scan_left = True
-                elif kept < limit:
-                    limit = kept
-                    best_right = (ca_size - kept, low, neighbours)
-                elif neighbours == ca:
-                    cb ^= low
-                    b |= low
-                    forced += 1
-                    forced_right = True
+                for j in CHUNK_BITS[remaining & 0xFFF]:
+                    j += base
+                    neighbours = adj_right[j] & ca
+                    kept = neighbours.bit_count()
+                    if kept < need:
+                        cb ^= 1 << j
+                        removed += 1
+                        scan_left = True
+                    elif kept < limit:
+                        limit = kept
+                        best_right = (ca_size - kept, 1 << j, neighbours)
+                    elif neighbours == ca:
+                        low = 1 << j
+                        cb ^= low
+                        b |= low
+                        forced += 1
+                        forced_right = True
+                remaining >>= 12
+                base += 12
     if forced_right and best_left is not None:
         best_left = (best_left[0], best_left[1], best_left[2] & cb)
     if forced_left and best_right is not None:

@@ -364,6 +364,40 @@ class TestSweepRequests:
             with pytest.raises(InvalidParameterError):
                 sweep_requests(["unicodelang"], backends, **budgets)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"node_budget": "x"}, "node_budget"),
+            ({"node_budget": 2.5}, "node_budget"),
+            ({"node_budget": True}, "node_budget"),
+            ({"time_budget": "x"}, "time_budget"),
+            ({"time_budget": True}, "time_budget"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "1"}, "seed"),
+            ({"kernel": 5}, "kernel"),
+        ],
+    )
+    def test_mistyped_fields_rejected_up_front(self, fields, name):
+        # Each of these would build requests that SolveRequest.validate
+        # rejects; node_budget='x' used to raise TypeError from the range
+        # check instead.
+        from repro.api import sweep_requests
+
+        for backends in (["sparse"], ["mvb"]):
+            with pytest.raises(InvalidParameterError, match=name):
+                sweep_requests(["unicodelang"], backends, **fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"node_budget": 0, "time_budget": 0, "seed": 7}, {"time_budget": 3}],
+    )
+    def test_accepted_fields_build_valid_requests(self, fields):
+        from repro.api import sweep_requests
+
+        for request in sweep_requests(["unicodelang"], ["sparse", "mvb"], **fields):
+            request.validate()
+            assert SolveRequest.from_json(request.to_json()).to_json() == request.to_json()
+
     def test_budgets_omitted_for_budget_less_backends(self):
         from repro.api import sweep_requests
 

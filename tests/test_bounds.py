@@ -94,3 +94,28 @@ class TestSearchContext:
         else:
             aborted = False
         assert aborted and context.aborted
+
+    def test_enter_node_polls_only_when_something_is_set(self):
+        import time
+
+        context = SearchContext()
+        polls = []
+        context.checkpoint = lambda: polls.append(context.stats.nodes)
+        for depth in (0, 3, 1):
+            context.enter_node(depth)
+        assert polls == []
+        assert (context.stats.nodes, context.stats.depth_sum, context.stats.max_depth) == (3, 4, 3)
+        # Each of the four, set after construction, is polled at the next node.
+        for name, value in (
+            ("cancel_hook", lambda: False),
+            ("time_budget", 60.0),
+            ("deadline", time.perf_counter() + 60.0),
+            ("cancelled", True),
+        ):
+            fresh = SearchContext()
+            fresh_polls = []
+            fresh.checkpoint = lambda polls=fresh_polls: polls.append(True)
+            fresh.enter_node(0)
+            setattr(fresh, name, value)
+            fresh.enter_node(1)
+            assert fresh_polls == [True], name

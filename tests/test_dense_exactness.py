@@ -2,17 +2,24 @@
 
 ``reduce_node_bits`` rescans a side only after the other side removed a
 vertex, and ``solve_polynomial_case_bits`` rejects most Lemma 3 nodes
-with a bound that needs no component walk.  Neither may change a removal,
-a forcing, a branch pick, a polynomial-case answer, a witness or a
-counter.  The two reference loops below are the one oracle for each: the
-reduction rescans a side whenever the other side changed at all, and the
-polynomial case walks the whole complement before its first exit.
+with a bound that needs no component walk.  Both walk their masks in
+12-bit chunks.  ``_dense_mbb_bits`` bounds, offers and records its leaves
+inline, and ``SearchContext.enter_node`` polls the budgets only when one
+is set.  None of this may change a removal, a forcing, a branch pick, a
+polynomial-case answer, a witness, a counter or where a budget stops the
+search.  The reference loops below are the one oracle for each: the
+reduction rescans a side whenever the other side changed at all, the
+polynomial case walks the whole complement before its first exit, both
+walk bits lowest first, and the node goes through ``is_bounded``, the
+two-sided completion offer, ``record_leaf`` and an ``enter_node`` that
+polls every budget at every node.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import time
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -25,8 +32,9 @@ from repro.graph.generators import (
     random_power_law_bipartite,
 )
 from repro.mbb import dense
-from repro.mbb.context import SearchContext
-from repro.mbb.dense import dense_mbb
+from repro.mbb.bounds import is_bounded
+from repro.mbb.context import SearchAborted, SearchContext
+from repro.mbb.dense import BRANCH_NAIVE, BRANCH_TRIVIALITY_LAST, dense_mbb
 from repro.mbb.polynomial import (
     _EMPTY_MASK_CHOICE,
     _cycle_frontier_masks,
@@ -220,6 +228,102 @@ def reference_solve_polynomial_case_bits(
     ).balanced()
 
 
+def reference_enter_node(context: SearchContext, depth: int) -> None:
+    """Record the node, poll every budget, then test the node budget."""
+    context.stats.record_node(depth)
+    context.checkpoint()
+    if context.node_budget is not None and context.stats.nodes > context.node_budget:
+        context.aborted = True
+        raise SearchAborted(f"node budget {context.node_budget} exhausted")
+
+
+def reference_offer_completions_bits(
+    context: SearchContext,
+    graph: IndexedBitGraph,
+    a: int,
+    b: int,
+    ca: int,
+    cb: int,
+) -> None:
+    """Offer ``(A, B | CB)`` and ``(A | CA, B)`` when either could improve."""
+    a_size = a.bit_count()
+    b_size = b.bit_count()
+    best = context.best_side
+    if min(a_size, b_size + cb.bit_count()) > best:
+        context.offer(graph.left_labels_of(a), graph.right_labels_of(b | cb))
+    if min(a_size + ca.bit_count(), b_size) > best:
+        context.offer(graph.left_labels_of(a | ca), graph.right_labels_of(b))
+
+
+def reference_dense_mbb_bits(
+    graph: IndexedBitGraph,
+    context: SearchContext,
+    state: BitNodeState,
+    depth: int,
+    branching: str,
+) -> None:
+    """One bitset denseMBB node through the shared helpers, and its subtree."""
+    reference_enter_node(context, depth)
+    if is_bounded(
+        context,
+        state.a.bit_count(),
+        state.b.bit_count(),
+        state.ca.bit_count(),
+        state.cb.bit_count(),
+    ):
+        context.stats.bound_prunes += 1
+        context.record_leaf(depth)
+        return
+
+    best_left, best_right = reference_reduce_node_bits(graph, state, context)
+    reference_offer_completions_bits(
+        context, graph, state.a, state.b, state.ca, state.cb
+    )
+    if is_bounded(
+        context,
+        state.a.bit_count(),
+        state.b.bit_count(),
+        state.ca.bit_count(),
+        state.cb.bit_count(),
+    ):
+        context.stats.bound_prunes += 1
+        context.record_leaf(depth)
+        return
+    if not state.ca or not state.cb:
+        context.record_leaf(depth)
+        return
+
+    if branching == BRANCH_TRIVIALITY_LAST:
+        if best_left is None and best_right is None:
+            context.stats.polynomial_cases += 1
+            context.record_leaf(depth)
+            result = reference_solve_polynomial_case_bits(graph, state, context)
+            if result is not None:
+                context.offer_biclique(result)
+            return
+        if best_right is None or (
+            best_left is not None and best_left[0] >= best_right[0]
+        ):
+            selection = ("L", best_left[1], best_left[2])
+        else:
+            selection = ("R", best_right[1], best_right[2])
+    else:
+        selection = dense._select_any_vertex_bits(graph, state)
+        if selection is None:
+            context.record_leaf(depth)
+            return
+
+    side, bit, neighbours = selection
+    if side == "L":
+        include = BitNodeState(state.a | bit, state.b, state.ca ^ bit, neighbours)
+        exclude = BitNodeState(state.a, state.b, state.ca ^ bit, state.cb)
+    else:
+        include = BitNodeState(state.a, state.b | bit, neighbours, state.cb ^ bit)
+        exclude = BitNodeState(state.a, state.b, state.ca, state.cb ^ bit)
+    reference_dense_mbb_bits(graph, context, include, depth + 1, branching)
+    reference_dense_mbb_bits(graph, context, exclude, depth + 1, branching)
+
+
 # ----------------------------------------------------------------------
 # node sources
 # ----------------------------------------------------------------------
@@ -340,6 +444,21 @@ class TestReductionMatchesReference:
             for incumbent in sorted({0, 1, 2, rng.randint(3, 14)}):
                 _assert_same_reduction(bits, _copy(node), incumbent)
 
+    @pytest.mark.parametrize("density", [0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_nodes_wider_than_three_chunks(self, density, seed):
+        # Sides of 40-80 candidates span four to seven 12-bit chunks, so
+        # the chunk walk crosses every boundary case of its base offset.
+        rng = random.Random(9000 + seed * 100 + int(density * 10))
+        graph = random_bipartite(
+            rng.randint(40, 80), rng.randint(40, 80), density, seed=rng
+        )
+        bits = IndexedBitGraph.from_bipartite(graph)
+        for _ in range(15):
+            node = _random_node(bits, rng)
+            for incumbent in sorted({0, 2, rng.randint(3, 30)}):
+                _assert_same_reduction(bits, _copy(node), incumbent)
+
     @pytest.mark.parametrize("index", range(len(GRAPH_MATRIX)))
     def test_every_node_of_a_search(self, index):
         bits = IndexedBitGraph.from_bipartite(_matrix_graph(index))
@@ -396,6 +515,22 @@ class TestLemma3MatchesReference:
             for incumbent in range(optimum + 2):
                 _assert_same_lemma3_answer(bits, state, incumbent)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_nodes_wider_than_three_chunks(self, seed):
+        # The walk-free exit counts complement edges over 40-80 candidates
+        # per side in 12-bit chunks; every incumbent near the optimum.
+        rng = random.Random(800 + seed)
+        graph = random_near_complete_bipartite(
+            rng.randint(40, 80), rng.randint(40, 80), max_missing=2, seed=rng
+        )
+        bits = IndexedBitGraph.from_bipartite(graph)
+        for _ in range(6):
+            state = _random_node(bits, rng)
+            whole = reference_solve_polynomial_case_bits(bits, state, SearchContext())
+            optimum = whole.side_size if whole is not None else 0
+            for incumbent in range(max(0, optimum - 3), optimum + 2):
+                _assert_same_lemma3_answer(bits, state, incumbent)
+
 
 # ----------------------------------------------------------------------
 # whole searches
@@ -410,11 +545,9 @@ def _counters(stats) -> Dict[str, object]:
 
 
 def _with_references(solve):
+    # The reference node calls the reference reduction and Lemma 3 itself.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dense, "reduce_node_bits", reference_reduce_node_bits)
-        patch.setattr(
-            dense, "solve_polynomial_case_bits", reference_solve_polynomial_case_bits
-        )
+        patch.setattr(dense, "_dense_mbb_bits", reference_dense_mbb_bits)
         return solve()
 
 
@@ -424,6 +557,18 @@ class TestWholeSearchesMatchReference:
         graph = _matrix_graph(index)
         expected = _with_references(lambda: dense_mbb(graph))
         result = dense_mbb(graph)
+        assert result.biclique == expected.biclique
+        assert _counters(result.stats) == _counters(expected.stats)
+
+    # Naive branching (the bd3 ablation) takes 168k nodes on one 28-vertex
+    # graph, so only the smaller sides run here.
+    @pytest.mark.parametrize(
+        "index", [i for i, (side, _, _) in enumerate(GRAPH_MATRIX) if side <= 20]
+    )
+    def test_dense_mbb_naive_branching(self, index):
+        graph = _matrix_graph(index)
+        expected = _with_references(lambda: dense_mbb(graph, branching=BRANCH_NAIVE))
+        result = dense_mbb(graph, branching=BRANCH_NAIVE)
         assert result.biclique == expected.biclique
         assert _counters(result.stats) == _counters(expected.stats)
 
@@ -453,3 +598,112 @@ class TestWholeSearchesMatchReference:
         assert result.terminated_at == expected.terminated_at
         assert _counters(result.stats) == _counters(expected.stats)
         assert result.stats.nodes > 0
+
+
+# ----------------------------------------------------------------------
+# budgets
+# ----------------------------------------------------------------------
+#: A matrix graph whose search takes 133 nodes, so every budget below
+#: stops it part-way.
+BUDGET_GRAPH = 13
+
+
+def _cancel_on_poll(k: int):
+    """A cancel hook that fires on its ``k``-th poll."""
+    polls = [0]
+
+    def hook() -> bool:
+        polls[0] += 1
+        return polls[0] >= k
+
+    return hook
+
+
+def _assert_same_stop(make_context, branching: str = BRANCH_TRIVIALITY_LAST):
+    """The search stops where the reference stops, with the same state."""
+    graph = _matrix_graph(BUDGET_GRAPH)
+    expected_context = make_context()
+    expected = _with_references(
+        lambda: dense_mbb(graph, context=expected_context, branching=branching)
+    )
+    context = make_context()
+    result = dense_mbb(graph, context=context, branching=branching)
+    assert not expected.optimal
+    assert result.optimal is expected.optimal
+    assert result.biclique == expected.biclique
+    assert _counters(result.stats) == _counters(expected.stats)
+    assert (context.aborted, context.cancelled) == (
+        expected_context.aborted,
+        expected_context.cancelled,
+    )
+    return result
+
+
+class TestBudgetsMatchReference:
+    def test_the_budget_graph_needs_more_than_forty_nodes(self):
+        assert dense_mbb(_matrix_graph(BUDGET_GRAPH)).stats.nodes > 41
+
+    @pytest.mark.parametrize("budget", range(41))
+    def test_node_budget(self, budget):
+        result = _assert_same_stop(lambda: SearchContext(node_budget=budget))
+        # The node that trips the budget is recorded before it aborts.
+        assert result.stats.nodes == budget + 1
+
+    @pytest.mark.parametrize("budget", [0, 3, 17])
+    def test_node_budget_naive_branching(self, budget):
+        _assert_same_stop(lambda: SearchContext(node_budget=budget), BRANCH_NAIVE)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 17, 40])
+    def test_cancel_hook_fires_at_node_k(self, k):
+        result = _assert_same_stop(lambda: SearchContext(cancel_hook=_cancel_on_poll(k)))
+        assert result.stats.nodes == k
+
+    def test_expired_deadline(self):
+        result = _assert_same_stop(
+            lambda: SearchContext(deadline=time.perf_counter() - 1.0)
+        )
+        assert result.stats.nodes == 1
+
+    def test_spent_time_budget(self):
+        result = _assert_same_stop(lambda: SearchContext(time_budget=0.0))
+        assert result.stats.nodes == 1
+
+    def test_deadline_assigned_after_construction(self):
+        # MBBEngine._dispatch builds the context, then sets its deadline.
+        def make_context():
+            context = SearchContext()
+            context.deadline = time.perf_counter() - 1.0
+            return context
+
+        assert _assert_same_stop(make_context).stats.nodes == 1
+
+    @pytest.mark.parametrize("k", [1, 9])
+    def test_cancel_hook_assigned_after_construction(self, k):
+        def make_context():
+            context = SearchContext()
+            context.cancel_hook = _cancel_on_poll(k)
+            return context
+
+        assert _assert_same_stop(make_context).stats.nodes == k
+
+    @pytest.mark.parametrize("offers", [1, 2])
+    def test_cancel_called_mid_search(self, offers):
+        # cancel() on an improving offer: the next node entered aborts.
+        def make_context():
+            context = SearchContext()
+            offer = context.offer
+            improved = [0]
+
+            def cancelling_offer(left, right):
+                if offer(left, right):
+                    improved[0] += 1
+                    if improved[0] == offers:
+                        context.cancel()
+                    return True
+                return False
+
+            context.offer = cancelling_offer
+            return context
+
+        result = _assert_same_stop(make_context)
+        assert result.stats.nodes > 1
