@@ -23,7 +23,7 @@ API notes
 (:func:`~repro.api.available_backends`), a
 :class:`~repro.api.SolveRequest` / :class:`~repro.api.SolveReport` pair is
 the JSON wire format, and :class:`~repro.api.MBBEngine` executes one
-request — or a batch of them across a process pool via
+request — or a batch of them across worker processes via
 :meth:`~repro.api.MBBEngine.solve_many`.
 
 >>> from repro.api import GraphSpec, MBBEngine, SolveRequest

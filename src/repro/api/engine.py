@@ -7,11 +7,11 @@ The engine is the single entry point everything else is a wrapper around:
 * :meth:`MBBEngine.solve` — execute one :class:`~repro.api.request.SolveRequest`
   end to end (find or materialise the graph, run the backend, build the
   report);
-* :meth:`MBBEngine.solve_many` — execute a batch of requests over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, with results returned
-  in request order regardless of completion order.  Requests cross the
-  process boundary as their JSON wire form, so every batch run also
-  exercises the serialisation path a future network server would use.
+* :meth:`MBBEngine.solve_many` — execute a batch of requests over owned
+  worker processes, one request per worker at a time, with results
+  returned in request order regardless of completion order.  Requests
+  cross the process boundary as their JSON wire form, so every batch run
+  also exercises the serialisation path a future network server would use.
 
 Budgets flow through one mechanism: the engine builds a single
 :class:`~repro.mbb.context.SearchContext` per request carrying the node
@@ -30,36 +30,36 @@ CSR + ``N_{<=2}`` + peel pipeline across solves; a repeated dataset
 request also skips materialisation, the fingerprint and the ``==``
 check that guards every fingerprint hit.  Every engine shares
 one process-wide cache by default — which is exactly what makes the
-amortisation reach the process-pool workers, each of which constructs a
+amortisation reach the batch workers, each of which constructs a
 fresh engine per request — and each solve reports its hit/miss and
 ``prepare_seconds`` through :class:`~repro.mbb.result.SearchStats`.
 
 Batches are **fault-tolerant**: every worker entry point is a fault
 boundary (:func:`_guarded_solve`) converting exceptions into
 ``status="error"`` reports with a structured
-:class:`~repro.api.request.SolveError`, worker deaths rebuild the pool
-under a bounded :class:`RetryPolicy` (re-submitting only the unfinished
-requests — crash suspects one at a time, so blame can never land on an
-innocent co-flier — and finishing reproducible crashers as
-``worker_crash`` reports, or isolating them in-process on explicit
-opt-in), and a per-request
-deadline watchdog — whose clock starts when a worker picks the request
-up — terminates hung workers and marks their requests ``aborted``.  The
+:class:`~repro.api.request.SolveError`.  A batch runs on lanes, each one
+worker process holding at most one request, so a worker death is the
+crash of the request it was running and a lane past its deadline is that
+request's timeout: only that lane's worker is killed and restarted, under
+a bounded :class:`RetryPolicy`, and no other request is touched.  A
+request that keeps killing its worker is finished as a ``worker_crash``
+report (or re-run in-process on explicit opt-in), and one whose worker
+produces nothing by its deadline is marked ``aborted``.  The
 deterministic chaos harness in :mod:`repro.devtools.faults` arms the
 injection points compiled into these boundaries, and reprolint RPL009
-keeps every pool-submitted callable behind one.
+keeps every worker entry point behind one.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, cast
 
 from repro._util import is_finite_number
 from repro.api.registry import SolverBackend, get_backend
@@ -73,7 +73,6 @@ from repro.api.request import (
     ERROR_KIND_WORKER_CRASH,
     SOURCE_DATASET,
     STATUS_ABORTED,
-    STATUS_ERROR,
     GraphSpec,
     SolveError,
     SolveReport,
@@ -91,50 +90,36 @@ from repro.mbb.result import MBBResult
 
 _KERNELS = (KERNEL_BITS, KERNEL_SETS)
 
-#: How often the batch loop re-polls while some submitted request is
-#: still waiting for a worker slot: its watchdog deadline can only be
-#: stamped once its future reports ``running()``, and ``wait()`` would
-#: otherwise block indefinitely on a deadline-less future.
-_WATCHDOG_POLL_SECONDS = 0.05
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """How :meth:`MBBEngine.solve_many` reacts to failing requests.
 
-    ``max_attempts`` bounds *submissions* per request (1 = never retry);
-    a request whose submissions are exhausted while it keeps crashing
-    the pool is finished as a ``worker_crash`` error report.  Requests
-    implicated in a crash are re-submitted one at a time with nothing
-    else in flight, so only the actual crasher can repeatedly burn
-    attempts — a request that merely shared the pool with it is
-    implicated at most once.  Setting
-    ``in_process_fallback`` instead re-runs such a poison request — and
-    a batch whose pool-rebuild budget ran out — in-process behind the
-    same fault boundary; it is opt-in because a request that genuinely
-    segfaults or OOMs a worker would then take the parent (and every
-    collected report) with it.  ``max_pool_rebuilds`` bounds how many
-    times a broken pool is rebuilt before the remainder of the batch
-    stops being retried (or, with ``in_process_fallback``, degrades to
-    serial in-process execution).  Backoff before the n-th rebuild
-    grows exponentially from ``backoff_seconds`` and is capped at
-    ``backoff_cap_seconds``.  ``retryable_kinds`` names the
-    :data:`~repro.api.request.ERROR_KINDS` worth resubmitting when a
-    worker returns an error *report*; it is empty by default because
-    worker crashes never produce a report to inspect — they surface as
-    ``BrokenProcessPool`` and are always re-submitted up to
-    ``max_attempts`` through that path.  ``watchdog_grace_seconds`` is
-    added to a request's ``time_budget`` to form its completion
-    deadline; the deadline clock starts when a worker actually picks
-    the request up, not at submission, so queued requests do not burn
-    their budget waiting for a slot.
+    ``max_attempts`` bounds how many times one request is sent to a
+    worker (1 = never retry); a request that kills its worker on every
+    attempt is finished as a ``worker_crash`` error report.  A worker
+    runs one request at a time, so its death implicates exactly that
+    request, and no other request ever spends an attempt on it.
+    ``max_pool_rebuilds`` bounds how many worker processes one batch
+    restarts after crashes and watchdog kills; once it is spent, a lane
+    whose worker dies stays down.  A request that no lane will run — its
+    attempts are spent, or no lane is left — runs in-process only if it
+    never killed a worker or ``in_process_fallback`` is set, and is
+    otherwise finished as a ``worker_crash`` report.  The fallback is
+    opt-in because a request that genuinely segfaults or OOMs a worker
+    would then take the parent (and every collected report) with it.
+    Backoff before the n-th restart grows exponentially from
+    ``backoff_seconds`` and is capped at ``backoff_cap_seconds``.
+    ``watchdog_grace_seconds`` is added to a request's ``time_budget`` to
+    form its completion deadline; the clock starts when the request is
+    sent to an idle worker, which starts it at once, so a queued request
+    burns none of its budget waiting.
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.05
     backoff_cap_seconds: float = 1.0
     max_pool_rebuilds: int = 3
-    retryable_kinds: Tuple[str, ...] = ()
     watchdog_grace_seconds: float = 5.0
     in_process_fallback: bool = False
 
@@ -157,12 +142,12 @@ class RetryPolicy:
 
     @classmethod
     def none(cls) -> "RetryPolicy":
-        """No retries, no rebuilds: fail fast into error reports."""
-        return cls(max_attempts=1, max_pool_rebuilds=0, retryable_kinds=())
+        """No retries, no restarts: fail fast into error reports."""
+        return cls(max_attempts=1, max_pool_rebuilds=0)
 
-    def backoff_for(self, rebuild: int) -> float:
-        """Seconds to back off before the ``rebuild``-th rebuild (1-based)."""
-        exponent = max(rebuild - 1, 0)
+    def backoff_for(self, restart: int) -> float:
+        """Seconds to back off before the ``restart``-th restart (1-based)."""
+        exponent = max(restart - 1, 0)
         return min(self.backoff_seconds * (2**exponent), self.backoff_cap_seconds)
 
 
@@ -296,8 +281,8 @@ class PreparedGraphCache:
 
 
 #: Process-wide default cache shared by every engine that is not given a
-#: private one.  Sharing at module level is what lets process-pool
-#: workers — which build a fresh ``MBBEngine`` per request — amortise
+#: private one.  Sharing at module level is what lets batch workers —
+#: which build a fresh ``MBBEngine`` per request — amortise
 #: preparation across the requests they each execute.
 _SHARED_PREPARED_CACHE = PreparedGraphCache()
 
@@ -365,7 +350,7 @@ def _guarded_solve(
     failing request can never poison a batch.  The ``worker.hang`` and
     ``worker.solve`` injection points live here, keyed by the request
     tag, which is what makes chaos scenarios land on a chosen request
-    independent of pool scheduling.
+    whichever worker runs it.
     """
     try:
         tag = request.tag or ""
@@ -393,12 +378,12 @@ def _invalid_request_report(payload: str, exc: Exception) -> SolveReport:
 
 
 def _solve_request_json(payload: str) -> str:
-    """Worker-process entry point: JSON request in, JSON report out.
+    """One request in a worker process: JSON request in, JSON report out.
 
-    Module-level so it pickles by reference; the worker reconstructs the
-    request from its wire form, which keeps the process-pool path on the
-    exact same format a network server would receive.  A fault boundary:
-    every failure comes back as an error *report*, never an exception.
+    The worker reconstructs the request from its wire form, which keeps
+    the batch path on the exact same format a network server would
+    receive.  A fault boundary: every failure comes back as an error
+    *report*, never an exception.
     """
     try:
         request = SolveRequest.from_json(payload)
@@ -407,14 +392,81 @@ def _solve_request_json(payload: str) -> str:
     return _guarded_solve(request).to_json()
 
 
+def _lane_main(conn: Connection) -> None:
+    """A lane's worker process: serve JSON requests from ``conn`` in turn.
+
+    Module-level so that every start method can run it.  The worker
+    answers each payload with its :func:`_solve_request_json` report and
+    exits on the stop message (``None``) or when the pipe closes.  Only a
+    worker death ends a request without a report.
+    """
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
+        conn.send(_solve_request_json(payload))
+
+
+class _Lane:
+    """One owned worker process, the parent's end of its pipe, and the
+    batch index of the request in flight (``None`` while idle).
+
+    ``deadline`` is that request's watchdog deadline.  It is stamped at
+    send: an idle worker starts a request at once.
+    """
+
+    def __init__(self, process: multiprocessing.Process, conn: Connection) -> None:
+        self.process = process
+        self.conn = conn
+        self.idx: Optional[int] = None
+        self.deadline: Optional[float] = None
+
+    @classmethod
+    def start(cls) -> Optional["_Lane"]:
+        """Start a worker, or return ``None`` where the platform refuses."""
+        try:
+            conn, child_end = multiprocessing.Pipe()
+        except OSError:
+            return None
+        process = multiprocessing.Process(target=_lane_main, args=(child_end,), daemon=True)
+        try:
+            process.start()
+        except OSError:
+            conn.close()
+            return None
+        finally:
+            # Only the worker keeps its end, so a dead worker reads as EOF.
+            child_end.close()
+        return cls(process, conn)
+
+    def stop(self) -> None:
+        """Reap the worker: an idle one is told to exit, a busy one killed.
+
+        Closing ``conn`` would not stop an idle worker: workers forked
+        later hold copies of it, so the worker would never read EOF.
+        """
+        if self.idx is None:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # the worker is already gone
+        else:
+            self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
 class MBBEngine:
     """Facade dispatching solves to registered backends.
 
     Parameters
     ----------
     max_workers:
-        Default process-pool size for :meth:`solve_many` (defaults to the
-        CPU count, capped by the batch size).
+        Default number of worker processes for :meth:`solve_many`
+        (defaults to the CPU count, capped by the requests to run).
     prepared_cache:
         The :class:`PreparedGraphCache` this engine threads through
         backends that declare ``supports_prepared``.  Defaults to one
@@ -516,43 +568,55 @@ class MBBEngine:
         retry_policy: Optional[RetryPolicy] = None,
         watchdog_seconds: Optional[float] = None,
     ) -> List[SolveReport]:
-        """Execute a batch of requests, in a process pool when possible.
+        """Execute a batch of requests, one per worker process at a time.
 
         Results are returned in request order regardless of which worker
         finishes first, so a batch is deterministic given deterministic
-        backends.  Each request crosses to its worker as its JSON wire
-        form only; the worker materialises, fingerprints and prepares the
-        graph itself, through its process-wide :class:`PreparedGraphCache`,
-        so a graph repeated in a batch is prepared once per worker and the
-        parent does no per-request graph work.  Each request enforces its
-        own budgets inside its worker.  With ``parallel=False`` (or a single-request batch, or a
-        platform where process pools are unavailable) the batch runs
-        serially in-process and produces the same reports apart from
-        timings.
+        backends.  The batch runs on up to ``max_workers`` lanes, each
+        one owned worker process holding at most one request.  Each
+        request crosses to its worker as its JSON wire form only; the
+        worker materialises, fingerprints and prepares the graph itself,
+        through its process-wide :class:`PreparedGraphCache`, so a graph
+        repeated in a batch is prepared once per worker and the parent
+        does no per-request graph work.  Each request enforces its own
+        budgets inside its worker.  With ``parallel=False`` (or fewer
+        than two requests to run) the batch runs serially in-process and
+        produces the same reports apart from timings; so does a batch on
+        a platform that refuses to start worker processes.
+
+        Before any solve, on both paths, each request is checked with
+        :meth:`SolveRequest.validate` and must survive its wire form
+        (:meth:`SolveRequest.wire_json`).  A request that fails either
+        check is an ``invalid_parameter`` report carrying the caller's
+        own request, and a worker receives exactly the payload that was
+        checked.
 
         **Fault tolerance.**  Every request is executed behind a fault
         boundary: a failing solve yields a ``status="error"`` report
         carrying a structured :class:`~repro.api.request.SolveError`
-        instead of poisoning the batch.  A worker death
-        (``BrokenProcessPool`` — SIGKILL, OOM) costs only the in-flight
-        requests: the pool is rebuilt under ``retry_policy`` (defaults
-        to :class:`RetryPolicy`'s bounded exponential backoff) and the
-        unfinished requests are re-submitted, up to
-        ``RetryPolicy.max_attempts`` submissions each; a request that
-        keeps crashing the pool — and the whole crash cohort once
-        ``RetryPolicy.max_pool_rebuilds`` is exhausted — is finished as
-        a ``worker_crash`` error report (or re-run in-process when the
-        policy opts into ``in_process_fallback``).  A request whose
-        worker produces nothing by its deadline — ``time_budget`` plus
+        instead of poisoning the batch.  A worker death (SIGKILL, OOM)
+        costs only the request it was running: the lane's worker is
+        restarted under ``retry_policy`` (defaults to
+        :class:`RetryPolicy`'s bounded exponential backoff) and the
+        request is sent again, up to ``RetryPolicy.max_attempts`` times.
+        A request that keeps killing its worker, or that killed one and
+        finds no lane left once ``RetryPolicy.max_pool_rebuilds`` is
+        spent, is finished as a ``worker_crash`` error report (or re-run
+        in-process when the policy opts into ``in_process_fallback``);
+        a request that killed no worker and finds no lane left runs
+        in-process.  A request whose worker produces nothing by its
+        deadline — ``time_budget`` plus
         ``RetryPolicy.watchdog_grace_seconds``, further clamped by
         ``watchdog_seconds`` for the whole batch, with the clock
-        starting when a worker actually picks the request up — is
-        marked ``status="aborted"`` and its hung worker is terminated.
-        A wedged solve therefore cannot hang ``solve_many`` *provided
-        it has a deadline*: a request with no ``time_budget`` in a
-        batch run without ``watchdog_seconds`` is waited on
-        indefinitely.  The accounting lands in each report's stats
-        (``worker_retries``, ``pool_rebuilds``).
+        starting when the request is sent to an idle worker — is marked
+        ``status="aborted"`` and its worker is killed.  A wedged solve
+        therefore cannot hang ``solve_many`` *provided it has a
+        deadline*: a request with no ``time_budget`` in a batch run
+        without ``watchdog_seconds`` is waited on indefinitely.  The
+        accounting lands in each report's stats: ``worker_retries``
+        counts the runs beyond the first and ``pool_rebuilds`` the
+        worker deaths the request itself caused (a watchdog kill shows
+        as ``aborted`` instead).
         """
         batch: Sequence[SolveRequest] = list(requests)
         policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -562,132 +626,64 @@ class MBBEngine:
             raise InvalidParameterError(
                 f"watchdog_seconds must be positive, got {watchdog_seconds}"
             )
-        if not batch:
-            return []
-        if not parallel or len(batch) == 1:
-            return [self._solve_isolated(request) for request in batch]
-        workers = min(max_workers or self.max_workers or os.cpu_count() or 1, len(batch))
-        pool = self._make_pool(workers)
-        if pool is None:
-            # Process pools need working semaphores/fork support; fall
-            # back to a serial batch on platforms that refuse them.
-            return [self._solve_isolated(request) for request in batch]
-        return self._run_pool_batch(
-            batch,
-            pool,
-            workers,
-            policy=policy,
-            watchdog_seconds=watchdog_seconds,
-        )
+        reports: List[Optional[SolveReport]] = [None] * len(batch)
+        payloads: List[Optional[str]] = [None] * len(batch)
+        for idx, request in enumerate(batch):
+            try:
+                # Checked here, in the parent: a worker that rejected the
+                # wire form could only report a placeholder request, and
+                # the watchdog limit is ``time_budget`` plus grace, so a
+                # non-finite or non-number budget must not reach the
+                # deadline arithmetic.
+                request.validate()
+                payloads[idx] = request.wire_json()
+            except InvalidParameterError as exc:
+                reports[idx] = _error_report(request, exc)
+        runnable = [idx for idx, payload in enumerate(payloads) if payload is not None]
+        if not parallel or len(runnable) < 2:
+            for idx in runnable:
+                reports[idx] = _guarded_solve(batch[idx], engine=self)
+        else:
+            self._run_lanes(
+                batch,
+                payloads,
+                reports,
+                min(max_workers or self.max_workers or os.cpu_count() or 1, len(runnable)),
+                policy=policy,
+                watchdog_seconds=watchdog_seconds,
+            )
+        return cast(List[SolveReport], reports)
 
-    def _run_pool_batch(
+    def _run_lanes(
         self,
         batch: Sequence[SolveRequest],
-        pool: ProcessPoolExecutor,
+        payloads: Sequence[Optional[str]],
+        reports: List[Optional[SolveReport]],
         workers: int,
         *,
         policy: RetryPolicy,
         watchdog_seconds: Optional[float],
-    ) -> List[SolveReport]:
-        """The deadline-aware collection loop behind :meth:`solve_many`."""
-        reports: List[Optional[SolveReport]] = [None] * len(batch)
-        attempts = [0] * len(batch)  # submissions (pool or in-process)
-        rebuilds_seen = [0] * len(batch)  # crash events each request lived through
-        limits: List[Optional[float]] = [None] * len(batch)  # relative budgets
-        deadlines: List[Optional[float]] = [None] * len(batch)  # stamped at start
-        index_of: Dict[Future, int] = {}
-        rebuilds = 0
+    ) -> None:
+        """Run every checked payload on ``workers`` lanes into ``reports``."""
+        attempts = [0] * len(batch)  # runs, on a worker or in-process
+        crashes = [0] * len(batch)  # worker deaths each request caused
+        pending = deque(idx for idx, payload in enumerate(payloads) if payload is not None)
+        restarts = 0
 
-        #: Requests waiting for a worker slot, as ``(idx, count_attempt)``.
-        #: At most ``workers`` futures are ever outstanding (see ``pump``),
-        #: so a queued request is held *here* — with no future and no
-        #: deadline clock — never inside the executor's call queue, where
-        #: its future would be marked running while it merely waits.
-        pending: "deque[Tuple[int, bool]]" = deque()
-
-        def submit(idx: int, *, count_attempt: bool = True) -> None:
+        def send(lane: _Lane, idx: int) -> None:
             request = batch[idx]
-            future = pool.submit(_solve_request_json, request.to_json())
-            if count_attempt:
-                attempts[idx] += 1
-            index_of[future] = idx
             limit = None
             if request.time_budget is not None:
                 limit = request.time_budget + policy.watchdog_grace_seconds
             if watchdog_seconds is not None:
-                limit = (
-                    watchdog_seconds if limit is None else min(limit, watchdog_seconds)
-                )
-            limits[idx] = limit
-            # The deadline is *not* stamped here: the clock starts when a
-            # worker actually picks the request up (see stamp_deadlines),
-            # so a queued request cannot be declared overdue — and its
-            # batch falsely aborted — just for waiting out earlier waves.
-            deadlines[idx] = None
-
-        def pump() -> None:
-            """Feed pending requests to the pool, one per free worker slot.
-
-            A crash *suspect* — a request that already lived through a
-            pool crash and has not finished — is only ever submitted
-            alone, with nothing else in flight: a further crash then
-            implicates exactly that request, so poison attribution can
-            never burn an innocent co-flier's attempts and declare it a
-            crasher.  Quarantine serialises only the post-crash recovery
-            wave; a healthy batch pumps at full width.
-            """
-            if any(rebuilds_seen[idx] for idx in index_of.values()):
-                return  # a suspect is in flight alone; let it finish
-            while pending and len(index_of) < workers:
-                idx, count_attempt = pending[0]
-                if rebuilds_seen[idx] and index_of:
-                    return  # quarantine: wait for the pool to drain first
-                try:
-                    submit(idx, count_attempt=count_attempt)
-                except (BrokenProcessPool, RuntimeError):
-                    # The pool died (BrokenProcessPool) or was already
-                    # terminated (submit-after-shutdown RuntimeError); leave
-                    # the queue intact — the loop rebuilds before pumping
-                    # again, via the crash path or the empty-pool guard.
-                    return
-                pending.popleft()
-                if rebuilds_seen[idx]:
-                    return  # the suspect flies solo
-
-        def drain_pending_in_process() -> None:
-            # No pool left to run them.  Pending requests were never in
-            # flight during a crash, so serial in-process execution is as
-            # safe for them as the documented ``parallel=False`` path.
-            while pending:
-                idx, _ = pending.popleft()
-                solve_in_process(idx)
-
-        def stamp_deadlines() -> None:
-            now = time.perf_counter()
-            for future, idx in index_of.items():
-                if (
-                    deadlines[idx] is None
-                    and limits[idx] is not None
-                    and future.running()
-                ):
-                    deadlines[idx] = now + limits[idx]
-
-        def solve_in_process(idx: int) -> None:
+                limit = watchdog_seconds if limit is None else min(limit, watchdog_seconds)
             attempts[idx] += 1
-            finish(idx, self._solve_isolated(batch[idx], attempts=attempts[idx]))
-
-        def finish_crashed(idx: int, why: str) -> None:
-            finish(
-                idx,
-                SolveReport.from_error(
-                    batch[idx],
-                    SolveError(
-                        kind=ERROR_KIND_WORKER_CRASH,
-                        message=f"worker process died executing this request ({why})",
-                        attempts=attempts[idx],
-                    ),
-                ),
-            )
+            lane.idx = idx
+            lane.deadline = None if limit is None else time.perf_counter() + limit
+            try:
+                lane.conn.send(payloads[idx])
+            except OSError:
+                pass  # a worker that died idle reads as EOF below: a crash
 
         def finish(idx: int, report: SolveReport) -> None:
             if report.error is not None and report.error.attempts != attempts[idx]:
@@ -698,177 +694,87 @@ class MBBEngine:
             increments = {}
             if attempts[idx] > 1:
                 increments["worker_retries"] = attempts[idx] - 1
-            if rebuilds_seen[idx]:
-                increments["pool_rebuilds"] = rebuilds_seen[idx]
+            if crashes[idx]:
+                increments["pool_rebuilds"] = crashes[idx]
             if increments:
                 report = _with_stat_increments(report, **increments)
             reports[idx] = report
 
-        def next_timeout() -> Optional[float]:
-            stamped = [
-                deadlines[idx]
-                for idx in index_of.values()
-                if deadlines[idx] is not None
-            ]
-            timeout = None
-            if stamped:
-                timeout = max(0.0, min(stamped) - time.perf_counter())
-            if any(
-                deadlines[idx] is None and limits[idx] is not None
-                for idx in index_of.values()
-            ):
-                # Some budgeted request has not been stamped yet: poll so
-                # its deadline starts promptly once a worker picks it up.
-                timeout = (
-                    _WATCHDOG_POLL_SECONDS
-                    if timeout is None
-                    else min(timeout, _WATCHDOG_POLL_SECONDS)
+        def give_up(idx: int) -> None:
+            """Finish a request that no lane will run.
+
+            In-process only if it never killed a worker or the policy
+            opts in: a request that genuinely segfaults or OOMs a worker
+            would take the parent, and every collected report, with it.
+            """
+            if crashes[idx] and not policy.in_process_fallback:
+                finish(
+                    idx,
+                    SolveReport.from_error(
+                        batch[idx],
+                        SolveError(
+                            kind=ERROR_KIND_WORKER_CRASH,
+                            message=(
+                                f"worker process died executing this request "
+                                f"({crashes[idx]} of {attempts[idx]} runs)"
+                            ),
+                        ),
+                    ),
                 )
-            return timeout
+            else:
+                attempts[idx] += 1
+                finish(idx, _guarded_solve(batch[idx], engine=self))
+
+        lanes: List[Optional[_Lane]] = []
+
+        def reap(lane: _Lane) -> None:
+            lane.stop()
+            lanes[lanes.index(lane)] = None
 
         try:
-            for idx, request in enumerate(batch):
-                try:
-                    # Checked here, in the parent: a worker that rejected
-                    # the wire form could only report a placeholder
-                    # request, and the watchdog limit is ``time_budget``
-                    # plus grace, so a non-finite or non-number budget
-                    # must not reach the deadline arithmetic.
-                    request.validate()
-                except InvalidParameterError as exc:
-                    attempts[idx] = 1
-                    finish(idx, _error_report(request, exc))
-                else:
-                    pending.append((idx, True))
-            while index_of or pending:
-                pump()
-                if not index_of:
-                    # The pool refused every submission (it broke before
-                    # accepting work): rebuild it or finish the remainder.
-                    self._terminate_pool(pool)
-                    rebuilds += 1
-                    rebuilt = (
-                        self._make_pool(workers)
-                        if rebuilds <= policy.max_pool_rebuilds
-                        else None
-                    )
-                    if rebuilt is None:
-                        drain_pending_in_process()
-                    else:
-                        pool = rebuilt
-                    continue
-                stamp_deadlines()
-                done, _ = wait(
-                    frozenset(index_of),
-                    timeout=next_timeout(),
-                    return_when=FIRST_COMPLETED,
-                )
-                crashed: List[int] = []
-                for future in done:
-                    idx = index_of.pop(future)
-                    failure = future.exception()
-                    if failure is None:
-                        report = SolveReport.from_json(future.result())
-                        if (
-                            report.status == STATUS_ERROR
-                            and report.error is not None
-                            and report.error.kind in policy.retryable_kinds
-                            and attempts[idx] < policy.max_attempts
-                        ):
-                            pending.append((idx, True))
-                        else:
-                            finish(idx, report)
-                    elif isinstance(failure, BrokenProcessPool):
-                        crashed.append(idx)
-                    else:
-                        # The worker boundary should make this unreachable
-                        # (cancellation, pickling failures); keep the batch
-                        # alive regardless.
-                        finish(
-                            idx,
-                            _error_report(batch[idx], failure, attempts=attempts[idx]),
-                        )
-                if crashed:
-                    # A dead worker breaks the whole executor: every future
-                    # not already done is lost with it.
-                    for future in list(index_of):
-                        crashed.append(index_of.pop(future))
-                    crashed.sort()
-                    self._terminate_pool(pool)
-                    for idx in crashed:
-                        rebuilds_seen[idx] += 1
-                    retry = [
-                        idx for idx in crashed if attempts[idx] < policy.max_attempts
-                    ]
-                    isolate = [
-                        idx for idx in crashed if attempts[idx] >= policy.max_attempts
-                    ]
-                    if retry:
-                        rebuilds += 1
-                        if rebuilds > policy.max_pool_rebuilds:
-                            # Rebuild budget exhausted: finish the crash
-                            # cohort without a pool — in-process only on
-                            # explicit opt-in, because one of these requests
-                            # is likely the crasher and a genuine
-                            # segfault/OOM would take the parent (and every
-                            # collected report) with it.  Queued requests
-                            # were never implicated; run them serially.
-                            for idx in crashed:
-                                if policy.in_process_fallback:
-                                    solve_in_process(idx)
-                                else:
-                                    finish_crashed(
-                                        idx, "pool rebuild budget exhausted"
-                                    )
-                            drain_pending_in_process()
-                            continue
-                        time.sleep(policy.backoff_for(rebuilds))
-                        rebuilt = self._make_pool(workers)
-                        if rebuilt is None:
-                            for idx in crashed:
-                                if policy.in_process_fallback:
-                                    solve_in_process(idx)
-                                else:
-                                    finish_crashed(idx, "pool rebuild refused")
-                            drain_pending_in_process()
-                            continue
-                        pool = rebuilt
-                        pending.extendleft((idx, True) for idx in reversed(retry))
-                    # Poison isolation: a request out of pool submissions is
-                    # finished as a worker_crash error report — or, on
-                    # explicit opt-in, gets one final in-process run through
-                    # the same fault boundary (worker-scoped injected faults
-                    # are inert there; real crashers are not).
-                    for idx in isolate:
-                        if policy.in_process_fallback:
-                            solve_in_process(idx)
-                        else:
-                            finish_crashed(idx, "pool submissions exhausted")
-                    continue
-                # Watchdog: requests overdue past their *started* deadline
-                # (stamped only once their future was running) are aborted
-                # and their (presumed hung) workers reclaimed by terminating
-                # the pool — a running task cannot be cancelled.
+            # A platform that refuses worker processes starts no lane, and
+            # every request then runs in-process through give_up.
+            lanes = [lane for lane in (_Lane.start() for _ in range(workers)) if lane is not None]
+            while True:
+                for lane in lanes:
+                    if lane is not None and lane.idx is None and pending:
+                        send(lane, pending.popleft())
+                # Restart a dead lane only for work no live lane can take.
+                for slot, lane in enumerate(lanes):
+                    if lane is None and pending and restarts < policy.max_pool_rebuilds:
+                        restarts += 1
+                        time.sleep(policy.backoff_for(restarts))
+                        lane = lanes[slot] = _Lane.start()
+                        if lane is not None:
+                            send(lane, pending.popleft())
+                busy = [lane for lane in lanes if lane is not None and lane.idx is not None]
+                if not busy:
+                    break
+                deadlines = [lane.deadline for lane in busy if lane.deadline is not None]
+                timeout = None
+                if deadlines:
+                    timeout = max(0.0, min(deadlines) - time.perf_counter())
+                ready = wait([lane.conn for lane in busy], timeout)
                 now = time.perf_counter()
-                overdue = [
-                    (future, idx)
-                    for future, idx in index_of.items()
-                    if deadlines[idx] is not None
-                    and now > deadlines[idx]
-                    and not future.done()
-                ]
-                if overdue:
-                    hung: List[int] = []
-                    requeue: List[int] = []
-                    for future, idx in overdue:
-                        index_of.pop(future)
-                        if future.cancel():
-                            # The future never actually ran (its deadline
-                            # was stamped while it sat prefetched in the
-                            # call queue): nothing to abort — requeue it.
-                            requeue.append(idx)
-                            continue
-                        hung.append(idx)
+                for lane in busy:
+                    idx = cast(int, lane.idx)
+                    if lane.conn in ready:
+                        try:
+                            text = lane.conn.recv()
+                        except (EOFError, OSError):
+                            # The worker died running this request, and
+                            # only this request.
+                            crashes[idx] += 1
+                            reap(lane)
+                            if attempts[idx] < policy.max_attempts:
+                                pending.appendleft(idx)
+                            else:
+                                give_up(idx)
+                        else:
+                            lane.idx = None
+                            finish(idx, SolveReport.from_json(text))
+                    elif lane.deadline is not None and now > lane.deadline:
+                        reap(lane)
                         finish(
                             idx,
                             SolveReport.from_error(
@@ -879,102 +785,23 @@ class MBBEngine:
                                         "watchdog: worker produced no report "
                                         "before the request deadline"
                                     ),
-                                    attempts=attempts[idx],
                                 ),
                                 status=STATUS_ABORTED,
                             ),
                         )
-                    if not hung:
-                        # Nothing actually hung — the pool is healthy.
-                        pending.extendleft(
-                            (idx, False) for idx in sorted(requeue, reverse=True)
-                        )
-                        continue
-                    self._terminate_pool(pool)
-                    survivors = sorted(set(index_of.values()) | set(requeue))
-                    index_of.clear()
-                    if survivors:
-                        # Innocent bystanders of the termination: their
-                        # resubmission neither burns an attempt nor accrues
-                        # retry/rebuild stats in their reports — the
-                        # batch-level rebuild budget still bounds the loop.
-                        rebuilds += 1
-                        rebuilt = (
-                            self._make_pool(workers)
-                            if rebuilds <= policy.max_pool_rebuilds
-                            else None
-                        )
-                        if rebuilt is None:
-                            for idx in survivors:
-                                solve_in_process(idx)
-                            drain_pending_in_process()
-                        else:
-                            pool = rebuilt
-                            pending.extendleft(
-                                (idx, False) for idx in reversed(survivors)
-                            )
+            while pending:
+                give_up(pending.popleft())
         finally:
-            # Abort path: never leave submitted work running behind a
-            # raised exception — cancel what has not started and drop the
-            # queue without blocking on in-flight solves.
-            if index_of:
-                for future in list(index_of):
-                    future.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                pool.shutdown(wait=True, cancel_futures=True)
-        for idx, report in enumerate(reports):
-            if report is None:  # pragma: no cover - loop invariant backstop
-                reports[idx] = SolveReport.from_error(
-                    batch[idx],
-                    SolveError(
-                        kind=ERROR_KIND_INTERNAL,
-                        message="batch loop lost this request",
-                        attempts=attempts[idx],
-                    ),
-                )
-        return [report for report in reports if report is not None]
-
-    def _solve_isolated(self, request: SolveRequest, *, attempts: int = 1) -> SolveReport:
-        """In-process execution behind the same fault boundary as workers."""
-        report = _guarded_solve(request, engine=self)
-        if report.error is not None and report.error.attempts != attempts:
-            report = dataclass_replace(
-                report, error=dataclass_replace(report.error, attempts=attempts)
-            )
-        return report
-
-    @staticmethod
-    def _make_pool(workers: int) -> Optional[ProcessPoolExecutor]:
-        """Build a process pool, or ``None`` where the platform refuses."""
-        try:
-            return ProcessPoolExecutor(max_workers=workers)
-        except (OSError, PermissionError):
-            return None
-
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-        """Hard-stop a pool: kill its workers and drop queued work.
-
-        ``Future.cancel`` cannot reclaim a *running* task and a hung or
-        poisoned worker never returns, so the only way to get the slot
-        back is to terminate the worker processes.  ``_processes`` is
-        stdlib-private, hence the guarded access: when it is missing the
-        shutdown below still prevents new work, we just cannot reclaim
-        the stuck process early.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except (OSError, ValueError, AttributeError):
-                continue
-        pool.shutdown(wait=False, cancel_futures=True)
+            # Also the abort path: a raised exception kills busy workers
+            # and never leaves a worker behind.
+            for lane in lanes:
+                if lane is not None:
+                    lane.stop()
 
     def shutdown(self) -> None:
         """Release engine resources; a no-op kept for existing callers.
 
-        Every batch shuts its own worker pool down before
+        Every batch stops its own worker processes before
         :meth:`solve_many` returns, and cached snapshots are plain
         in-process objects, so the engine holds nothing to release.
         """
@@ -1077,7 +904,7 @@ def _solve_graph_with_default_engine(
     A fresh :class:`MBBEngine` per call is cheap — the expensive state
     (the prepared-graph cache) is process-wide and shared by default.
     Module-level (not a lambda/closure) so the reference stays picklable
-    if it ever crosses a pool boundary (RPL004 discipline).
+    if it ever crosses a process boundary (RPL004 discipline).
     """
     return MBBEngine().solve_graph(graph, **options)
 

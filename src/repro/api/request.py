@@ -1,7 +1,7 @@
 """The engine's wire format: graph sources, solve requests, solve reports.
 
-The CLI, the benchmark harness, the process-pool batch executor and any
-future server all speak this one format: a :class:`SolveRequest` says
+The CLI, the benchmark harness, the batch workers and any future server
+all speak this one format: a :class:`SolveRequest` says
 *what to solve and how* (graph source, backend name, kernel, budgets,
 seed) and a :class:`SolveReport` says *what happened* (the biclique,
 optimality, statistics, timings, backend provenance and library version).
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro._util import is_finite_number
 from repro.exceptions import DatasetError, GraphFormatError, InvalidParameterError
@@ -56,8 +56,8 @@ STATUS_ABORTED = "aborted"
 
 _STATUSES = (STATUS_OK, STATUS_ERROR, STATUS_ABORTED)
 
-#: ``SolveError.kind`` taxonomy.  The engine's retry policy keys on
-#: these, so they are part of the wire contract, not free-form text.
+#: ``SolveError.kind`` taxonomy.  Callers and the CLI dispatch on these,
+#: so they are part of the wire contract, not free-form text.
 ERROR_KIND_INVALID_PARAMETER = "invalid_parameter"
 ERROR_KIND_INVALID_REQUEST = "invalid_request"
 ERROR_KIND_INJECTED_FAULT = "injected_fault"
@@ -159,15 +159,28 @@ def _edges_from_wire(edges: object) -> Tuple[Tuple[Vertex, Vertex], ...]:
     return tuple((u, v) for u, v in edges)
 
 
+def _wire_changes(
+    sent: Dict[str, object], echo: Dict[str, object], prefix: str = ""
+) -> List[str]:
+    """``"key: old -> new"`` for each (dotted) key whose value differs."""
+    changes: List[str] = []
+    for key in sorted(sent.keys() | echo.keys()):
+        old, new = sent.get(key), echo.get(key)
+        if isinstance(old, dict) and isinstance(new, dict):
+            changes.extend(_wire_changes(old, new, f"{prefix}{key}."))
+        elif old != new:
+            changes.append(f"{prefix}{key}: {old!r} -> {new!r}")
+    return changes
+
+
 @dataclass(frozen=True)
 class SolveError:
     """Structured failure attached to a non-``ok`` :class:`SolveReport`.
 
-    ``kind`` is one of :data:`ERROR_KINDS` (machine-matchable — the
-    retry policy and the CLI exit code dispatch on it), ``message`` is
-    the human-readable cause, and ``attempts`` counts how many times the
-    engine submitted the request before giving up (1 = failed on the
-    first and only try).
+    ``kind`` is one of :data:`ERROR_KINDS` (machine-matchable — callers
+    and the CLI dispatch on it), ``message`` is the human-readable
+    cause, and ``attempts`` counts how many times the engine ran the
+    request before giving up (1 = failed on the first and only try).
     """
 
     kind: str
@@ -427,6 +440,33 @@ class SolveRequest:
         """Parse a request serialised with :meth:`to_json`."""
         return cls.from_dict(json.loads(payload))
 
+    def wire_json(self) -> str:
+        """:meth:`to_json`, checked to survive the wire.
+
+        The payload must parse with :meth:`from_json` into a request that
+        re-encodes to the same payload; a dump or parse error counts as a
+        mismatch, which raises
+        :class:`~repro.exceptions.InvalidParameterError`.  Values that
+        only Python can carry fail here although :meth:`validate` passes
+        them: a ``None`` seed, which the wire reads back as 0, and inline
+        labels JSON cannot carry (tuples, floats, bools, enums).
+        :meth:`~repro.api.engine.MBBEngine.solve` still accepts them;
+        ``solve_many`` and :func:`sweep_requests` do not, so a request
+        means the same thing on every batch path and in every request
+        file.
+        """
+        try:
+            payload = self.to_json()
+            echo = SolveRequest.from_json(payload).to_json()
+        except Exception as exc:
+            raise InvalidParameterError(
+                f"solve request has no JSON wire form: {type(exc).__name__}: {exc}"
+            ) from None
+        if echo != payload:
+            changes = ", ".join(_wire_changes(json.loads(payload), json.loads(echo)))
+            raise InvalidParameterError(f"solve request changes on the JSON wire: {changes}")
+        return payload
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -637,7 +677,9 @@ def sweep_requests(
     finite non-negative time budget) up front, so a typo fails with
     :class:`~repro.exceptions.InvalidParameterError` before a single
     (potentially long) solve starts and no request file holds a value
-    ``batch`` rejects.  Budgets are only attached to
+    ``batch`` rejects.  Every request must also survive its JSON wire
+    form (:meth:`SolveRequest.wire_json`): ``seed=None``, which a request
+    file would read back as 0, raises.  Budgets are only attached to
     requests whose backend supports them (``supports_budgets`` in the
     registry metadata): a sweep mixing exact solvers with budget-less
     heuristics like ``mvb`` must not have every heuristic cell rejected —
@@ -690,7 +732,7 @@ def sweep_requests(
         backend: get_backend(backend).info.supports_budgets
         for backend in backend_names
     }
-    return [
+    requests = [
         SolveRequest(
             graph=GraphSpec.dataset(dataset),
             backend=backend,
@@ -703,3 +745,6 @@ def sweep_requests(
         for dataset in dataset_names
         for backend in backend_names
     ]
+    for request in requests:
+        request.wire_json()
+    return requests

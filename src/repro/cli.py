@@ -7,7 +7,7 @@ any Python:
   and print its maximum balanced biclique, as text or as a JSON
   :class:`~repro.api.SolveReport`;
 * ``repro-mbb batch`` — run a JSON file of solve requests through the
-  engine's fault-tolerant process-pool executor and emit the reports as
+  engine's fault-tolerant worker processes and emit the reports as
   JSON; failed requests are summarised per cell on stderr and make the
   command exit nonzero, and ``--max-retries``/``--no-retry``/
   ``--in-process-fallback`` tune the engine's worker-crash
@@ -109,12 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON file holding an array of solve requests ('-' reads stdin)",
     )
     batch.add_argument(
-        "--workers", type=int, default=None, help="process-pool size (default: CPU count)"
+        "--workers", type=int, default=None, help="worker processes (default: CPU count)"
     )
     batch.add_argument(
         "--serial",
         action="store_true",
-        help="run the batch serially in-process instead of a process pool",
+        help="run the batch serially in-process instead of in worker processes",
     )
     batch.add_argument(
         "--output", default=None, help="write the JSON reports to a file instead of stdout"

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for chaos-testing the engine's pool layer.
+"""Deterministic fault injection for chaos-testing the engine's batch layer.
 
 ``MBBEngine.solve_many`` promises per-request error isolation, bounded
 crash recovery and watchdog-bounded hangs — promises that only count if
@@ -11,7 +11,7 @@ boundaries:
     Inside the worker fault boundary, after the request is decoded and
     before the solve runs.  A ``raise`` fault here exercises per-request
     error reports; an ``exit`` fault simulates a SIGKILL/OOM worker
-    death (``BrokenProcessPool`` on the engine side).
+    death (EOF on the worker's pipe on the engine side).
 ``worker.hang``
     Same boundary, polled before ``worker.solve``.  A ``hang`` fault
     sleeps for a bounded number of seconds — long enough to trip the
@@ -20,13 +20,13 @@ boundaries:
 
 Every point is **inert in production**: :func:`hit` is two dict lookups
 when nothing is armed.  Tests arm faults either in-process via
-:func:`arm`/:class:`FaultPlan` (a context manager) or across the pool
+:func:`arm`/:class:`FaultPlan` (a context manager) or across the process
 boundary via the :envvar:`REPRO_FAULTS` environment variable, whose spec
 string is what :meth:`FaultPlan.to_env` prints.  Hit counters are
 per-process, and specs can be matched on the hit key (the request tag
 for ``worker.*`` points), so "the 2nd solve of the request tagged
-``g3``, in a worker process, exits hard" is expressible independent of
-pool scheduling — the crash lands on the same request every run.
+``g3``, in a worker process, exits hard" is expressible whichever
+worker runs it — the crash lands on the same request every run.
 
 Firing is scoped: ``scope="worker"`` specs only fire inside a process
 that has a parent (``multiprocessing.parent_process() is not None``), so
@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import InvalidParameterError
 
-#: Environment variable carrying a fault spec across the pool boundary.
+#: Environment variable carrying a fault spec across the process boundary.
 ENV_VAR = "REPRO_FAULTS"
 
 #: ``FaultSpec.action`` values.
@@ -60,13 +60,13 @@ ACTION_HANG = "hang"
 
 _ACTIONS = (ACTION_RAISE, ACTION_EXIT, ACTION_HANG)
 
-#: ``FaultSpec.scope`` values: fire anywhere, or only in pool workers.
+#: ``FaultSpec.scope`` values: fire anywhere, or only in worker processes.
 SCOPE_ANY = "any"
 SCOPE_WORKER = "worker"
 
 _SCOPES = (SCOPE_ANY, SCOPE_WORKER)
 
-#: Exit status used by ``exit`` faults (distinctive in pool tracebacks).
+#: Exit status used by ``exit`` faults (distinctive in a worker's exit code).
 EXIT_STATUS = 87
 
 #: Hard ceiling on ``hang`` sleeps: an escaped hang fault must never
@@ -87,7 +87,7 @@ class FaultSpec:
     ``times - 1`` hits after it.  ``match`` restricts matching hits to
     those whose key contains the substring — for ``worker.*`` points the
     key is the request tag, so a fault follows its request across
-    retries and pool rebuilds instead of following scheduling accidents.
+    retries and worker restarts instead of following scheduling accidents.
     """
 
     point: str
@@ -160,7 +160,7 @@ class FaultPlan:
 
     Usable as a context manager (arms on entry, disarms on exit) for
     in-process tests, or serialised with :meth:`to_env` into
-    :envvar:`REPRO_FAULTS` so pool workers — fork *or* spawn — arm the
+    :envvar:`REPRO_FAULTS` so worker processes — fork *or* spawn — arm the
     same plan with their own fresh hit counters.
     """
 
@@ -242,7 +242,7 @@ def hit(point: str, *, key: str = "") -> None:
     ``key`` identifies the specific hit (the request tag) for
     ``match`` filtering.  Counters increment per matching spec, so
     ``nth`` means "the nth time *this spec's* filter matched in this
-    process" — deterministic under retries and pool scheduling.
+    process" — deterministic under retries and worker scheduling.
     """
     if not _ARMED and ENV_VAR not in os.environ:
         return
@@ -273,7 +273,7 @@ def _fire(spec: FaultSpec, point: str, key: str) -> None:
     if spec.action == ACTION_RAISE:
         raise InjectedFault(f"injected fault at {where}")
     if spec.action == ACTION_EXIT:
-        # Simulates SIGKILL/OOM: no exception, no cleanup, the pool sees
+        # Simulates SIGKILL/OOM: no exception, no cleanup, the engine sees
         # a dead worker.
         os._exit(EXIT_STATUS)
     if spec.action == ACTION_HANG:

@@ -3,7 +3,7 @@
 Generic linters enforce style; this package enforces the invariants the
 repository has already paid for in fixed bugs: budget checkpoints in the
 search stages (RPL001), determinism discipline (RPL002), bits/sets
-kernel parity (RPL003), process-pool picklability (RPL004), and — via
+kernel parity (RPL003), worker-process picklability (RPL004), and — via
 the whole-project model in :mod:`repro.devtools.lint.project` (import
 graph, symbol tables, conservative call graph) — shared prepared/CSR
 state immutability (RPL005), interprocedural checkpoint reachability

@@ -1,19 +1,22 @@
-"""RPL009 — fault-boundary discipline for the pool execution layer.
+"""RPL009 — fault-boundary discipline for the worker execution layer.
 
-PR 9 made ``MBBEngine.solve_many`` fault-tolerant: every worker entry
-point converts exceptions into ``status="error"`` reports, so one bad
-request can no longer poison a batch, and the deterministic
-fault-injection harness (:mod:`repro.devtools.faults`) can prove it.
-Both halves of that design rot silently without a machine check:
+``MBBEngine.solve_many`` is fault-tolerant: every worker entry point
+converts exceptions into ``status="error"`` reports, so one bad request
+cannot poison a batch, and the deterministic fault-injection harness
+(:mod:`repro.devtools.faults`) can prove it.  Both halves of that design
+rot silently without a machine check:
 
-* **boundary coverage** — a new pool-submitted callable that skips the
-  fault boundary reintroduces the exact brittleness this PR removed:
-  the first worker exception poisons ``future.result()`` for the whole
-  batch again.  Every first argument of a ``.submit(...)`` call in
-  library code must therefore reach an ``except Exception`` (or bare
-  ``except``) handler through the project call graph — the submitted
-  function may delegate to a guarded helper, as the engine's entry
-  points delegate to ``_guarded_solve``.
+* **boundary coverage** — a new worker callable that skips the fault
+  boundary reintroduces the brittleness the boundary removed: the first
+  worker exception kills the worker, or poisons the batch, instead of
+  becoming one request's error report.  Every callable shipped to a
+  worker process in library code — the first argument of a
+  ``.submit(...)`` call or the ``target=`` of a ``Process(...)`` call,
+  as :func:`~repro.devtools.lint.rules.pool_safety.worker_call` reads
+  them — must therefore reach an ``except Exception`` (or bare
+  ``except``) handler through the project call graph.  The callable may
+  delegate to a guarded helper, as the engine's lane worker does:
+  ``_lane_main`` → ``_solve_request_json`` → ``_guarded_solve``.
 * **injection-point confinement** — ``faults.hit(...)`` probes are test
   plumbing compiled into production code.  They are cheap and inert,
   but only while they stay rare and auditable: the sanctioned homes are
@@ -22,8 +25,8 @@ Both halves of that design rot silently without a machine check:
   ``REPRO_FAULTS`` environment variable change solver behaviour — a
   determinism hazard RPL002 exists to prevent.
 
-Like the other project rules, resolution is conservative: a submit
-argument the model cannot resolve to a project function is left to
+Like the other project rules, resolution is conservative: a worker
+callable the model cannot resolve to a project function is left to
 RPL004 (which already demands picklable module-level callables) rather
 than guessed at.
 """
@@ -36,6 +39,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.devtools.lint.base import ProjectRule, register_rule
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.project import ModuleInfo, ProjectContext
+from repro.devtools.lint.rules.pool_safety import worker_call
 
 #: Where the discipline is enforced (tests may exercise internals, and
 #: unit tests of the faults module call ``hit()`` on purpose).
@@ -56,10 +60,6 @@ DESIGNATED_FAULT_MODULES = frozenset(
 
 #: Exception names accepted as a catch-all boundary handler.
 BOUNDARY_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
-
-
-def _is_submit_call(node: ast.Call) -> bool:
-    return isinstance(node.func, ast.Attribute) and node.func.attr == "submit"
 
 
 def _has_boundary_handler(fn_node: ast.AST) -> bool:
@@ -89,15 +89,16 @@ class FaultBoundaryRule(ProjectRule):
     code = "RPL009"
     name = "fault-boundary"
     description = (
-        "pool-submitted callables must reach an except-Exception fault "
-        "boundary through the call graph; faults.hit() injection points "
-        "stay confined to the designated modules"
+        "callables shipped to worker processes (submit(), Process(target=)) "
+        "must reach an except-Exception fault boundary through the call "
+        "graph; faults.hit() injection points stay confined to the "
+        "designated modules"
     )
     rationale = (
         "solve_many promises per-request error isolation: a worker entry "
-        "point that lets an exception escape poisons future.result() for "
-        "the whole batch — the exact failure mode PR 9 removed. The "
-        "boundary may live in a helper (the engine's entry points delegate "
+        "point that lets an exception escape kills its worker or poisons "
+        "the batch instead of becoming one request's error report. The "
+        "boundary may live in a helper (the engine's lane worker delegates "
         "to _guarded_solve), so the proof walks the project call graph. "
         "Injection points are the other half of the contract: they are "
         "inert probes only while they stay confined to the engine's fault "
@@ -105,10 +106,10 @@ class FaultBoundaryRule(ProjectRule):
         "environment variable cannot reach solver kernels."
     )
     example = (
-        "# bad: submitted callable propagates exceptions to the batch\n"
+        "# bad: the worker callable propagates exceptions to the batch\n"
         "def _solve_payload(payload: str) -> str:\n"
-        "    return solve(payload)  # raises -> poisons the whole batch\n"
-        "pool.submit(_solve_payload, request.to_json())\n"
+        "    return solve(payload)  # raises -> the worker dies\n"
+        "Process(target=_solve_payload, args=(request.to_json(),))\n"
         "\n"
         "# good: every failure becomes an error report\n"
         "def _solve_payload(payload: str) -> str:\n"
@@ -123,24 +124,24 @@ class FaultBoundaryRule(ProjectRule):
             info = project.modules[module_name]
             if not info.relpath.startswith(SCOPE_PREFIXES):
                 continue
-            yield from self._check_submits(project, info)
+            yield from self._check_worker_calls(project, info)
             if info.relpath not in DESIGNATED_FAULT_MODULES:
                 yield from self._check_injection_points(project, info)
 
     # ------------------------------------------------------------------
-    # boundary coverage for pool submissions
+    # boundary coverage for worker callables
     # ------------------------------------------------------------------
-    def _check_submits(
+    def _check_worker_calls(
         self, project: ProjectContext, info: ModuleInfo
     ) -> Iterator[Finding]:
         for node in ast.walk(info.ctx.tree):
-            if not isinstance(node, ast.Call) or not _is_submit_call(node):
+            entry = worker_call(node)
+            if entry is None or entry[1] is None:
                 continue
-            if not node.args:
-                continue
-            target = self._resolve_function(project, info.name, node.args[0])
+            label, callable_node = entry[0], entry[1]
+            target = self._resolve_function(project, info.name, callable_node)
             if target is None:
-                continue  # RPL004's problem: unresolvable submit callables
+                continue  # RPL004's problem: unresolvable worker callables
             target_id = f"{target[0]}::{target[1]}"
             region = {target_id} | project.reachable(target_id)
             if any(self._node_has_boundary(project, reached) for reached in region):
@@ -148,16 +149,16 @@ class FaultBoundaryRule(ProjectRule):
             yield self.project_finding(
                 info.relpath,
                 node,
-                f"pool-submitted callable {target[1]}() never reaches an "
+                f"{label} callable {target[1]}() never reaches an "
                 f"'except Exception' fault boundary through the call graph; "
-                f"one raising request would poison the whole batch instead "
-                f"of becoming a status=\"error\" report",
+                f"one raising request would kill its worker or poison the "
+                f"batch instead of becoming a status=\"error\" report",
             )
 
     def _resolve_function(
         self, project: ProjectContext, module_name: str, arg: ast.AST
     ) -> Optional[Tuple[str, str]]:
-        """Resolve a submit-call first argument to ``(module, qualname)``."""
+        """Resolve a worker callable expression to ``(module, qualname)``."""
         if isinstance(arg, ast.Name):
             resolved = project.resolve(module_name, arg.id)
             if resolved is not None and resolved[0] == "function":

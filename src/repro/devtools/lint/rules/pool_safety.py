@@ -1,27 +1,34 @@
-"""RPL004 — process-pool safety: submissions and hooks must pickle.
+"""RPL004 — worker-process safety: worker entries and hooks must pickle.
 
-History: ``solve_many`` runs batches over a
-:class:`ProcessPoolExecutor`.  Anything that crosses the process
-boundary must pickle: lambdas, closures and locally-defined functions
-do not, and the failure surfaces as an opaque ``PicklingError`` inside
-a worker — far cheaper to catch statically.
+History: ``solve_many`` ran batches over a
+:class:`~concurrent.futures.ProcessPoolExecutor` and now runs them on
+owned ``multiprocessing.Process`` lanes.  Anything that crosses the
+process boundary must pickle under the ``spawn`` and ``forkserver``
+start methods: lambdas, closures and locally-defined functions do not,
+and the failure surfaces as an opaque ``PicklingError`` when the worker
+starts — far cheaper to catch statically.
+
+A call ships work to a worker process when it is a ``.submit(...)`` call
+(the first argument is the callable, the rest are payloads) or a
+``Process(...)`` call (``multiprocessing.Process``, ``ctx.Process``,
+...: the ``target=`` keyword is the callable, and ``args=`` and every
+other argument are payloads).
 
 Sub-checks:
 
-* **pool callables** — the first argument of a ``.submit(...)`` call
-  must not be a ``lambda`` or a function defined inside the enclosing
-  function (both unpicklable); module-level callables pass.  Applies to
-  every scanned file — tests that submit closures would hang the same
-  pool.
-* **pool payloads** — the remaining ``submit`` arguments must not
-  contain ``lambda`` expressions; payloads are expected to be
-  picklable/JSON-serialisable values (the engine ships requests as their
-  JSON wire form for exactly this reason).
+* **worker callables** — the callable must not be a ``lambda`` or a
+  function defined inside the enclosing function (both unpicklable);
+  module-level callables pass.  Applies to every scanned file — tests
+  that ship closures would break the same workers.
+* **worker payloads** — the payloads must not contain ``lambda``
+  expressions; payloads are expected to be picklable/JSON-serialisable
+  values (the engine ships requests as their JSON wire form for exactly
+  this reason).
 * **cancel hooks** — in library code (``src/repro/``), assigning a
   ``lambda`` (or passing ``cancel_hook=lambda ...``) to
   :attr:`repro.mbb.context.SearchContext.cancel_hook` is flagged: a
   context carrying a closure can never be handed to ``solve_many``'s
-  pool workers.  Module-level callable *objects* (a class with
+  worker processes.  Module-level callable *objects* (a class with
   ``__call__`` holding its state in attributes) are the sanctioned
   replacement and pass.  Tests may use lambdas — a test context never
   crosses a process boundary.
@@ -30,7 +37,7 @@ Sub-checks:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.devtools.lint.base import FileContext, Rule, register_rule
 from repro.devtools.lint.findings import Finding
@@ -60,37 +67,40 @@ class PoolSafetyRule(Rule):
     code = "RPL004"
     name = "pool-safety"
     description = (
-        "pool submissions must be module-level callables with picklable "
-        "payloads; library cancel hooks must not be lambdas/closures"
+        "callables shipped to worker processes (submit(), Process(target=)) "
+        "must be module-level with picklable payloads; library cancel hooks "
+        "must not be lambdas/closures"
     )
     rationale = (
-        "solve_many ships work to a ProcessPoolExecutor: anything submitted "
-        "must pickle, and so must any cancel hook a pooled search carries. A "
-        "lambda or closure pickles on no platform, and the failure only "
-        "surfaces at runtime inside the pool, far from the offending line. "
-        "PR 6 replaced the engine's closure cancel hooks with the picklable "
-        "module-level callables (_ParentCancelled/_AnyHook/_TargetSideReached) "
-        "this rule now protects."
+        "solve_many ships work to worker processes: a Process target, a "
+        "submitted callable and its arguments must pickle, and so must any "
+        "cancel hook a worker's search carries. A lambda or closure pickles "
+        "on no platform, and the failure only surfaces at runtime when the "
+        "worker starts, far from the offending line. The size-constrained "
+        "backend's cancel hooks are picklable module-level callables "
+        "(_ParentCancelled/_AnyHook/_TargetSideReached) for this reason."
     )
     example = (
         "# bad: closures cannot cross a process boundary\n"
         "context.cancel_hook = lambda: parent.cancelled   # RPL004\n"
+        "Process(target=lambda: serve(conn))               # RPL004\n"
         "\n"
-        "# good: a picklable module-level callable object\n"
-        "context.cancel_hook = _ParentCancelled(parent_id)"
+        "# good: picklable module-level callables\n"
+        "context.cancel_hook = _ParentCancelled(parent_id)\n"
+        "Process(target=_lane_main, args=(conn,))"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        yield from self._check_submissions(ctx)
+        yield from self._check_worker_calls(ctx)
         if ctx.is_library_code():
             yield from self._check_cancel_hooks(ctx)
 
     # ------------------------------------------------------------------
-    # pool submissions
+    # worker calls
     # ------------------------------------------------------------------
-    def _check_submissions(self, ctx: FileContext) -> Iterator[Finding]:
+    def _check_worker_calls(self, ctx: FileContext) -> Iterator[Finding]:
         # Walk function by function so "locally defined" has the right
-        # scope; module-level submit calls only see module-level names.
+        # scope; module-level calls only see module-level names.
         functions: List[ast.AST] = [
             node
             for node in ast.walk(ctx.tree)
@@ -100,41 +110,40 @@ class PoolSafetyRule(Rule):
         for function in functions:
             local = _locally_defined_callables(function)
             for node in ast.walk(function):
-                if _is_submit_call(node) and id(node) not in seen:
+                entry = worker_call(node)
+                if entry is not None and id(node) not in seen:
                     seen.add(id(node))
-                    yield from self._check_one_submit(ctx, node, local)
+                    yield from self._check_one_call(ctx, entry, local)
         for node in ast.walk(ctx.tree):
-            if _is_submit_call(node) and id(node) not in seen:
-                yield from self._check_one_submit(ctx, node, set())
+            entry = worker_call(node)
+            if entry is not None and id(node) not in seen:
+                yield from self._check_one_call(ctx, entry, set())
 
-    def _check_one_submit(
-        self, ctx: FileContext, call: ast.Call, local: Set[str]
+    def _check_one_call(
+        self, ctx: FileContext, entry: "WorkerCall", local: Set[str]
     ) -> Iterator[Finding]:
-        if call.args:
-            target = call.args[0]
-            if isinstance(target, ast.Lambda):
-                yield self.finding(
-                    ctx,
-                    target,
-                    "submit() given a lambda; pool callables must be "
-                    "module-level functions so they pickle by reference",
-                )
-            elif isinstance(target, ast.Name) and target.id in local:
-                yield self.finding(
-                    ctx,
-                    target,
-                    "submit() given a locally-defined callable; pool "
-                    "callables must be module-level functions so they pickle "
-                    "by reference",
-                )
-        payloads = list(call.args[1:]) + [kw.value for kw in call.keywords]
+        label, target, payloads = entry
+        if isinstance(target, ast.Lambda):
+            yield self.finding(
+                ctx,
+                target,
+                f"{label} given a lambda; worker callables must be "
+                f"module-level functions so they pickle by reference",
+            )
+        elif isinstance(target, ast.Name) and target.id in local:
+            yield self.finding(
+                ctx,
+                target,
+                f"{label} given a locally-defined callable; worker callables "
+                f"must be module-level functions so they pickle by reference",
+            )
         for payload in payloads:
             if _contains_lambda(payload):
                 yield self.finding(
                     ctx,
                     payload,
-                    "submit() payload contains a lambda; payloads must be "
-                    "picklable (prefer the JSON wire form)",
+                    f"{label} payload contains a lambda; payloads must be "
+                    f"picklable (prefer the JSON wire form)",
                 )
 
     # ------------------------------------------------------------------
@@ -143,7 +152,7 @@ class PoolSafetyRule(Rule):
     def _check_cancel_hooks(self, ctx: FileContext) -> Iterator[Finding]:
         message = (
             "cancel_hook bound to a lambda/closure is unpicklable across "
-            "process pools; use a module-level callable object"
+            "process boundaries; use a module-level callable object"
         )
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
@@ -161,9 +170,32 @@ class PoolSafetyRule(Rule):
                         yield self.finding(ctx, keyword.value, message)
 
 
-def _is_submit_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "submit"
-    )
+#: ``(label, callable, payloads)``: what :func:`worker_call` reads off a call.
+WorkerCall = Tuple[str, Optional[ast.expr], List[ast.expr]]
+
+
+def worker_call(node: ast.AST) -> Optional[WorkerCall]:
+    """``(label, callable, payloads)`` of a call that ships work to a worker.
+
+    ``.submit(fn, *payloads)`` and ``Process(target=fn, args=...)`` (any
+    callee named ``Process``) qualify; the callable is ``None`` when the
+    call names none.  Any other node gives ``None``.  RPL009 proves the
+    same callables reach a fault boundary.
+    """
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "submit":
+        payloads = list(node.args[1:]) + [keyword.value for keyword in node.keywords]
+        return "submit()", node.args[0] if node.args else None, payloads
+    callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if callee != "Process":
+        return None
+    target = None
+    payloads = list(node.args)
+    for keyword in node.keywords:
+        if keyword.arg == "target":
+            target = keyword.value
+        else:
+            payloads.append(keyword.value)
+    return "Process(target=...)", target, payloads

@@ -8,7 +8,7 @@ Public entry points:
   (backend registry, :class:`~repro.api.SolveRequest` /
   :class:`~repro.api.SolveReport` JSON wire format, and the
   batch-parallel :class:`~repro.api.MBBEngine`); use the engine directly
-  for structured requests, JSON reports or process-pool batches.
+  for structured requests, JSON reports or batches on worker processes.
 * :func:`~repro.mbb.dense.dense_mbb` — Algorithm 3 (``denseMBB``) for dense
   bipartite graphs.
 * :func:`~repro.mbb.sparse.hbv_mbb` — Algorithm 4 (``hbvMBB``/``sparseMBB``)

@@ -114,9 +114,9 @@ class SearchStats:
     prepared_cache_hits: int = 0
     prepared_cache_misses: int = 0
     #: Fault-tolerance accounting, stamped by the engine's batch layer
-    #: (``MBBEngine.solve_many``), never by solvers: resubmissions this
-    #: request needed beyond its first (``worker_retries``) and pool
-    #: rebuilds its attempts lived through (``pool_rebuilds``).
+    #: (``MBBEngine.solve_many``), never by solvers: runs this request
+    #: needed beyond its first (``worker_retries``) and the worker
+    #: processes it killed (``pool_rebuilds``).
     worker_retries: int = 0
     pool_rebuilds: int = 0
 

@@ -291,6 +291,39 @@ class TestPythonBuiltRequestChecks:
         request.validate()
         assert MBBEngine().solve(request).ok
 
+    def _assert_invalid_on_both_batch_paths(self, request):
+        # What the wire cannot carry is the caller's error on both paths,
+        # and the report carries the caller's own request and tag.
+        good = SolveRequest(graph=GraphSpec.random(6, 6, 0.5, seed=1), backend="dense")
+        for reports in (
+            MBBEngine().solve_many([request, good], parallel=False),
+            MBBEngine(max_workers=2).solve_many([request, good]),
+        ):
+            assert [report.status for report in reports] == ["error", "ok"]
+            assert reports[0].error.kind == "invalid_parameter"
+            assert reports[0].request == request
+            assert reports[0].request.tag == request.tag
+
+    def test_inline_labels_the_wire_cannot_carry_fail_every_batch_path(self):
+        # Tuple labels solved in-process, but a worker could only report
+        # an <unparseable> placeholder for them.
+        self._assert_invalid_on_both_batch_paths(
+            SolveRequest(
+                graph=GraphSpec.inline([((1, 2), "a"), ((1, 2), "b")]),
+                backend="dense",
+                tag="mine",
+            )
+        )
+
+    def test_seedless_spec_fails_every_batch_path(self):
+        # A worker would read the missing seed back as 0 and solve a
+        # different graph than the caller asked for.
+        self._assert_invalid_on_both_batch_paths(
+            SolveRequest(
+                graph=GraphSpec.random(6, 6, 0.5, seed=None), backend="dense", tag="fresh"
+            )
+        )
+
 
 class TestSweepRequests:
     def test_expands_cartesian_product_with_tags(self):
@@ -316,6 +349,13 @@ class TestSweepRequests:
             for request in requests
             if request.backend == "sparse"
         )
+
+    def test_seedless_sweep_is_rejected(self):
+        # A request file cannot carry seed=None: batch would read it as 0.
+        from repro.api import sweep_requests
+
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sweep_requests(["unicodelang"], ["sparse"], seed=None)
 
     def test_requests_round_trip_through_json(self):
         from repro.api import sweep_requests

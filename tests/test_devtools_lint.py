@@ -457,6 +457,47 @@ class TestPoolSafetyRule:
         )
         assert codes(result) == []
 
+    def test_process_closure_target_fires(self, tmp_path):
+        # A Process target ships to a worker like a submitted callable:
+        # the module-level lane target passes, the closure does not.
+        source = """
+        import multiprocessing
+
+        def serve(conn):
+            return conn.recv()
+
+        def start(conn):
+            def work():
+                return serve(conn)
+
+            multiprocessing.Process(target=serve, args=(conn,), daemon=True).start()
+            return multiprocessing.Process(target=work)
+        """
+        result = lint_fixture(
+            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
+        )
+        assert codes(result) == ["RPL004"]
+        (finding,) = result.new_findings
+        assert "Process(target=...)" in finding.message
+        assert "module-level" in finding.message
+        assert finding.line == 12
+
+    def test_process_lambda_args_fires(self, tmp_path):
+        source = """
+        from multiprocessing import Process
+
+        def serve(hook):
+            return hook()
+
+        def start(graph):
+            return Process(target=serve, args=(lambda: graph,))
+        """
+        result = lint_fixture(
+            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
+        )
+        assert codes(result) == ["RPL004"]
+        assert "payload" in result.new_findings[0].message
+
     def test_cancel_hook_lambda_in_library_fires(self, tmp_path):
         source = """
         def run(context, target):

@@ -1,7 +1,7 @@
-"""Chaos suite: deterministic fault injection against the pool layer.
+"""Chaos suite: deterministic fault injection against the batch layer.
 
 Every test here arms a :mod:`repro.devtools.faults` plan — in-process or
-through :envvar:`REPRO_FAULTS` for pool workers — and asserts the
+through :envvar:`REPRO_FAULTS` for worker processes — and asserts the
 engine's fault-tolerance contract: batches complete in request order,
 failures are isolated to their request as structured error reports,
 crash recovery is bounded and accounted for, and no shared-memory
@@ -12,6 +12,7 @@ same way every run.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -248,14 +249,13 @@ class TestWorkerFaults:
         _assert_no_new_shm_segments(before)
 
     def test_poison_request_errors_without_in_process_fallback(self, monkeypatch):
-        # Default policy: a request that crashes every pool submission is
+        # Default policy: a request that kills its worker on every run is
         # finished as a structured worker_crash report — it is NOT re-run
         # in the parent, where a genuine segfault/OOM would take the whole
         # batch (and every collected report) down with it.  With two
-        # workers, g3 may be in flight when g2 first kills the pool; the
-        # quarantine (crash suspects resubmit alone) guarantees that only
-        # g2 can ever exhaust its attempts, so every other status is
-        # deterministically ok.
+        # workers, g3 may be running on the other lane when g2 kills its
+        # worker; each worker holds one request, so the death is charged
+        # to g2 alone and every other status is deterministically ok.
         plan = FaultPlan.of(
             FaultSpec(
                 point="worker.solve",
@@ -419,3 +419,126 @@ class TestWorkerFaults:
         others = [r for i, r in enumerate(reports) if i != 1]
         assert all(r.status == STATUS_OK for r in others)
         _assert_no_new_shm_segments(before)
+
+
+def _retry_stats(report):
+    return report.stats.get("worker_retries", 0), report.stats.get("pool_rebuilds", 0)
+
+
+class TestLanes:
+    """Each request runs alone in its worker process, so a worker death or
+    a watchdog kill is charged to that request and no other."""
+
+    def test_a_crash_on_one_lane_costs_the_other_lane_nothing(self, monkeypatch):
+        # g0 stalls on one lane while g1 kills its worker on every run on
+        # the other: g0 must not be retried or charged a rebuild.
+        plan = FaultPlan.of(
+            FaultSpec(
+                point="worker.hang",
+                action=ACTION_HANG,
+                arg=1.0,
+                match="g0",
+                scope=SCOPE_WORKER,
+            ),
+            FaultSpec(
+                point="worker.solve",
+                action=ACTION_EXIT,
+                match="g1",
+                times=3,
+                scope=SCOPE_WORKER,
+            ),
+        )
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_env())
+        reports = MBBEngine(max_workers=2).solve_many(_requests(2))
+        assert [r.request.tag for r in reports] == ["g0", "g1"]
+        innocent, crasher = reports
+        assert innocent.status == STATUS_OK
+        assert _retry_stats(innocent) == (0, 0)
+        assert crasher.status == STATUS_ERROR
+        assert crasher.error is not None
+        assert crasher.error.kind == ERROR_KIND_WORKER_CRASH
+        assert crasher.error.attempts == 3
+        assert crasher.stats["pool_rebuilds"] == 3
+
+    def test_spent_restart_budget_never_runs_a_crasher_in_process(self, monkeypatch):
+        # Two crashers spend the single restart between them.  A request
+        # that killed a worker is then finished as worker_crash, not run
+        # in the parent; the requests no lane is left for, which killed
+        # nothing, run in-process.
+        plan = FaultPlan.of(
+            *(
+                FaultSpec(
+                    point="worker.solve",
+                    action=ACTION_EXIT,
+                    match=tag,
+                    times=3,
+                    scope=SCOPE_WORKER,
+                )
+                for tag in ("g0", "g1")
+            )
+        )
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_env())
+        reports = MBBEngine(max_workers=2).solve_many(
+            _requests(4), retry_policy=RetryPolicy(max_pool_rebuilds=1)
+        )
+        assert [r.request.tag for r in reports] == ["g0", "g1", "g2", "g3"]
+        assert [r.status for r in reports] == [
+            STATUS_ERROR,
+            STATUS_ERROR,
+            STATUS_OK,
+            STATUS_OK,
+        ]
+        for crasher in reports[:2]:
+            assert crasher.error is not None
+            assert crasher.error.kind == ERROR_KIND_WORKER_CRASH
+        for report in reports[2:]:
+            assert _retry_stats(report) == (0, 0)
+
+    def test_no_lane_process_outlives_a_batch(self, monkeypatch):
+        # Idle workers hold copies of each other's pipe ends, so none of
+        # them reads EOF when the parent closes its end: every path must
+        # stop or kill its workers explicitly and reap them.
+        before = set(multiprocessing.active_children())
+        crash = FaultPlan.of(
+            FaultSpec(
+                point="worker.solve",
+                action=ACTION_EXIT,
+                match="g2",
+                times=3,
+                scope=SCOPE_WORKER,
+            )
+        )
+        hang = FaultPlan.of(
+            FaultSpec(
+                point="worker.hang",
+                action=ACTION_HANG,
+                arg=20.0,
+                match="g1",
+                scope=SCOPE_WORKER,
+            )
+        )
+        for name, plan, options in (
+            ("clean", None, {}),
+            ("crash", crash, {}),
+            ("watchdog", hang, {"watchdog_seconds": 1.0}),
+        ):
+            if plan is None:
+                monkeypatch.delenv(faults.ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(faults.ENV_VAR, plan.to_env())
+            reports = MBBEngine(max_workers=2).solve_many(_requests(4), **options)
+            assert len(reports) == 4, name
+            assert set(multiprocessing.active_children()) <= before, name
+
+    def test_refused_worker_processes_run_the_batch_in_process(self, monkeypatch):
+        # A platform that cannot start a worker process still gets one
+        # report per request, from the serial in-process path.
+        def refuse(process):
+            raise OSError("no worker processes on this platform")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        reports = MBBEngine(max_workers=2).solve_many(_requests(3))
+        assert [r.request.tag for r in reports] == ["g0", "g1", "g2"]
+        assert [r.status for r in reports] == [STATUS_OK] * 3
+        serial = MBBEngine().solve_many(_requests(3), parallel=False)
+        assert [r.side_size for r in reports] == [r.side_size for r in serial]

@@ -833,6 +833,43 @@ class TestFaultBoundaryRule:
         )
         assert codes(result) == []
 
+    def test_unguarded_process_target_flagged(self, tmp_path):
+        # A Process target is a worker entry too.  The engine's shape —
+        # _lane_main -> _solve_request_json -> _guarded_solve — passes;
+        # a target with no boundary on any path is flagged.
+        result = lint_fixture(
+            tmp_path,
+            {
+                "src/repro/api/runner.py": """
+                    import multiprocessing
+
+                    def _guarded_solve(payload):
+                        try:
+                            return payload.upper()
+                        except Exception as exc:
+                            return str(exc)
+
+                    def _solve_request_json(payload):
+                        return _guarded_solve(payload)
+
+                    def _lane_main(conn):
+                        conn.send(_solve_request_json(conn.recv()))
+
+                    def _bare_lane(conn):
+                        conn.send(conn.recv().upper())
+
+                    def start(conn, other):
+                        multiprocessing.Process(target=_lane_main, args=(conn,)).start()
+                        multiprocessing.Process(target=_bare_lane, args=(other,)).start()
+                    """,
+            },
+            rules=["RPL009"],
+        )
+        assert codes(result) == ["RPL009"]
+        (finding,) = result.new_findings
+        assert "_bare_lane()" in finding.message
+        assert "_lane_main" not in finding.message
+
     def test_unresolvable_submit_argument_is_left_to_rpl004(self, tmp_path):
         result = lint_fixture(
             tmp_path,
