@@ -12,6 +12,8 @@ The engine is the single entry point everything else is a wrapper around:
   returned in request order regardless of completion order.  Requests
   cross the process boundary as their JSON wire form, so every batch run
   also exercises the serialisation path a future network server would use.
+  Dispatch has spec affinity (:func:`_choose_request`): a repeated graph
+  goes back to the worker that already prepared it.
 
 Budgets flow through one mechanism: the engine builds a single
 :class:`~repro.mbb.context.SearchContext` per request carrying the node
@@ -44,14 +46,17 @@ request's timeout: only that lane's worker is killed and restarted, under
 a bounded :class:`RetryPolicy`, and no other request is touched.  A
 request that keeps killing its worker is finished as a ``worker_crash``
 report (or re-run in-process on explicit opt-in), and one whose worker
-produces nothing by its deadline is marked ``aborted``.  The
-deterministic chaos harness in :mod:`repro.devtools.faults` arms the
-injection points compiled into these boundaries, and reprolint RPL009
-keeps every worker entry point behind one.
+produces nothing by its deadline is marked ``aborted``.  A worker also
+exits once its parent is gone, so a parent killed mid-batch leaves no
+worker behind.  The deterministic chaos harness in
+:mod:`repro.devtools.faults` arms the injection points compiled into
+these boundaries, and reprolint RPL009 keeps every worker entry point
+behind one.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import time
@@ -59,7 +64,18 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
 from multiprocessing.connection import Connection, wait
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, cast
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    cast,
+)
 
 from repro._util import is_finite_number
 from repro.api.registry import SolverBackend, get_backend
@@ -397,10 +413,21 @@ def _lane_main(conn: Connection) -> None:
 
     Module-level so that every start method can run it.  The worker
     answers each payload with its :func:`_solve_request_json` report and
-    exits on the stop message (``None``) or when the pipe closes.  Only a
-    worker death ends a request without a report.
+    exits on the stop message (``None``), when the pipe closes, or once
+    its parent's sentinel is ready.  The pipe cannot show a dead parent:
+    workers forked later hold copies of its parent end.  The sentinel
+    can, once those later workers have exited too; the newest worker has
+    no later sibling, so the workers of a killed parent exit newest
+    first, each after the request it is running.  Between requests the
+    worker keeps the graphs it prepared in its process-wide
+    :class:`PreparedGraphCache`, and :func:`_choose_request` routes
+    repeats back to it.  Only a worker death ends a request without a
+    report.
     """
+    parent = multiprocessing.parent_process()
     while True:
+        if parent is not None and parent.sentinel in wait([conn, parent.sentinel]):
+            return  # nobody is left to read a report
         try:
             payload = conn.recv()
         except EOFError:
@@ -410,12 +437,47 @@ def _lane_main(conn: Connection) -> None:
         conn.send(_solve_request_json(payload))
 
 
+def _choose_request(
+    pending: Sequence[int],
+    keys: Mapping[int, int],
+    lane: int,
+    ran: Sequence[Optional[AbstractSet[int]]],
+) -> int:
+    """The position in ``pending`` of the request idle lane ``lane`` runs next.
+
+    ``keys`` maps a request's batch index to its interned graph spec, and
+    ``ran[slot]`` holds the specs lane ``slot``'s current worker has run,
+    or is ``None`` for a dead lane.  The lane takes the first pending
+    request whose spec it has run, or whose spec no live lane has run:
+    a repeat goes back to the worker that prepared its graph, and is
+    left for that worker while it is busy.  When no request qualifies
+    the lane takes the head of the queue, so no lane idles while work is
+    pending.  Every spec of an all-distinct batch qualifies, so such a
+    batch dispatches in FIFO order.  A record only steers: a worker
+    whose cache no longer holds the graph prepares it again, and its
+    cache checks every hit against the spec key or the fingerprint.
+    """
+    own = ran[lane]
+    others: Set[int] = set()
+    for slot, specs in enumerate(ran):
+        if slot != lane and specs is not None:
+            others |= specs
+    for position, idx in enumerate(pending):
+        key = keys[idx]
+        if key in own or key not in others:
+            return position
+    return 0
+
+
 class _Lane:
     """One owned worker process, the parent's end of its pipe, and the
     batch index of the request in flight (``None`` while idle).
 
     ``deadline`` is that request's watchdog deadline.  It is stamped at
-    send: an idle worker starts a request at once.
+    send: an idle worker starts a request at once.  ``specs`` holds the
+    interned graph specs this worker has been sent.  A restarted lane is
+    a new ``_Lane``, so its record starts empty, like its new worker's
+    cache.
     """
 
     def __init__(self, process: multiprocessing.Process, conn: Connection) -> None:
@@ -423,6 +485,7 @@ class _Lane:
         self.conn = conn
         self.idx: Optional[int] = None
         self.deadline: Optional[float] = None
+        self.specs: Set[int] = set()
 
     @classmethod
     def start(cls) -> Optional["_Lane"]:
@@ -577,9 +640,14 @@ class MBBEngine:
         request crosses to its worker as its JSON wire form only; the
         worker materialises, fingerprints and prepares the graph itself,
         through its process-wide :class:`PreparedGraphCache`, so a graph
-        repeated in a batch is prepared once per worker and the parent
-        does no per-request graph work.  Each request enforces its own
-        budgets inside its worker.  With ``parallel=False`` (or fewer
+        repeated in a batch is prepared once per lane that runs it, and
+        repeats go back to that lane: an idle lane takes the first
+        pending request whose spec it has run or no live lane has run,
+        and the head of the queue when none qualifies
+        (:func:`_choose_request`).  No lane idles while work is pending,
+        and a batch of distinct specs dispatches in request order.  The
+        parent does no per-request graph work.  Each request enforces
+        its own budgets inside its worker.  With ``parallel=False`` (or fewer
         than two requests to run) the batch runs serially in-process and
         produces the same reports apart from timings; so does a batch on
         a platform that refuses to start worker processes.
@@ -669,6 +737,24 @@ class MBBEngine:
         crashes = [0] * len(batch)  # worker deaths each request caused
         pending = deque(idx for idx, payload in enumerate(payloads) if payload is not None)
         restarts = 0
+        # Each request's graph spec as a small int, interned once here: the
+        # dispatch scans compare ints, where hashing an inline-edge spec
+        # would cost O(E) per scan.  Keyed by the spec's JSON form, which
+        # is what the worker reads and which hashes even where the spec
+        # does not (list edges pass the wire check).
+        spec_ids: Dict[str, int] = {}
+        keys = {
+            idx: spec_ids.setdefault(json.dumps(batch[idx].graph.to_dict()), len(spec_ids))
+            for idx in pending
+        }
+
+        def take(slot: int) -> int:
+            """Pop the pending request idle lane ``slot`` runs next."""
+            ran = [None if lane is None else lane.specs for lane in lanes]
+            position = _choose_request(pending, keys, slot, ran)
+            idx = pending[position]
+            del pending[position]
+            return idx
 
         def send(lane: _Lane, idx: int) -> None:
             request = batch[idx]
@@ -679,6 +765,7 @@ class MBBEngine:
                 limit = watchdog_seconds if limit is None else min(limit, watchdog_seconds)
             attempts[idx] += 1
             lane.idx = idx
+            lane.specs.add(keys[idx])
             lane.deadline = None if limit is None else time.perf_counter() + limit
             try:
                 lane.conn.send(payloads[idx])
@@ -736,9 +823,9 @@ class MBBEngine:
             # every request then runs in-process through give_up.
             lanes = [lane for lane in (_Lane.start() for _ in range(workers)) if lane is not None]
             while True:
-                for lane in lanes:
+                for slot, lane in enumerate(lanes):
                     if lane is not None and lane.idx is None and pending:
-                        send(lane, pending.popleft())
+                        send(lane, take(slot))
                 # Restart a dead lane only for work no live lane can take.
                 for slot, lane in enumerate(lanes):
                     if lane is None and pending and restarts < policy.max_pool_rebuilds:
@@ -746,7 +833,7 @@ class MBBEngine:
                         time.sleep(policy.backoff_for(restarts))
                         lane = lanes[slot] = _Lane.start()
                         if lane is not None:
-                            send(lane, pending.popleft())
+                            send(lane, take(slot))
                 busy = [lane for lane in lanes if lane is not None and lane.idx is not None]
                 if not busy:
                     break

@@ -309,45 +309,44 @@ def core_numbers_masks(
 
     # Vertices are encoded as ``i`` (left) and ``n_left + j`` (right) so the
     # peel works one flat, list-indexed degree table; bit loops are inlined
-    # because this function runs once per vertex-centred subgraph.
-    degree = [0] * (n_left + graph.n_right)
-    total = 0
-    max_degree = 0
-    remaining = left
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        i = low.bit_length() - 1
-        d = (adj_left[i] & right).bit_count()
-        degree[i] = d
-        if d > max_degree:
-            max_degree = d
-        total += 1
-    remaining = right
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        j = low.bit_length() - 1
-        d = (adj_right[j] & left).bit_count()
-        degree[n_left + j] = d
-        if d > max_degree:
-            max_degree = d
-        total += 1
+    # chunk walks because this function runs once per vertex-centred
+    # subgraph.  Every walk is ascending, so each bucket receives its
+    # vertices in index order.
+    total = left.bit_count() + right.bit_count()
     if total == 0:
         return core_left, core_right
-    buckets: List[List[int]] = [[] for _ in range(max_degree + 1)]
+    degree = [0] * (n_left + graph.n_right)
+    max_degree = 0
     remaining = left
+    base = 0
     while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        i = low.bit_length() - 1
-        buckets[degree[i]].append(i)
+        for i in CHUNK_BITS[remaining & 0xFFF]:
+            i += base
+            d = (adj_left[i] & right).bit_count()
+            degree[i] = d
+            if d > max_degree:
+                max_degree = d
+        remaining >>= 12
+        base += 12
     remaining = right
+    base = 0
     while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        j = low.bit_length() - 1
-        buckets[degree[n_left + j]].append(n_left + j)
+        for j in CHUNK_BITS[remaining & 0xFFF]:
+            j += base
+            d = (adj_right[j] & left).bit_count()
+            degree[n_left + j] = d
+            if d > max_degree:
+                max_degree = d
+        remaining >>= 12
+        base += 12
+    buckets: List[List[int]] = [[] for _ in range(max_degree + 1)]
+    for remaining, base in ((left, 0), (right, n_left)):
+        while remaining:
+            for key in CHUNK_BITS[remaining & 0xFFF]:
+                key += base
+                buckets[degree[key]].append(key)
+            remaining >>= 12
+            base += 12
 
     remaining_left = left
     remaining_right = right
@@ -369,7 +368,7 @@ def core_numbers_masks(
                 current = pointer
             core_left[node] = current
             neighbours = adj_left[node] & remaining_right
-            offset = n_left
+            base = n_left
         else:
             j = node - n_left
             bit = 1 << j
@@ -380,16 +379,17 @@ def core_numbers_masks(
                 current = pointer
             core_right[j] = current
             neighbours = adj_right[j] & remaining_left
-            offset = 0
+            base = 0
         processed += 1
         while neighbours:
-            low = neighbours & -neighbours
-            neighbours ^= low
-            key = offset + low.bit_length() - 1
-            d = degree[key]
-            if d > pointer:
-                degree[key] = d - 1
-                buckets[d - 1].append(key)
+            for key in CHUNK_BITS[neighbours & 0xFFF]:
+                key += base
+                d = degree[key]
+                if d > pointer:
+                    degree[key] = d - 1
+                    buckets[d - 1].append(key)
+            neighbours >>= 12
+            base += 12
         if pointer > 0:
             pointer -= 1
     return core_left, core_right

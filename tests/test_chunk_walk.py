@@ -1,8 +1,9 @@
 """The 12-bit chunk walk visits exactly the bits the lowbit walk visits.
 
-``iter_bits``, ``k_core_masks`` and the S2 greedy's scans walk their masks
-twelve bits at a time through ``CHUNK_BITS``.  The lowbit walk below is
-the reference index sequence, and the lowbit ``k_core_masks`` and
+``iter_bits``, ``k_core_masks``, ``core_numbers_masks`` and the S2
+greedy's scans walk their masks twelve bits at a time through
+``CHUNK_BITS``.  The lowbit walk below is the reference index sequence,
+and the lowbit ``k_core_masks``, ``core_numbers_masks`` and
 ``_greedy_masks`` are the one reference each for the converted
 functions, checked on bitgraphs wider than one chunk.  The reduction's
 scans and the walk-free Lemma 3 exit are checked against their own
@@ -17,7 +18,13 @@ from typing import List, Optional, Tuple
 import pytest
 
 from repro.graph.bipartite import LEFT, RIGHT
-from repro.graph.bitset import CHUNK_BITS, IndexedBitGraph, iter_bits, k_core_masks
+from repro.graph.bitset import (
+    CHUNK_BITS,
+    IndexedBitGraph,
+    core_numbers_masks,
+    iter_bits,
+    k_core_masks,
+)
 from repro.graph.generators import random_bipartite, random_power_law_bipartite
 from repro.mbb.heuristics import _greedy_masks
 
@@ -63,6 +70,105 @@ def reference_k_core_masks(
                 right ^= low
                 changed = True
     return left, right
+
+
+def reference_core_numbers_masks(
+    graph: IndexedBitGraph,
+    left_mask: Optional[int] = None,
+    right_mask: Optional[int] = None,
+) -> Tuple[List[int], List[int]]:
+    """The bucket peel's ``(core_left, core_right)``, lowbit walk."""
+    left = graph.all_left_mask if left_mask is None else left_mask
+    right = graph.all_right_mask if right_mask is None else right_mask
+    n_left = graph.n_left
+    adj_left = graph.adj_left
+    adj_right = graph.adj_right
+    core_left = [0] * n_left
+    core_right = [0] * graph.n_right
+
+    degree = [0] * (n_left + graph.n_right)
+    total = 0
+    max_degree = 0
+    remaining = left
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        i = low.bit_length() - 1
+        d = (adj_left[i] & right).bit_count()
+        degree[i] = d
+        if d > max_degree:
+            max_degree = d
+        total += 1
+    remaining = right
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        j = low.bit_length() - 1
+        d = (adj_right[j] & left).bit_count()
+        degree[n_left + j] = d
+        if d > max_degree:
+            max_degree = d
+        total += 1
+    if total == 0:
+        return core_left, core_right
+    buckets: List[List[int]] = [[] for _ in range(max_degree + 1)]
+    remaining = left
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        i = low.bit_length() - 1
+        buckets[degree[i]].append(i)
+    remaining = right
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        j = low.bit_length() - 1
+        buckets[degree[n_left + j]].append(n_left + j)
+
+    remaining_left = left
+    remaining_right = right
+    current = 0
+    processed = 0
+    pointer = 0
+    while processed < total:
+        while pointer <= max_degree and not buckets[pointer]:
+            pointer += 1
+        if pointer > max_degree:
+            break
+        node = buckets[pointer].pop()
+        if node < n_left:
+            bit = 1 << node
+            if not remaining_left & bit or degree[node] != pointer:
+                continue
+            remaining_left ^= bit
+            if pointer > current:
+                current = pointer
+            core_left[node] = current
+            neighbours = adj_left[node] & remaining_right
+            offset = n_left
+        else:
+            j = node - n_left
+            bit = 1 << j
+            if not remaining_right & bit or degree[node] != pointer:
+                continue
+            remaining_right ^= bit
+            if pointer > current:
+                current = pointer
+            core_right[j] = current
+            neighbours = adj_right[j] & remaining_left
+            offset = 0
+        processed += 1
+        while neighbours:
+            low = neighbours & -neighbours
+            neighbours ^= low
+            key = offset + low.bit_length() - 1
+            d = degree[key]
+            if d > pointer:
+                degree[key] = d - 1
+                buckets[d - 1].append(key)
+        if pointer > 0:
+            pointer -= 1
+    return core_left, core_right
 
 
 def reference_greedy_masks(
@@ -191,6 +297,24 @@ class TestKCoreMatchesLowbit:
             k = rng.randint(1, 10)
             assert k_core_masks(bits, k, left, right) == reference_k_core_masks(
                 bits, k, left, right
+            )
+
+
+class TestCoreNumbersMatchLowbit:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_whole_graph(self, seed):
+        bits = _wide_bitgraph(300 + seed)
+        assert core_numbers_masks(bits) == reference_core_numbers_masks(bits)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_restricted_masks(self, seed):
+        bits = _wide_bitgraph(400 + seed)
+        rng = random.Random(seed)
+        for _ in range(6):
+            left = _random_mask(rng, bits.n_left)
+            right = _random_mask(rng, bits.n_right)
+            assert core_numbers_masks(bits, left, right) == reference_core_numbers_masks(
+                bits, left, right
             )
 
 

@@ -1,23 +1,32 @@
 """Chaos suite: deterministic fault injection against the batch layer.
 
-Every test here arms a :mod:`repro.devtools.faults` plan — in-process or
-through :envvar:`REPRO_FAULTS` for worker processes — and asserts the
-engine's fault-tolerance contract: batches complete in request order,
-failures are isolated to their request as structured error reports,
-crash recovery is bounded and accounted for, and no shared-memory
-segment outlives the engine.  Nothing in this file depends on timing
-races: faults are keyed on request tags, so the same request fails the
-same way every run.
+Every fault test here arms a :mod:`repro.devtools.faults` plan —
+in-process or through :envvar:`REPRO_FAULTS` for worker processes — and
+asserts the engine's fault-tolerance contract: batches complete in
+request order, failures are isolated to their request as structured
+error reports, crash recovery is bounded and accounted for, no
+shared-memory segment outlives the engine, and no worker outlives a
+parent killed mid-batch.  The lane dispatch tests pin which lane runs
+each request of a batch.  Nothing in this file depends on timing races:
+faults are keyed on request tags, so the same request fails the same way
+every run, and the dispatch tests hold lanes with tagged hangs, so which
+lane finishes first does not change where a repeat runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     STATUS_ABORTED,
     STATUS_ERROR,
@@ -27,6 +36,7 @@ from repro.api import (
     RetryPolicy,
     SolveRequest,
 )
+from repro.api.engine import _SHARED_PREPARED_CACHE, _choose_request
 from repro.api.request import (
     ERROR_KIND_INJECTED_FAULT,
     ERROR_KIND_TIMEOUT,
@@ -542,3 +552,188 @@ class TestLanes:
         assert [r.status for r in reports] == [STATUS_OK] * 3
         serial = MBBEngine().solve_many(_requests(3), parallel=False)
         assert [r.side_size for r in reports] == [r.side_size for r in serial]
+
+
+#: A batch parent for the orphan test: it prints each lane worker's pid as
+#: the lane starts, then runs a 2-lane batch whose g0 hangs in its worker.
+#: It starts no thread, so its forks are safe on every interpreter.
+_KILLED_PARENT = """
+from repro.api import GraphSpec, MBBEngine, SolveRequest, engine
+
+start = engine._Lane.start.__func__
+
+
+def start_and_print(cls):
+    lane = start(cls)
+    if lane is not None:
+        print(lane.process.pid, flush=True)
+    return lane
+
+
+engine._Lane.start = classmethod(start_and_print)
+MBBEngine(max_workers=2).solve_many(
+    [
+        SolveRequest(
+            graph=GraphSpec.random(7, 7, 0.5, seed=seed), backend="dense", tag=f"g{seed}"
+        )
+        for seed in range(4)
+    ]
+)
+"""
+
+
+def _exited(pid):
+    """Whether process ``pid`` has exited: it is gone, or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            # The state follows the parenthesised command name, which may
+            # itself hold spaces or parentheses.
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state == "Z"
+
+
+class TestParentDeath:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states in /proc")
+    def test_lane_workers_exit_when_their_parent_is_killed(self):
+        # g0 holds one lane for 2 s, so the parent is SIGKILLed mid-batch.
+        # Each worker must then exit on its own, at the latest once its
+        # request is done: nobody is left to stop it or read its report.
+        hang = FaultPlan.of(
+            FaultSpec(
+                point="worker.hang",
+                action=ACTION_HANG,
+                arg=2.0,
+                match="g0",
+                scope=SCOPE_WORKER,
+            )
+        )
+        env = dict(os.environ)
+        env[faults.ENV_VAR] = hang.to_env()
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_PARENT],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        pids = []
+        try:
+            for _ in range(2):
+                line = parent.stdout.readline()
+                assert line, "the batch parent exited before starting both lanes"
+                pids.append(int(line))
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not all(map(_exited, pids)):
+                time.sleep(0.05)
+            assert [pid for pid in pids if not _exited(pid)] == []
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+            for pid in pids:
+                if not _exited(pid):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+
+
+class TestChooseRequest:
+    """The dispatch rule on its own: batch indices in, a queue position out."""
+
+    def test_a_lane_takes_its_own_repeat_ahead_of_a_later_new_spec(self):
+        # Request 0 is lane 1's spec, request 1 lane 0's, request 2 unseen.
+        keys = {0: 20, 1: 10, 2: 30}
+        assert _choose_request([0, 1, 2], keys, 0, [{10}, {20}]) == 1
+
+    def test_a_lane_skips_a_repeat_another_live_lane_has_run(self):
+        keys = {0: 20, 1: 30}
+        assert _choose_request([0, 1], keys, 0, [{10}, {20}]) == 1
+
+    def test_a_lane_takes_the_head_when_no_request_qualifies(self):
+        keys = {0: 20, 1: 21, 2: 20}
+        assert _choose_request([0, 1, 2], keys, 0, [{10}, {20, 21}]) == 0
+
+    def test_a_dead_lanes_specs_count_as_run_by_no_lane(self):
+        # Lane 1 ran spec 10 and lane 2 spec 20.  While lane 1 lives,
+        # nothing qualifies for lane 0; once it is dead (None), spec 10
+        # counts as run by no live lane.
+        keys = {0: 20, 1: 10}
+        assert _choose_request([0, 1], keys, 0, [set(), {10}, {20}]) == 0
+        assert _choose_request([0, 1], keys, 0, [set(), None, {20}]) == 1
+
+    def test_distinct_specs_dispatch_in_fifo_order(self):
+        # Three lanes go idle in a shuffled pattern; each takes the head.
+        pending = list(range(9))
+        keys = {idx: 100 + idx for idx in pending}
+        ran = [set(), set(), set()]
+        order = []
+        for lane in (0, 1, 2, 1, 1, 0, 2, 0, 1):
+            idx = pending.pop(_choose_request(pending, keys, lane, ran))
+            ran[lane].add(keys[idx])
+            order.append(idx)
+        assert order == list(range(9))
+
+
+def _sparse_request(name, tag=None):
+    return SolveRequest(graph=GraphSpec.dataset(name), backend="sparse", tag=tag or name)
+
+
+def _cache_counts(reports):
+    return [
+        (r.stats.get("prepared_cache_hits", 0), r.stats.get("prepared_cache_misses", 0))
+        for r in reports
+    ]
+
+
+class TestLaneDispatch:
+    """Real 2-lane batches.  Each worker's prepared-graph cache starts as
+    a fork of the parent's, so each test empties the parent's first."""
+
+    def test_each_repeat_goes_back_to_the_lane_that_prepared_its_graph(self, monkeypatch):
+        # Each repeat holds its lane for 1 s, far longer than a cold
+        # stand-in solve.  So whichever first request ends first, the
+        # other lane is done with its own before only its repeat is left
+        # pending; no lane ever has to take the other lane's repeat.
+        hang = FaultPlan.of(
+            FaultSpec(
+                point="worker.hang",
+                action=ACTION_HANG,
+                arg=1.0,
+                match="repeat",
+                times=2,
+                scope=SCOPE_WORKER,
+            )
+        )
+        monkeypatch.setenv(faults.ENV_VAR, hang.to_env())
+        _SHARED_PREPARED_CACHE.clear()
+        batch = [
+            _sparse_request(name, tag)
+            for name, tag in (
+                ("unicodelang", "a"),
+                ("moreno-crime", "b"),
+                ("unicodelang", "a repeat"),
+                ("moreno-crime", "b repeat"),
+            )
+        ]
+        reports = MBBEngine(max_workers=2).solve_many(batch)
+        assert [r.status for r in reports] == [STATUS_OK] * 4
+        assert _cache_counts(reports) == [(0, 1), (0, 1), (1, 0), (1, 0)]
+
+    def test_one_spec_runs_on_both_lanes(self):
+        # The second lane finds only the first lane's spec pending and
+        # takes the head rather than idle: one miss per lane.
+        _SHARED_PREPARED_CACHE.clear()
+        reports = MBBEngine(max_workers=2).solve_many([_sparse_request("unicodelang")] * 4)
+        assert [r.status for r in reports] == [STATUS_OK] * 4
+        assert sum(misses for _, misses in _cache_counts(reports)) == 2
+
+    def test_a_spec_python_cannot_hash_still_dispatches(self):
+        # List edges survive the wire (they read back as tuples) but make
+        # the spec unhashable; the dispatch keys specs by their wire form.
+        spec = GraphSpec(kind="edges", edges=[[1, "a"], [2, "a"]])
+        request = SolveRequest(graph=spec, backend="dense", tag="lists")
+        reports = MBBEngine(max_workers=2).solve_many([request] * 3)
+        assert [(r.status, r.side_size) for r in reports] == [(STATUS_OK, 1)] * 3
