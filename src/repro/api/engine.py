@@ -31,9 +31,9 @@ sparse framework and ``auto``) receive the cached snapshot, so repeated
 CSR + ``N_{<=2}`` + peel pipeline across solves; a repeated dataset
 request also skips materialisation, the fingerprint and the ``==``
 check that guards every fingerprint hit.  Every engine shares
-one process-wide cache by default — which is exactly what makes the
-amortisation reach the batch workers, each of which constructs a
-fresh engine per request — and each solve reports its hit/miss and
+one process-wide cache by default, while each batch worker solves all
+its requests through one engine of its own, whose cache has the batch
+engine's capacity.  Each solve reports its hit/miss and
 ``prepare_seconds`` through :class:`~repro.mbb.result.SearchStats`.
 
 Batches are **fault-tolerant**: every worker entry point is a fault
@@ -46,9 +46,10 @@ request's timeout: only that lane's worker is killed and restarted, under
 a bounded :class:`RetryPolicy`, and no other request is touched.  A
 request that keeps killing its worker is finished as a ``worker_crash``
 report (or re-run in-process on explicit opt-in), and one whose worker
-produces nothing by its deadline is marked ``aborted``.  A worker also
-exits once its parent is gone, so a parent killed mid-batch leaves no
-worker behind.  The deterministic chaos harness in
+produces nothing by its deadline is marked ``aborted``.  A worker
+closes every parent pipe end it was forked with, so it reads end of
+file, and exits, once its parent is gone: a parent killed mid-batch
+leaves no worker behind.  The deterministic chaos harness in
 :mod:`repro.devtools.faults` arms the injection points compiled into
 these boundaries, and reprolint RPL009 keeps every worker entry point
 behind one.
@@ -297,9 +298,9 @@ class PreparedGraphCache:
 
 
 #: Process-wide default cache shared by every engine that is not given a
-#: private one.  Sharing at module level is what lets batch workers —
-#: which build a fresh ``MBBEngine`` per request — amortise
-#: preparation across the requests they each execute.
+#: private one, so repeated ``solve_mbb`` and ``solve`` calls amortise
+#: preparation.  Batch workers do not use it: each solves through an
+#: engine with a cache of its own.
 _SHARED_PREPARED_CACHE = PreparedGraphCache()
 
 
@@ -356,9 +357,7 @@ def _with_stat_increments(report: SolveReport, **increments: int) -> SolveReport
     return dataclass_replace(report, stats=stats)
 
 
-def _guarded_solve(
-    request: SolveRequest, *, engine: Optional["MBBEngine"] = None
-) -> SolveReport:
+def _guarded_solve(request: SolveRequest, engine: "MBBEngine") -> SolveReport:
     """The per-request fault boundary every execution path runs through.
 
     Any exception a solve raises — including an armed ``raise`` fault —
@@ -372,7 +371,7 @@ def _guarded_solve(
         tag = request.tag or ""
         faults.hit("worker.hang", key=tag)
         faults.hit("worker.solve", key=tag)
-        return (engine if engine is not None else MBBEngine()).solve(request)
+        return engine.solve(request)
     except Exception as exc:
         return _error_report(request, exc)
 
@@ -393,7 +392,7 @@ def _invalid_request_report(payload: str, exc: Exception) -> SolveReport:
     )
 
 
-def _solve_request_json(payload: str) -> str:
+def _solve_request_json(payload: str, engine: "MBBEngine") -> str:
     """One request in a worker process: JSON request in, JSON report out.
 
     The worker reconstructs the request from its wire form, which keeps
@@ -405,36 +404,31 @@ def _solve_request_json(payload: str) -> str:
         request = SolveRequest.from_json(payload)
     except Exception as exc:
         return _invalid_request_report(payload, exc).to_json()
-    return _guarded_solve(request).to_json()
+    return _guarded_solve(request, engine).to_json()
 
 
-def _lane_main(conn: Connection) -> None:
+def _lane_main(conn: Connection, inherited: Sequence[Connection], capacity: int) -> None:
     """A lane's worker process: serve JSON requests from ``conn`` in turn.
 
-    Module-level so that every start method can run it.  The worker
-    answers each payload with its :func:`_solve_request_json` report and
-    exits on the stop message (``None``), when the pipe closes, or once
-    its parent's sentinel is ready.  The pipe cannot show a dead parent:
-    workers forked later hold copies of its parent end.  The sentinel
-    can, once those later workers have exited too; the newest worker has
-    no later sibling, so the workers of a killed parent exit newest
-    first, each after the request it is running.  Between requests the
-    worker keeps the graphs it prepared in its process-wide
-    :class:`PreparedGraphCache`, and :func:`_choose_request` routes
-    repeats back to it.  Only a worker death ends a request without a
-    report.
+    Module-level so that every start method can run it.  ``inherited``
+    holds the parent's pipe ends a fork copies: this lane's and the live
+    lanes'.  Once the worker has closed them, only the parent holds the
+    other end of ``conn``, so end of file or an ``OSError`` (a parent
+    that dies with a report unread resets the pipe) means the parent is
+    gone, and the worker exits.  One engine, with a
+    :class:`PreparedGraphCache` of ``capacity`` bundles, answers every
+    payload with its :func:`_solve_request_json` report and keeps the
+    graphs it prepared for the repeats :func:`_choose_request` routes
+    back.  Only a worker death ends a request without a report.
     """
-    parent = multiprocessing.parent_process()
+    for end in inherited:
+        end.close()
+    engine = MBBEngine(prepared_cache=PreparedGraphCache(capacity))
     while True:
-        if parent is not None and parent.sentinel in wait([conn, parent.sentinel]):
-            return  # nobody is left to read a report
         try:
-            payload = conn.recv()
-        except EOFError:
+            conn.send(_solve_request_json(conn.recv(), engine))
+        except (EOFError, OSError):
             return
-        if payload is None:
-            return
-        conn.send(_solve_request_json(payload))
 
 
 def _choose_request(
@@ -488,13 +482,17 @@ class _Lane:
         self.specs: Set[int] = set()
 
     @classmethod
-    def start(cls) -> Optional["_Lane"]:
-        """Start a worker, or return ``None`` where the platform refuses."""
+    def start(cls, lanes: Sequence[Optional["_Lane"]], capacity: int) -> Optional["_Lane"]:
+        """Start a worker beside the live ``lanes`` (see :func:`_lane_main`),
+        or return ``None`` where the platform refuses."""
         try:
             conn, child_end = multiprocessing.Pipe()
         except OSError:
             return None
-        process = multiprocessing.Process(target=_lane_main, args=(child_end,), daemon=True)
+        ends = [conn, *(lane.conn for lane in lanes if lane is not None)]
+        process = multiprocessing.Process(
+            target=_lane_main, args=(child_end, ends, capacity), daemon=True
+        )
         try:
             process.start()
         except OSError:
@@ -506,18 +504,12 @@ class _Lane:
         return cls(process, conn)
 
     def stop(self) -> None:
-        """Reap the worker: an idle one is told to exit, a busy one killed.
+        """Kill and reap the worker, busy or idle.
 
-        Closing ``conn`` would not stop an idle worker: workers forked
-        later hold copies of it, so the worker would never read EOF.
+        An idle worker holds nothing worth a clean exit, and a kill
+        cannot hang on a pipe copy some other process holds.
         """
-        if self.idx is None:
-            try:
-                self.conn.send(None)
-            except OSError:
-                pass  # the worker is already gone
-        else:
-            self.process.kill()
+        self.process.kill()
         self.process.join()
         self.conn.close()
 
@@ -534,7 +526,8 @@ class MBBEngine:
         The :class:`PreparedGraphCache` this engine threads through
         backends that declare ``supports_prepared``.  Defaults to one
         process-wide shared cache; pass a private instance to isolate a
-        workload (or size the LRU differently).
+        workload (or size the LRU differently).  Each :meth:`solve_many`
+        worker starts an empty cache of this one's capacity.
     """
 
     def __init__(
@@ -639,18 +632,19 @@ class MBBEngine:
         one owned worker process holding at most one request.  Each
         request crosses to its worker as its JSON wire form only; the
         worker materialises, fingerprints and prepares the graph itself,
-        through its process-wide :class:`PreparedGraphCache`, so a graph
-        repeated in a batch is prepared once per lane that runs it, and
-        repeats go back to that lane: an idle lane takes the first
-        pending request whose spec it has run or no live lane has run,
-        and the head of the queue when none qualifies
-        (:func:`_choose_request`).  No lane idles while work is pending,
-        and a batch of distinct specs dispatches in request order.  The
-        parent does no per-request graph work.  Each request enforces
-        its own budgets inside its worker.  With ``parallel=False`` (or fewer
-        than two requests to run) the batch runs serially in-process and
-        produces the same reports apart from timings; so does a batch on
-        a platform that refuses to start worker processes.
+        through one engine whose :class:`PreparedGraphCache` has this
+        engine's capacity, so a graph repeated in a batch is prepared
+        once per lane that runs it, and repeats go back to that lane: an
+        idle lane takes the first pending request whose spec it has run
+        or no live lane has run, and the head of the queue when none
+        qualifies (:func:`_choose_request`).  No lane idles while work is
+        pending, and a batch of distinct specs dispatches in request
+        order.  The parent does no per-request graph work.  Each request
+        enforces its own budgets inside its worker.  With
+        ``parallel=False`` (or fewer than two requests to run) the batch
+        runs serially in-process and produces the same reports apart
+        from timings; so does a batch on a platform that refuses to
+        start worker processes.
 
         Before any solve, on both paths, each request is checked with
         :meth:`SolveRequest.validate` and must survive its wire form
@@ -710,7 +704,7 @@ class MBBEngine:
         runnable = [idx for idx, payload in enumerate(payloads) if payload is not None]
         if not parallel or len(runnable) < 2:
             for idx in runnable:
-                reports[idx] = _guarded_solve(batch[idx], engine=self)
+                reports[idx] = _guarded_solve(batch[idx], self)
         else:
             self._run_lanes(
                 batch,
@@ -810,9 +804,10 @@ class MBBEngine:
                 )
             else:
                 attempts[idx] += 1
-                finish(idx, _guarded_solve(batch[idx], engine=self))
+                finish(idx, _guarded_solve(batch[idx], self))
 
         lanes: List[Optional[_Lane]] = []
+        capacity = self.prepared_cache.capacity
 
         def reap(lane: _Lane) -> None:
             lane.stop()
@@ -821,7 +816,10 @@ class MBBEngine:
         try:
             # A platform that refuses worker processes starts no lane, and
             # every request then runs in-process through give_up.
-            lanes = [lane for lane in (_Lane.start() for _ in range(workers)) if lane is not None]
+            for _ in range(workers):
+                lane = _Lane.start(lanes, capacity)
+                if lane is not None:
+                    lanes.append(lane)
             while True:
                 for slot, lane in enumerate(lanes):
                     if lane is not None and lane.idx is None and pending:
@@ -831,7 +829,7 @@ class MBBEngine:
                     if lane is None and pending and restarts < policy.max_pool_rebuilds:
                         restarts += 1
                         time.sleep(policy.backoff_for(restarts))
-                        lane = lanes[slot] = _Lane.start()
+                        lane = lanes[slot] = _Lane.start(lanes, capacity)
                         if lane is not None:
                             send(lane, take(slot))
                 busy = [lane for lane in lanes if lane is not None and lane.idx is not None]

@@ -27,7 +27,7 @@ framework the same switch also governs the bridging stage (S2), whose
 core decomposition, degeneracy pruning and local greedy run on masks.
 Pass ``kernel=`` :data:`~repro.mbb.dense.KERNEL_SETS` (or
 ``SparseConfig(kernel="sets")``) for the original adjacency-set
-implementation, kept for ablations and as a fallback.
+implementation, kept for ablations.
 
 Lemma 5 note: the S1 early exit of the sparse framework compares the
 incumbent side size against the degeneracy of the graph *before* the

@@ -26,8 +26,7 @@ Two interchangeable kernels implement the inner loop:
   is fused: the bound, the two completions and the leaf records are
   inline, on side counts taken once after the reduction.
 * :data:`KERNEL_SETS` — the original adjacency-set implementation, kept for
-  ablation/benchmark comparisons and as the fallback for graphs whose
-  labels resist indexing.
+  ablation/benchmark comparisons.
 
 Both kernels run the same algorithm and report through the same
 :class:`~repro.mbb.context.SearchContext`; they always find the same
@@ -66,7 +65,7 @@ _BRANCHING_MODES = (BRANCH_TRIVIALITY_LAST, BRANCH_NAIVE)
 
 #: Indexed bitmask kernel (default).
 KERNEL_BITS = "bits"
-#: Original adjacency-set kernel (ablation / fallback).
+#: Original adjacency-set kernel (ablation).
 KERNEL_SETS = "sets"
 
 _KERNELS = (KERNEL_BITS, KERNEL_SETS)
@@ -434,8 +433,9 @@ def dense_mbb(
     kernel:
         :data:`KERNEL_BITS` (default) for the indexed bitset inner loop or
         :data:`KERNEL_SETS` for the original adjacency-set implementation.
-        If the graph cannot be indexed (e.g. labels without a usable
-        ``repr`` ordering), the set kernel is used as a fallback.
+        The bitset kernel orders vertices by ``repr``, so a label whose
+        ``repr`` is not a string raises :class:`TypeError`, as the
+        sparse framework does.
     node_budget, time_budget:
         Optional budgets; exhausted budgets return ``optimal=False``.
     """
@@ -449,15 +449,9 @@ def dense_mbb(
     ensure_recursion_limit(recursion_headroom_for(graph.num_vertices))
     optimal = True
 
-    bitgraph: Optional[IndexedBitGraph] = None
-    if kernel == KERNEL_BITS:
-        try:
-            bitgraph = IndexedBitGraph.from_bipartite(graph)
-        except (TypeError, OverflowError):
-            bitgraph = None
-
     try:
-        if bitgraph is not None:
+        if kernel == KERNEL_BITS:
+            bitgraph = IndexedBitGraph.from_bipartite(graph)
             state_bits = BitNodeState(
                 0, 0, bitgraph.all_left_mask, bitgraph.all_right_mask
             )

@@ -33,7 +33,10 @@ ones.  The decision search seeds the incumbent bound at ``a - 1`` so the
 kernel prunes everything that cannot reach the target, and a cooperative
 cancellation hook (:attr:`~repro.mbb.context.SearchContext.cancel_hook`)
 stops it at the first witness.  ``kernel="sets"`` keeps the original
-dedicated adjacency-set search for ablations.
+dedicated adjacency-set search for ablations.  Neither kernel falls back
+on the other: a label whose ``repr`` is not a string raises
+:class:`TypeError` from both, as it does from the sparse framework and
+from ``dense_mbb``'s bitset kernel.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.graph.bitset import IndexedBitGraph
 from repro.mbb.context import SearchAborted, SearchContext
-from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS, dense_mbb_on_bitgraph
+from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS, _check_kernel, dense_mbb_on_bitgraph
 from repro.mbb.result import Biclique, MBBResult, SearchStats
 
 
@@ -275,18 +278,11 @@ def _decide_bits(
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
     parent: Optional[SearchContext] = None,
-) -> Optional[Tuple[Optional[Biclique], bool, SearchStats]]:
-    """Decide one ``(a, b)`` instance on the bitset ``denseMBB`` kernel.
-
-    Returns ``None`` when the graph's labels resist bitset indexing, in
-    which case the caller falls back to the adjacency-set search.
-    """
+) -> Tuple[Optional[Biclique], bool, SearchStats]:
+    """Decide one ``(a, b)`` instance on the bitset ``denseMBB`` kernel."""
     target = max(a, b)
     padded, pad_labels = _padded_graph(graph, a, b)
-    try:
-        bitgraph = IndexedBitGraph.from_bipartite(padded)
-    except (TypeError, OverflowError):
-        return None
+    bitgraph = IndexedBitGraph.from_bipartite(padded)
     ensure_recursion_limit(recursion_headroom_for(padded.num_vertices))
     context = SearchContext(node_budget=node_budget, time_budget=time_budget)
     _seed_bound(context, target - 1)
@@ -325,19 +321,9 @@ def _decide(
     parent: Optional[SearchContext] = None,
 ) -> Tuple[Optional[Biclique], bool, SearchStats]:
     """Dispatch one nontrivial ``(a, b)`` decision to the requested kernel."""
-    if kernel not in (KERNEL_BITS, KERNEL_SETS):
-        raise InvalidParameterError(
-            f"unknown kernel {kernel!r}; expected one of {(KERNEL_BITS, KERNEL_SETS)}"
-        )
-    if kernel == KERNEL_BITS:
-        outcome = _decide_bits(
-            graph, a, b, node_budget=node_budget, time_budget=time_budget, parent=parent
-        )
-        if outcome is not None:
-            return outcome
-    return _decide_sets(
-        graph, a, b, node_budget=node_budget, time_budget=time_budget, parent=parent
-    )
+    _check_kernel(kernel)
+    decide = _decide_sets if kernel == KERNEL_SETS else _decide_bits
+    return decide(graph, a, b, node_budget=node_budget, time_budget=time_budget, parent=parent)
 
 
 def find_biclique_of_size(

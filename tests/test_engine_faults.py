@@ -10,7 +10,9 @@ parent killed mid-batch.  The lane dispatch tests pin which lane runs
 each request of a batch.  Nothing in this file depends on timing races:
 faults are keyed on request tags, so the same request fails the same way
 every run, and the dispatch tests hold lanes with tagged hangs, so which
-lane finishes first does not change where a repeat runs.
+lane finishes first does not change where a repeat runs.  The one wait
+is the idle-orphan test's second before its kill, which only has to
+outlast the batch parent's first two sends.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from repro.api import (
     STATUS_OK,
     GraphSpec,
     MBBEngine,
+    PreparedGraphCache,
     RetryPolicy,
     SolveRequest,
 )
-from repro.api.engine import _SHARED_PREPARED_CACHE, _choose_request
+from repro.api.engine import _choose_request
 from repro.api.request import (
     ERROR_KIND_INJECTED_FAULT,
     ERROR_KIND_TIMEOUT,
@@ -554,17 +557,18 @@ class TestLanes:
         assert [r.side_size for r in reports] == [r.side_size for r in serial]
 
 
-#: A batch parent for the orphan test: it prints each lane worker's pid as
-#: the lane starts, then runs a 2-lane batch whose g0 hangs in its worker.
-#: It starts no thread, so its forks are safe on every interpreter.
+#: A batch parent for the orphan tests: it prints each lane worker's pid as
+#: the lane starts, then runs a 2-lane batch of g0 to g3, one of which the
+#: armed fault plan hangs in its worker.  It starts no thread, so its forks
+#: are safe on every interpreter.
 _KILLED_PARENT = """
 from repro.api import GraphSpec, MBBEngine, SolveRequest, engine
 
 start = engine._Lane.start.__func__
 
 
-def start_and_print(cls):
-    lane = start(cls)
+def start_and_print(cls, *args):
+    lane = start(cls, *args)
     if lane is not None:
         print(lane.process.pid, flush=True)
     return lane
@@ -594,50 +598,79 @@ def _exited(pid):
     return state == "Z"
 
 
+def _alive_after(pids, seconds):
+    """The ``pids`` that have not exited within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline and not all(map(_exited, pids)):
+        time.sleep(0.05)
+    return [pid for pid in pids if not _exited(pid)]
+
+
+@contextlib.contextmanager
+def _batch_parent(hang_seconds, tag):
+    """Run :data:`_KILLED_PARENT` with ``tag``'s request hanging in its
+    worker, and yield the parent with its two lane worker pids.
+
+    On the way out the parent is killed and any worker still alive too.
+    """
+    hang = FaultPlan.of(
+        FaultSpec(
+            point="worker.hang",
+            action=ACTION_HANG,
+            arg=hang_seconds,
+            match=tag,
+            scope=SCOPE_WORKER,
+        )
+    )
+    env = dict(os.environ)
+    env[faults.ENV_VAR] = hang.to_env()
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_PARENT],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    pids = []
+    try:
+        for _ in range(2):
+            line = parent.stdout.readline()
+            assert line, "the batch parent exited before starting both lanes"
+            pids.append(int(line))
+        yield parent, pids
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+        for pid in pids:
+            if not _exited(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states in /proc")
 class TestParentDeath:
-    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states in /proc")
     def test_lane_workers_exit_when_their_parent_is_killed(self):
         # g0 holds one lane for 2 s, so the parent is SIGKILLed mid-batch.
         # Each worker must then exit on its own, at the latest once its
         # request is done: nobody is left to stop it or read its report.
-        hang = FaultPlan.of(
-            FaultSpec(
-                point="worker.hang",
-                action=ACTION_HANG,
-                arg=2.0,
-                match="g0",
-                scope=SCOPE_WORKER,
-            )
-        )
-        env = dict(os.environ)
-        env[faults.ENV_VAR] = hang.to_env()
-        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-        parent = subprocess.Popen(
-            [sys.executable, "-c", _KILLED_PARENT],
-            env=env,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        pids = []
-        try:
-            for _ in range(2):
-                line = parent.stdout.readline()
-                assert line, "the batch parent exited before starting both lanes"
-                pids.append(int(line))
+        with _batch_parent(2.0, "g0") as (parent, pids):
             parent.kill()
             parent.wait(timeout=10)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and not all(map(_exited, pids)):
-                time.sleep(0.05)
-            assert [pid for pid in pids if not _exited(pid)] == []
-        finally:
+            assert _alive_after(pids, 10.0) == []
+
+    def test_an_idle_lane_exits_while_a_later_lane_still_runs(self):
+        # g1 holds the second lane for 6 s, and the first lane runs g0, g2
+        # and g3 meanwhile, so it is done with them when the parent is
+        # SIGKILLed 1 s in.  The first lane's worker must exit at once,
+        # not when the second lane's request ends: no other worker holds
+        # a copy of its pipe's parent end.
+        with _batch_parent(6.0, "g1") as (parent, (first, second)):
+            time.sleep(1.0)
             parent.kill()
             parent.wait(timeout=10)
-            parent.stdout.close()
-            for pid in pids:
-                if not _exited(pid):
-                    with contextlib.suppress(ProcessLookupError):
-                        os.kill(pid, signal.SIGKILL)
+            assert _alive_after([first], 2.0) == []
+            assert not _exited(second), "the hang ended before the check, so it shows nothing"
 
 
 class TestChooseRequest:
@@ -689,8 +722,8 @@ def _cache_counts(reports):
 
 
 class TestLaneDispatch:
-    """Real 2-lane batches.  Each worker's prepared-graph cache starts as
-    a fork of the parent's, so each test empties the parent's first."""
+    """Real batches on worker lanes, read through each report's
+    prepared-cache hits and misses."""
 
     def test_each_repeat_goes_back_to_the_lane_that_prepared_its_graph(self, monkeypatch):
         # Each repeat holds its lane for 1 s, far longer than a cold
@@ -708,7 +741,6 @@ class TestLaneDispatch:
             )
         )
         monkeypatch.setenv(faults.ENV_VAR, hang.to_env())
-        _SHARED_PREPARED_CACHE.clear()
         batch = [
             _sparse_request(name, tag)
             for name, tag in (
@@ -725,10 +757,29 @@ class TestLaneDispatch:
     def test_one_spec_runs_on_both_lanes(self):
         # The second lane finds only the first lane's spec pending and
         # takes the head rather than idle: one miss per lane.
-        _SHARED_PREPARED_CACHE.clear()
         reports = MBBEngine(max_workers=2).solve_many([_sparse_request("unicodelang")] * 4)
         assert [r.status for r in reports] == [STATUS_OK] * 4
         assert sum(misses for _, misses in _cache_counts(reports)) == 2
+
+    def test_a_worker_cache_holds_as_many_graphs_as_the_engines(self):
+        # One lane runs nine distinct specs, then the same nine, so each
+        # repeat comes nine graphs after its first copy: past the default
+        # capacity of 8, within the engine's 16.
+        names = [
+            "unicodelang",
+            "moreno-crime",
+            "dbpedia-producer",
+            "bibsonomy-2ui",
+            "dbpedia-starring",
+            "edit-frwiktionary",
+            "dbpedia-writer",
+            "pics-ut",
+            "dbpedia-occupation",
+        ]
+        engine = MBBEngine(max_workers=1, prepared_cache=PreparedGraphCache(capacity=16))
+        reports = engine.solve_many([_sparse_request(name) for name in names * 2])
+        assert [r.status for r in reports] == [STATUS_OK] * 18
+        assert _cache_counts(reports) == [(0, 1)] * 9 + [(1, 0)] * 9
 
     def test_a_spec_python_cannot_hash_still_dispatches(self):
         # List edges survive the wire (they read back as tuples) but make

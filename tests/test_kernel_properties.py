@@ -14,9 +14,11 @@ import random
 import pytest
 
 from repro.baselines.brute_force import brute_force_side_size
+from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import random_bipartite, random_power_law_bipartite
 from repro.mbb.basic_bb import basic_bb
 from repro.mbb.dense import KERNEL_BITS, KERNEL_SETS, dense_mbb
+from repro.mbb.size_constrained import size_constrained_mbb
 from repro.mbb.solver import solve_mbb
 from repro.mbb.sparse import hbv_mbb
 
@@ -78,3 +80,40 @@ class TestCrossKernelAgreement:
         assert bits.side_size == sets.side_size
         assert bits.biclique.is_valid_in(graph)
         assert sets.biclique.is_valid_in(graph)
+
+
+class _ReprNotAString:
+    """A hashable label whose ``repr`` is an int, which no kernel can order."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __repr__(self):
+        return self.key
+
+    def __eq__(self, other):
+        return isinstance(other, _ReprNotAString) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class TestUnorderableLabels:
+    """A solver on the bitset kernel raises :class:`TypeError` on labels
+    it cannot order; none switches to the sets kernel."""
+
+    @staticmethod
+    def _graph():
+        graph = BipartiteGraph()
+        for left in range(2):
+            for right in range(10, 12):
+                graph.add_edge(_ReprNotAString(left), _ReprNotAString(right))
+        return graph
+
+    @pytest.mark.parametrize("solver", [dense_mbb, hbv_mbb, size_constrained_mbb])
+    def test_every_bitset_solver_raises_type_error(self, solver):
+        with pytest.raises(TypeError, match="non-string"):
+            solver(self._graph())
+
+    def test_the_sets_kernel_still_solves_it(self):
+        assert dense_mbb(self._graph(), kernel=KERNEL_SETS).side_size == 2
