@@ -407,7 +407,12 @@ def _solve_request_json(payload: str, engine: "MBBEngine") -> str:
     return _guarded_solve(request, engine).to_json()
 
 
-def _lane_main(conn: Connection, inherited: Sequence[Connection], capacity: int) -> None:
+def _lane_main(
+    conn: Connection,
+    inherited: Sequence[Connection],
+    capacity: int,
+    fault_state: faults.FaultState,
+) -> None:
     """A lane's worker process: serve JSON requests from ``conn`` in turn.
 
     Module-level so that every start method can run it.  ``inherited``
@@ -415,7 +420,9 @@ def _lane_main(conn: Connection, inherited: Sequence[Connection], capacity: int)
     lanes'.  Once the worker has closed them, only the parent holds the
     other end of ``conn``, so end of file or an ``OSError`` (a parent
     that dies with a report unread resets the pipe) means the parent is
-    gone, and the worker exits.  One engine, with a
+    gone, and the worker exits.  ``fault_state`` is the parent's
+    (:func:`repro.devtools.faults.handoff`), which the worker takes in
+    place of whatever its start method left it.  One engine, with a
     :class:`PreparedGraphCache` of ``capacity`` bundles, answers every
     payload with its :func:`_solve_request_json` report and keeps the
     graphs it prepared for the repeats :func:`_choose_request` routes
@@ -423,6 +430,7 @@ def _lane_main(conn: Connection, inherited: Sequence[Connection], capacity: int)
     """
     for end in inherited:
         end.close()
+    faults.adopt(fault_state)
     engine = MBBEngine(prepared_cache=PreparedGraphCache(capacity))
     while True:
         try:
@@ -491,7 +499,9 @@ class _Lane:
             return None
         ends = [conn, *(lane.conn for lane in lanes if lane is not None)]
         process = multiprocessing.Process(
-            target=_lane_main, args=(child_end, ends, capacity), daemon=True
+            target=_lane_main,
+            args=(child_end, ends, capacity, faults.handoff()),
+            daemon=True,
         )
         try:
             process.start()

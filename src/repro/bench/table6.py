@@ -87,8 +87,3 @@ def format_table6(rows: Sequence[Dict[str, object]]) -> str:
     """Render the breakdown rows in the paper's column order."""
     columns = ["dataset"] + list(COLUMNS) + ["optimum"]
     return format_table(rows, columns)
-
-
-def variant_names() -> List[str]:
-    """All framework variants (for parametrised benchmarks)."""
-    return list(VARIANT_CONFIGS)

@@ -22,8 +22,9 @@ any Python:
 * ``repro-mbb bench`` — regenerate one of the paper's tables or figures;
 * ``repro-mbb lint`` — run *reprolint*, the repository's AST-based
   invariant analyzer (budget checkpoints, determinism, kernel parity,
-  pool safety), against the source tree — what the CI ``invariants``
-  job executes.
+  worker-process safety and the cross-file rules), against the source
+  tree — what the CI ``invariants`` job executes; every finding fails
+  the run.
 
 Solver choices are derived from the :mod:`repro.api` backend registry, so
 a backend registered at runtime (or added in a later version) shows up in
@@ -219,24 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of rule codes to run (default: all)",
     )
     lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of accepted findings (default: "
-        "reprolint-baseline.json under --root when present)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file and report every finding as new",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings: (re)write the baseline file and "
-        "exit 0",
-    )
-    lint.add_argument(
         "--json",
         action="store_true",
         help="emit the report as JSON instead of human-readable text",
@@ -250,15 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--explain",
         default=None,
         metavar="CODES",
-        help="print rationale, example and suppression guidance for the "
-        "given comma-separated rule codes (or 'all') and exit",
-    )
-    lint.add_argument(
-        "--graph-dot",
-        default=None,
-        metavar="PATH",
-        help="emit the project-internal import graph in Graphviz DOT form "
-        "to PATH ('-' for stdout) and exit",
+        help="print the rationale and an example for the given "
+        "comma-separated rule codes (or 'all') and exit",
     )
 
     bench = subparsers.add_parser("bench", help="regenerate a paper table or figure")
@@ -462,7 +438,7 @@ def _command_datasets(_: argparse.Namespace) -> int:
 
 
 def _explain_rules(codes_argument: str) -> int:
-    """Print rationale/example/suppression guidance for rule codes."""
+    """Print the rationale and an example for rule codes."""
     from repro.devtools.lint import RULE_REGISTRY, all_rules
 
     rules = all_rules()  # populates the registry, deterministic order
@@ -493,19 +469,6 @@ def _explain_rules(codes_argument: str) -> int:
         lines.append("")
         lines.append("  Example:")
         lines.extend(f"    {line}" for line in rule.example.splitlines())
-        lines.append("")
-        lines.append("  Suppressing:")
-        lines.extend(
-            f"    {line}"
-            for line in textwrap.wrap(
-                f"Prefer fixing the violation. A deliberate exception is "
-                f"silenced per line with '# reprolint: disable={rule.code}'; "
-                f"a pre-existing finding can be accepted in "
-                f"reprolint-baseline.json (add a 'justification' string to "
-                f"the entry explaining why it is not fixed).",
-                72,
-            )
-        )
         blocks.append("\n".join(lines))
     print("\n\n".join(blocks))
     return 0
@@ -515,11 +478,7 @@ def _command_lint(args: argparse.Namespace) -> int:
     # Imported lazily: the analyzer is devtooling and the solve/batch
     # paths should not pay for it.
     from repro.devtools.lint import (
-        DEFAULT_BASELINE_NAME,
         DEFAULT_LINT_PATHS,
-        Baseline,
-        BaselineError,
-        build_project,
         render_json,
         render_text,
         rule_table,
@@ -547,33 +506,12 @@ def _command_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.graph_dot is not None:
-        dot = build_project(paths, root=root).to_dot()
-        if args.graph_dot == "-":
-            print(dot, end="")
-        else:
-            with open(args.graph_dot, "w", encoding="utf-8") as handle:
-                handle.write(dot)
-            print(f"wrote import graph to {args.graph_dot}")
-        return 0
     rules = [] if args.rules is None else args.rules.split(",")
-    baseline_path = args.baseline or os.path.join(root, DEFAULT_BASELINE_NAME)
     try:
-        baseline = None if args.no_baseline else Baseline.load(baseline_path)
-        result = run_lint(paths, root=root, rules=rules, baseline=baseline)
-    except (BaselineError, ValueError) as error:
+        result = run_lint(paths, root=root, rules=rules)
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        previous = baseline if baseline is not None else Baseline.load(baseline_path)
-        Baseline.from_findings(result.all_findings, previous=previous).save(
-            baseline_path
-        )
-        print(
-            f"wrote baseline with {len(result.all_findings)} findings to "
-            f"{baseline_path}"
-        )
-        return 0
     print(render_json(result) if args.json else render_text(result))
     return result.exit_code
 

@@ -20,13 +20,18 @@ boundaries:
 
 Every point is **inert in production**: :func:`hit` is two dict lookups
 when nothing is armed.  Tests arm faults either in-process via
-:func:`arm`/:class:`FaultPlan` (a context manager) or across the process
-boundary via the :envvar:`REPRO_FAULTS` environment variable, whose spec
-string is what :meth:`FaultPlan.to_env` prints.  Hit counters are
-per-process, and specs can be matched on the hit key (the request tag
-for ``worker.*`` points), so "the 2nd solve of the request tagged
-``g3``, in a worker process, exits hard" is expressible whichever
-worker runs it — the crash lands on the same request every run.
+:func:`arm`/:class:`FaultPlan` (a context manager) or through the
+:envvar:`REPRO_FAULTS` environment variable, whose spec string is what
+:meth:`FaultPlan.to_env` prints.  Either way they reach the engine's
+lane workers under every start method: a lane hands its new worker the
+parent's fault state from :func:`handoff`, and the worker takes exactly
+that state with :func:`adopt`, so a fork server's environment from
+before the variable was set changes nothing about what a worker fires.
+Hit counters are per-process, and specs can be matched on the hit key
+(the request tag for ``worker.*`` points), so "the 2nd solve of the
+request tagged ``g3``, in a worker process, exits hard" is expressible
+whichever worker runs it — the crash lands on the same request every
+run.
 
 Firing is scoped: ``scope="worker"`` specs only fire inside a process
 that has a parent (``multiprocessing.parent_process() is not None``), so
@@ -160,8 +165,9 @@ class FaultPlan:
 
     Usable as a context manager (arms on entry, disarms on exit) for
     in-process tests, or serialised with :meth:`to_env` into
-    :envvar:`REPRO_FAULTS` so worker processes — fork *or* spawn — arm the
-    same plan with their own fresh hit counters.
+    :envvar:`REPRO_FAULTS`.  A plan armed either way reaches the engine's
+    lane workers, under every start method, through :func:`handoff` and
+    :func:`adopt`, and each worker counts hits afresh.
     """
 
     specs: Tuple[FaultSpec, ...]
@@ -230,6 +236,42 @@ def _env_specs() -> Tuple[FaultSpec, ...]:
     specs = FaultPlan.from_env(text).specs
     _ENV_CACHE = (text, specs)
     return specs
+
+
+#: What :func:`handoff` gives a worker: the armed specs and the
+#: :envvar:`REPRO_FAULTS` text.
+FaultState = Tuple[Tuple[FaultSpec, ...], str]
+
+
+def handoff() -> FaultState:
+    """This process's fault state, for a worker it starts now.
+
+    The in-process armed specs and the :envvar:`REPRO_FAULTS` text:
+    everything :func:`hit` would consult here.  The worker passes it to
+    :func:`adopt`, so it fires what this process would, whatever its
+    start method.  The armed specs travel as objects, not as
+    :meth:`FaultPlan.to_env` text, which cannot carry a ``match``
+    holding ``,`` or ``;``.
+    """
+    return tuple(_ARMED), os.environ.get(ENV_VAR, "")
+
+
+def adopt(state: FaultState) -> None:
+    """Make ``state`` (from :func:`handoff`) this worker's whole fault state.
+
+    A fork server's worker starts with the server's environment, which
+    may predate the variable, and a spawned one with no armed specs; a
+    forked worker's copy is already the parent's.  Each takes ``state``
+    in place of its own and counts hits afresh.  The environment text is
+    set unparsed, so a malformed one fails each request at its injection
+    point, as it does in the parent.
+    """
+    specs, text = state
+    arm(*specs)
+    if text:
+        os.environ[ENV_VAR] = text
+    else:
+        os.environ.pop(ENV_VAR, None)
 
 
 def _in_worker() -> bool:

@@ -7,24 +7,21 @@ kernel parity (RPL003), worker-process picklability (RPL004), and — via
 the whole-project model in :mod:`repro.devtools.lint.project` (import
 graph, symbol tables, conservative call graph) — shared prepared/CSR
 state immutability (RPL005), interprocedural checkpoint reachability
-(RPL006), layering/import-cycle discipline (RPL007) and wire-format
-round-trip coverage (RPL008).  See :mod:`repro.devtools.lint.rules` for
-the rule table and each rule module for the bug history it encodes.
+(RPL006), layering/import-cycle discipline (RPL007), wire-format
+round-trip coverage (RPL008) and worker fault boundaries (RPL009).  See
+:mod:`repro.devtools.lint.rules` for the rule table and each rule module
+for the bug history it encodes.
 
 Typical use::
 
-    from repro.devtools.lint import Baseline, run_lint
+    from repro.devtools.lint import run_lint
 
-    result = run_lint(["src", "tests"], root="/path/to/repo",
-                      baseline=Baseline.load("reprolint-baseline.json"))
-    assert result.exit_code == 0, result.new_findings
+    result = run_lint(["src", "tests"], root="/path/to/repo")
+    assert result.exit_code == 0, result.findings
 
 The ``repro-mbb lint`` CLI command and the CI ``invariants`` job are
-thin wrappers over exactly this API.  Findings are suppressed per line
-with ``# reprolint: disable=RPL001`` (comma-separated codes, or
-``all``); pre-existing findings live in the checked-in baseline file
-(``reprolint-baseline.json``), regenerated with
-``repro-mbb lint --write-baseline``.
+thin wrappers over exactly this API.  Every finding fails the run: a
+violation is fixed at the source, or the rule that reports it changes.
 """
 
 from repro.devtools.lint.base import (
@@ -36,12 +33,6 @@ from repro.devtools.lint.base import (
     all_rules,
     register_rule,
     rule_table,
-)
-from repro.devtools.lint.baseline import (
-    BASELINE_VERSION,
-    Baseline,
-    BaselineError,
-    DEFAULT_BASELINE_NAME,
 )
 from repro.devtools.lint.findings import Finding, sort_findings
 from repro.devtools.lint.report import (
@@ -58,17 +49,12 @@ from repro.devtools.lint.project import (
 from repro.devtools.lint.runner import (
     DEFAULT_LINT_PATHS,
     LintResult,
-    analyze_file,
     build_project,
     iter_python_files,
     run_lint,
 )
 
 __all__ = [
-    "BASELINE_VERSION",
-    "Baseline",
-    "BaselineError",
-    "DEFAULT_BASELINE_NAME",
     "DEFAULT_LINT_PATHS",
     "FileContext",
     "Finding",
@@ -82,7 +68,6 @@ __all__ = [
     "RULE_REGISTRY",
     "Rule",
     "all_rules",
-    "analyze_file",
     "build_project",
     "iter_python_files",
     "module_name_for",

@@ -6,31 +6,21 @@ inspects one parsed file (a :class:`FileContext`) and yields
 themselves with the :func:`register_rule` decorator; the runner asks
 :func:`all_rules` for one instance of every registered rule, sorted by
 code so analysis order — and therefore output order — is deterministic.
-
-Suppressions
-------------
-A finding is suppressed by a ``# reprolint: disable=RPL001`` comment on
-the *physical line the finding anchors to* (multiple codes separated by
-commas; ``disable=all`` silences every rule on that line).  Suppression
-is per-line by design: a file- or block-level switch would let a new
-violation hide behind an old annotation.  Parse failures (``RPL000``)
-cannot be suppressed — an unparseable file cannot carry trustworthy
-comments.
+Every finding a rule yields fails the run: there is no per-line or
+per-file way to excuse one, so a violation is fixed at the source or the
+rule itself changes.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple, Type
 
 from repro.devtools.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.devtools.lint.project import ProjectContext
-
-#: ``# reprolint: disable=RPL001,RPL004`` (or ``disable=all``).
-_SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 #: Rule codes look like ``RPL`` followed by exactly three digits.
 _CODE_RE = re.compile(r"^RPL\d{3}$")
@@ -48,8 +38,6 @@ class FileContext:
         self.relpath = relpath
         self.source = source
         self.tree = tree
-        self.lines: List[str] = source.splitlines()
-        self._suppressed: Dict[int, Set[str]] = self._parse_suppressions()
 
     # ------------------------------------------------------------------
     # scoping helpers
@@ -65,37 +53,6 @@ class FileContext:
         """True for the shipped library (``src/``), not tests/benchmarks."""
         return self.is_under("src")
 
-    # ------------------------------------------------------------------
-    # suppressions
-    # ------------------------------------------------------------------
-    def _parse_suppressions(self) -> Dict[int, Set[str]]:
-        suppressed: Dict[int, Set[str]] = {}
-        for lineno, line in enumerate(self.lines, start=1):
-            match = _SUPPRESS_RE.search(line)
-            if match is None:
-                continue
-            codes = {
-                token.strip().upper()
-                for token in match.group(1).split(",")
-                if token.strip()
-            }
-            if codes:
-                suppressed[lineno] = codes
-        return suppressed
-
-    def is_suppressed(self, finding: Finding) -> bool:
-        """True when the finding's line carries a matching disable comment."""
-        if finding.code == PARSE_ERROR_CODE:
-            return False
-        codes = self._suppressed.get(finding.line)
-        if not codes:
-            return False
-        return "ALL" in codes or finding.code in codes
-
-    def suppression_lines(self) -> Dict[int, Set[str]]:
-        """Mapping of line number to suppressed codes (for tooling/tests)."""
-        return {line: set(codes) for line, codes in self._suppressed.items()}
-
 
 class Rule:
     """Base class every reprolint rule derives from.
@@ -106,7 +63,7 @@ class Rule:
     applied.
     """
 
-    #: Unique ``RPLxxx`` code (also the suppression token).
+    #: Unique ``RPLxxx`` code.
     code: str = ""
     #: Short kebab-case identifier shown in listings.
     name: str = ""
@@ -141,9 +98,7 @@ class ProjectRule(Rule):
     exactly once per analysis over the
     :class:`~repro.devtools.lint.project.ProjectContext` the runner
     builds from every parsed file, so it can reason about import edges,
-    call-graph reachability and contracts spanning modules.  Per-line
-    suppression comments still apply: the runner maps each finding back
-    to its file's :class:`FileContext` before reporting.
+    call-graph reachability and contracts spanning modules.
     """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

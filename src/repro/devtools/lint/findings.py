@@ -1,17 +1,10 @@
 """The :class:`Finding` record and its deterministic ordering.
 
-A finding is one rule violation at one source location.  Findings are
-value objects: the analyzer produces them in whatever order the rules
-visit the AST, then sorts them by :meth:`Finding.sort_key` so output,
-baselines and exit codes are reproducible run to run.
-
-The :attr:`Finding.fingerprint` deliberately excludes the line and
-column: a baseline entry keyed by fingerprint survives unrelated edits
-that shift code up or down, which is what makes a checked-in baseline
-practical (the same design as pylint/ruff ``--add-noqa`` baselines).
-Because fingerprints collapse repeated identical findings in one file,
-the baseline stores a *count* per fingerprint (see
-:mod:`repro.devtools.lint.baseline`).
+A finding is one rule violation at one source location, and every
+finding fails the run.  Findings are value objects: the analyzer
+produces them in whatever order the rules visit the AST, then sorts
+them by :meth:`Finding.sort_key` so output and exit codes are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -34,7 +27,7 @@ class Finding:
     #: Rule code, e.g. ``"RPL001"`` (``"RPL000"`` marks a parse failure).
     code: str
     #: Human message.  Stable — never embeds line numbers or timings —
-    #: because it is part of the baseline fingerprint.
+    #: so two runs over the same tree render identical reports.
     message: str
 
     @property
@@ -42,17 +35,12 @@ class Finding:
         """``path:line:column`` in the conventional clickable form."""
         return f"{self.path}:{self.line}:{self.column}"
 
-    @property
-    def fingerprint(self) -> str:
-        """Line-free identity used by the baseline (path + code + message)."""
-        return f"{self.path}::{self.code}::{self.message}"
-
     def sort_key(self) -> Tuple[str, int, int, str, str]:
         """Total order: path, then line, column, code, message."""
         return (self.path, self.line, self.column, self.code, self.message)
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for ``--json`` output and the baseline file."""
+        """Plain-dict form for ``--json`` output."""
         return {
             "path": self.path,
             "line": self.line,
@@ -60,17 +48,6 @@ class Finding:
             "code": self.code,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by baseline round-trips)."""
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            column=int(payload["column"]),  # type: ignore[arg-type]
-            code=str(payload["code"]),
-            message=str(payload["message"]),
-        )
 
 
 def sort_findings(findings: Iterable[Finding]) -> List[Finding]:

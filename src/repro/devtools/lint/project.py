@@ -1,13 +1,12 @@
 """The whole-project model behind reprolint's cross-file rules.
 
 Per-file AST rules (RPL001-RPL004) can enforce invariants whose evidence
-fits in one module.  The invariants that keep ``solve_many``'s process
-pool safe do not: "does every search entry point *reach*
-``SearchContext.checkpoint()``
-through its callees", "is prepared/CSR state ever mutated after
-publication", "do kernel layers stay import-clean of the service layers
-above them".  Those need one model of the project as a whole, built in a
-single pass over every parsed file:
+fits in one module.  The cross-file invariants do not: "does every
+search entry point *reach* ``SearchContext.checkpoint()`` through its
+callees", "is prepared/CSR state ever mutated after publication", "do
+kernel layers stay import-clean of the service layers above them".
+Those need one model of the project as a whole, built in a single pass
+over every parsed file:
 
 * a **module table** mapping root-relative paths to dotted module names
   (``src/repro/mbb/sparse.py`` → ``repro.mbb.sparse``; ``src/`` is the
@@ -374,25 +373,6 @@ class ProjectContext:
                 index = component.index(smallest)
                 cycles.append(component[index:] + component[:index])
         return sorted(cycles)
-
-    def to_dot(self) -> str:
-        """The project-internal import graph in Graphviz DOT form."""
-        lines = [
-            "digraph reprolint_imports {",
-            "  rankdir=LR;",
-            '  node [shape=box, fontname="monospace"];',
-        ]
-        edges = self.internal_import_edges()
-        for name in sorted(edges):
-            if not edges[name] and name not in {
-                target for targets in edges.values() for target in targets
-            }:
-                lines.append(f'  "{name}";')
-        for name in sorted(edges):
-            for target in edges[name]:
-                lines.append(f'  "{name}" -> "{target}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

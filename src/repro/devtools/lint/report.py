@@ -2,12 +2,11 @@
 
 Two formats, both with deterministic ordering:
 
-* **text** — one ``path:line:col: CODE message`` line per new finding
-  (the clickable convention every editor understands) plus a summary
-  counting baselined/suppressed findings, so a green run still shows
-  what the baseline is absorbing;
+* **text** — one ``path:line:col: CODE message`` line per finding (the
+  clickable convention every editor understands) plus a summary line;
 * **json** — a machine-readable document for CI and tooling, mirroring
-  the text content (``schema_version`` guards future evolution).
+  the text content (``schema_version`` guards future evolution; version
+  2 carries one ``findings`` list, every entry of which fails the run).
 """
 
 from __future__ import annotations
@@ -18,19 +17,17 @@ from typing import Dict, List
 from repro.devtools.lint.runner import LintResult
 
 #: Version of the ``--json`` document schema.
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def render_text(result: LintResult) -> str:
-    """Human-readable report; one line per new finding plus a summary."""
+    """Human-readable report; one line per finding plus a summary."""
     lines: List[str] = []
-    for finding in result.new_findings:
+    for finding in result.findings:
         lines.append(f"{finding.location}: {finding.code} {finding.message}")
-    noun = "finding" if len(result.new_findings) == 1 else "findings"
+    noun = "finding" if len(result.findings) == 1 else "findings"
     summary = (
-        f"reprolint: {len(result.new_findings)} new {noun} "
-        f"({len(result.baselined_findings)} baselined, "
-        f"{result.suppressed} suppressed) "
+        f"reprolint: {len(result.findings)} {noun} "
         f"across {result.checked_files} files "
         f"({result.modules} modules indexed) "
         f"[rules: {', '.join(result.rules)}]"
@@ -47,11 +44,7 @@ def render_json(result: LintResult) -> str:
         "rules": list(result.rules),
         "checked_files": result.checked_files,
         "modules": result.modules,
-        "suppressed": result.suppressed,
-        "new_findings": [finding.to_dict() for finding in result.new_findings],
-        "baselined_findings": [
-            finding.to_dict() for finding in result.baselined_findings
-        ],
+        "findings": [finding.to_dict() for finding in result.findings],
         "exit_code": result.exit_code,
     }
     return json.dumps(document, indent=2)

@@ -17,10 +17,8 @@ RPL002    determinism              no wall clocks or unseeded ``random`` in
                                    accumulation in kernel modules
 RPL003    kernel-parity            every ``kernel="bits"`` dispatch keeps a
                                    reachable ``"sets"`` ablation counterpart
-RPL004    pool-safety              worker-process callables (``submit``,
-                                   ``Process(target=)``) and
-                                   ``cancel_hook`` assignments stay
-                                   picklable
+RPL004    pool-safety              ``Process(target=)`` targets and their
+                                   arguments stay picklable
 RPL005    shared-state             no post-construction mutation of
                                    ``PreparedGraph``/``CSRBipartite`` or
                                    their flat arrays outside their defining
@@ -34,7 +32,7 @@ RPL007    layering                 graph/cores/mbb never import
                                    cycles
 RPL008    wire-format              dataclass fields covered by their
                                    ``to_dict``/``from_dict`` round-trip pair
-RPL009    fault-boundary           worker-process callables reach an
+RPL009    fault-boundary           ``Process(target=)`` targets reach an
                                    ``except Exception`` fault boundary through
                                    the call graph; ``faults.hit()`` injection
                                    points only in designated modules

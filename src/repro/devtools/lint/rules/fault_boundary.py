@@ -10,11 +10,11 @@ rot silently without a machine check:
   boundary reintroduces the brittleness the boundary removed: the first
   worker exception kills the worker, or poisons the batch, instead of
   becoming one request's error report.  Every callable shipped to a
-  worker process in library code — the first argument of a
-  ``.submit(...)`` call or the ``target=`` of a ``Process(...)`` call,
-  as :func:`~repro.devtools.lint.rules.pool_safety.worker_call` reads
-  them — must therefore reach an ``except Exception`` (or bare
-  ``except``) handler through the project call graph.  The callable may
+  worker process in library code — the ``target=`` of a
+  ``Process(...)`` call, as
+  :func:`~repro.devtools.lint.rules.pool_safety.worker_call` reads it —
+  must therefore reach an ``except Exception`` (or bare ``except``)
+  handler through the project call graph.  The callable may
   delegate to a guarded helper, as the engine's lane worker does:
   ``_lane_main`` → ``_solve_request_json`` → ``_guarded_solve``.
 * **injection-point confinement** — ``faults.hit(...)`` probes are test
@@ -89,10 +89,9 @@ class FaultBoundaryRule(ProjectRule):
     code = "RPL009"
     name = "fault-boundary"
     description = (
-        "callables shipped to worker processes (submit(), Process(target=)) "
-        "must reach an except-Exception fault boundary through the call "
-        "graph; faults.hit() injection points stay confined to the "
-        "designated modules"
+        "Process(target=) targets must reach an except-Exception fault "
+        "boundary through the call graph; faults.hit() injection points "
+        "stay confined to the designated modules"
     )
     rationale = (
         "solve_many promises per-request error isolation: a worker entry "
@@ -136,10 +135,9 @@ class FaultBoundaryRule(ProjectRule):
     ) -> Iterator[Finding]:
         for node in ast.walk(info.ctx.tree):
             entry = worker_call(node)
-            if entry is None or entry[1] is None:
+            if entry is None or entry[0] is None:
                 continue
-            label, callable_node = entry[0], entry[1]
-            target = self._resolve_function(project, info.name, callable_node)
+            target = self._resolve_function(project, info.name, entry[0])
             if target is None:
                 continue  # RPL004's problem: unresolvable worker callables
             target_id = f"{target[0]}::{target[1]}"
@@ -149,7 +147,7 @@ class FaultBoundaryRule(ProjectRule):
             yield self.project_finding(
                 info.relpath,
                 node,
-                f"{label} callable {target[1]}() never reaches an "
+                f"Process(target=...) callable {target[1]}() never reaches an "
                 f"'except Exception' fault boundary through the call graph; "
                 f"one raising request would kill its worker or poison the "
                 f"batch instead of becoming a status=\"error\" report",

@@ -1,13 +1,11 @@
 """RPL007 — layering and import-cycle discipline.
 
-The package is layered ``graph → cores → mbb → baselines/api →
-cli/bench``: the kernel layers at the bottom must stay importable (and
-testable, and picklable for pool workers) without dragging in the
+The package is layered from the kernels (``graph → cores → mbb``) up
+to the service layers (``api``, ``cli``, ``bench``): the kernel layers
+at the bottom must stay importable and testable without dragging in the
 service layers above them.  A kernel module that imports ``repro.api``
-couples solver internals to engine policy, breaks the
-dependency-injection seam the engine registry provides, and — the
-concrete hazard for ``solve_many``'s pool — makes worker processes
-import the whole service stack just to unpickle a kernel callable.
+couples solver internals to engine policy and breaks the
+dependency-injection seam the engine registry provides.
 
 Two checks:
 
@@ -15,7 +13,7 @@ Two checks:
   ``repro.mbb`` must not import ``repro.api``, ``repro.cli`` or
   ``repro.bench``.  *Every* import statement counts, including lazy
   function-level ones: a lazy import hides the coupling from the module
-  graph but still executes in the worker.  (The fix is dependency
+  graph but still executes when the function runs.  (The fix is dependency
   inversion — the kernel module exposes a registration hook the upper
   layer fills in; see ``repro.mbb.solver.register_engine``.)
 * **cycles** — no module-level import cycles anywhere in the scanned
@@ -67,11 +65,10 @@ class LayeringRule(ProjectRule):
     )
     rationale = (
         "The kernel layers (graph, cores, mbb) are the bottom of the stack: "
-        "pool workers import them standalone, and the engine/api layer is "
-        "swapped in through explicit registration, not imports. An upward "
-        "import — even a lazy one inside a function — couples kernel "
-        "internals to service policy and forces worker processes to load "
-        "the full service stack. Module-level import cycles additionally "
+        "they import standalone, and the engine/api layer is swapped in "
+        "through explicit registration, not imports. An upward import — "
+        "even a lazy one inside a function — couples kernel internals to "
+        "service policy. Module-level import cycles additionally "
         "make initialisation order fragile (partially-initialised modules) "
         "and are banned outright; the sanctioned back-reference idiom is a "
         "lazy function-level import, which this rule deliberately exempts "

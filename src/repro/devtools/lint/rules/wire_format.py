@@ -24,9 +24,8 @@ side:
   subscript reads and ``payload.get("k")`` calls must include every
   field.
 
-Messages are line-free and per-field, so a baseline entry (with
-justification) can accept one intentionally-virtual field without
-hiding the next drift.
+Findings are per field: every field one side of a codec drops is its
+own finding, so fixing one drift cannot hide the next.
 """
 
 from __future__ import annotations

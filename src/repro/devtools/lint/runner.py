@@ -1,22 +1,21 @@
 """File discovery and analysis orchestration for reprolint.
 
 :func:`run_lint` is the one entry point the CLI, the CI job and the test
-suite share.  Since the project model landed it is a two-pass analysis:
+suite share.  It is a two-pass analysis:
 
 1. **parse pass** — discover Python files under the given paths, parse
    each one once into a :class:`FileContext` (an unparseable file yields
-   one unsuppressable ``RPL000`` finding and drops out of pass 2), and
-   run every selected per-file :class:`Rule` over the shared AST;
+   one ``RPL000`` finding and drops out of pass 2), and run every
+   selected per-file :class:`Rule` over the shared AST;
 2. **project pass** — build one
    :class:`~repro.devtools.lint.project.ProjectContext` from every
    parsed file and run each selected :class:`ProjectRule` exactly once
-   over it, mapping findings back through the owning file's per-line
-   suppressions.
+   over it.
 
-Line-suppressed findings are dropped, the rest are split against the
-baseline, and the returned :class:`LintResult` is fully deterministic —
-sorted discovery, sorted rules, sorted findings — so two consecutive
-runs render byte-identical reports (a property CI pins down).
+Every finding fails the run, and the returned :class:`LintResult` is
+fully deterministic — sorted discovery, sorted rules, sorted findings —
+so two consecutive runs render byte-identical reports (a property CI
+pins down).
 
 The analyzer is dependency-free on purpose — :mod:`ast` plus the
 standard library — so the CI job can run it straight from a checkout
@@ -29,16 +28,14 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.devtools.lint.base import (
     PARSE_ERROR_CODE,
     FileContext,
     ProjectRule,
-    Rule,
     all_rules,
 )
-from repro.devtools.lint.baseline import Baseline
 from repro.devtools.lint.findings import Finding, sort_findings
 from repro.devtools.lint.project import ProjectContext
 
@@ -57,12 +54,8 @@ DEFAULT_LINT_PATHS: Tuple[str, ...] = ("src", "tests", "benchmarks", "examples")
 class LintResult:
     """Outcome of one analyzer run (all lists canonically sorted)."""
 
-    #: Findings not absorbed by the baseline — these fail the run.
-    new_findings: List[Finding] = field(default_factory=list)
-    #: Findings matched (and absorbed) by baseline entries.
-    baselined_findings: List[Finding] = field(default_factory=list)
-    #: Count of findings silenced by inline ``# reprolint: disable=...``.
-    suppressed: int = 0
+    #: Every finding of the run, canonically sorted; each fails the run.
+    findings: List[Finding] = field(default_factory=list)
     #: Number of files parsed and analyzed.
     checked_files: int = 0
     #: Number of modules indexed into the project model (0 when no
@@ -73,13 +66,8 @@ class LintResult:
 
     @property
     def exit_code(self) -> int:
-        """``0`` when no new findings survived, ``1`` otherwise."""
-        return 1 if self.new_findings else 0
-
-    @property
-    def all_findings(self) -> List[Finding]:
-        """New and baselined findings together, canonically sorted."""
-        return sort_findings(self.new_findings + self.baselined_findings)
+        """``0`` for a run without findings, ``1`` otherwise."""
+        return 1 if self.findings else 0
 
 
 def iter_python_files(paths: Sequence[str], root: str) -> Iterator[str]:
@@ -121,8 +109,7 @@ def parse_file(path: str, root: str) -> Tuple[Optional[FileContext], Optional[Fi
     """Parse one file into a :class:`FileContext`.
 
     Returns ``(context, None)`` on success and ``(None, rpl000)`` when
-    the file does not parse — an unsuppressable finding, since an
-    unparseable file cannot carry trustworthy suppression comments.
+    the file does not parse.
     """
     relpath = _relpath(path, root)
     with open(path, "r", encoding="utf-8") as handle:
@@ -140,33 +127,10 @@ def parse_file(path: str, root: str) -> Tuple[Optional[FileContext], Optional[Fi
     return FileContext(relpath, source, tree), None
 
 
-def analyze_file(path: str, root: str, rules: Sequence[Rule]) -> tuple:
-    """Run per-file rules over one file; returns ``(findings, suppressed)``.
-
-    Project rules in ``rules`` are skipped (their :meth:`Rule.check` is
-    an empty iterator) — they need the whole-project pass of
-    :func:`run_lint`.  A file that fails to parse yields a single
-    unsuppressable ``RPL000`` finding carrying the syntax error message.
-    """
-    ctx, parse_error = parse_file(path, root)
-    if parse_error is not None:
-        return [parse_error], 0
-    assert ctx is not None
-    kept: List[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        for finding in rule.check(ctx):
-            if ctx.is_suppressed(finding):
-                suppressed += 1
-            else:
-                kept.append(finding)
-    return kept, suppressed
-
-
 def build_project(
     paths: Sequence[str], *, root: Optional[str] = None
 ) -> ProjectContext:
-    """Parse ``paths`` and build the project model (for ``--graph-dot``).
+    """Parse ``paths`` and build the project model without running rules.
 
     Unparseable files are silently skipped here; :func:`run_lint` is
     where parse failures are reported.
@@ -185,7 +149,6 @@ def run_lint(
     *,
     root: Optional[str] = None,
     rules: Iterable[str] = (),
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Analyze ``paths`` and return a deterministic :class:`LintResult`.
 
@@ -199,9 +162,6 @@ def run_lint(
         the current working directory).
     rules:
         Optional subset of rule codes to run (default: all registered).
-    baseline:
-        Optional :class:`Baseline` absorbing known findings; with
-        ``None`` every finding is new.
     """
     resolved_root = os.path.abspath(root or os.getcwd())
     selected = all_rules(rules)
@@ -209,10 +169,8 @@ def run_lint(
     project_rules = [rule for rule in selected if isinstance(rule, ProjectRule)]
 
     findings: List[Finding] = []
-    suppressed = 0
     checked = 0
     contexts: List[FileContext] = []
-    by_path: Dict[str, FileContext] = {}
     for path in iter_python_files(paths, resolved_root):
         checked += 1
         ctx, parse_error = parse_file(path, resolved_root)
@@ -221,31 +179,18 @@ def run_lint(
             continue
         assert ctx is not None
         contexts.append(ctx)
-        by_path[ctx.relpath] = ctx
         for rule in file_rules:
-            for finding in rule.check(ctx):
-                if ctx.is_suppressed(finding):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
+            findings.extend(rule.check(ctx))
 
     modules = 0
     if project_rules:
         project = ProjectContext.build(contexts)
         modules = len(project.modules)
         for rule in project_rules:
-            for finding in rule.check_project(project):
-                owner = by_path.get(finding.path)
-                if owner is not None and owner.is_suppressed(finding):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
+            findings.extend(rule.check_project(project))
 
-    new, accepted = (baseline or Baseline()).split(findings)
     return LintResult(
-        new_findings=new,
-        baselined_findings=accepted,
-        suppressed=suppressed,
+        findings=sort_findings(findings),
         checked_files=checked,
         modules=modules,
         rules=[rule.code for rule in selected],

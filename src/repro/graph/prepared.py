@@ -588,21 +588,6 @@ class PreparedGraph:
                 pass
             raise
 
-    # ------------------------------------------------------------------
-    # pickling — the handoff *baseline*.  Ships the graph plus the CSR
-    # and N_<=2 arrays; memoised orders/views/residuals are derived data
-    # and rebuild lazily.
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        return (self.graph, self.csr, self._fingerprint, self._le2)
-
-    def __setstate__(self, state) -> None:
-        graph, csr, fingerprint, le2 = state
-        self.__init__(graph, csr)
-        self._fingerprint = fingerprint
-        if le2 is not None:
-            self._le2 = le2
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PreparedGraph({self.csr!r})"
 

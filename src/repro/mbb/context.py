@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
-from repro.graph.bipartite import BipartiteGraph, Vertex
+from repro.graph.bipartite import Vertex
 from repro.mbb.result import Biclique, SearchStats
 
 
@@ -254,7 +254,3 @@ class SearchContext:
     def record_leaf(self, depth: int) -> None:
         """Record that the node at ``depth`` was a leaf of the search tree."""
         self.stats.record_leaf(depth)
-
-    def verify_incumbent(self, graph: BipartiteGraph) -> bool:
-        """Check the incumbent against the graph (used by tests/examples)."""
-        return self.best.is_valid_in(graph) and self.best.is_balanced

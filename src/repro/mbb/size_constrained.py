@@ -41,7 +41,7 @@ from ``dense_mbb``'s bitset kernel.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro._util import ensure_recursion_limit, recursion_headroom_for
 from repro.exceptions import InvalidParameterError
@@ -181,71 +181,27 @@ def _seed_bound(context: SearchContext, side: int) -> None:
         )
 
 
-class _ParentCancelled:
-    """Hook polling a parent context's cooperative-cancellation state.
-
-    A module-level callable object (not a closure) so a child context
-    carrying it stays picklable, as everything that may cross into a
-    pool worker must (reprolint RPL004).
-    """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, parent: SearchContext) -> None:
-        self.parent = parent
-
-    def __call__(self) -> bool:
-        parent = self.parent
-        return parent.cancelled or (
-            parent.cancel_hook is not None and parent.cancel_hook()
-        )
-
-
-class _AnyHook:
-    """Hook firing when any of its member hooks fires (picklable compose)."""
-
-    __slots__ = ("hooks",)
-
-    def __init__(self, *hooks: Optional[Callable[[], bool]]) -> None:
-        self.hooks = tuple(hook for hook in hooks if hook is not None)
-
-    def __call__(self) -> bool:
-        return any(hook() for hook in self.hooks)
-
-
-class _TargetSideReached:
-    """Hook stopping a decision search at its first ``(a, b)`` witness."""
-
-    __slots__ = ("context", "target")
-
-    def __init__(self, context: SearchContext, target: int) -> None:
-        self.context = context
-        self.target = target
-
-    def __call__(self) -> bool:
-        return self.context.best_side >= self.target
-
-
-def _parent_cancelled(parent: Optional[SearchContext]):
-    """Predicate polling a parent context's cooperative-cancellation state."""
-    if parent is None:
-        return None
-    return _ParentCancelled(parent)
-
-
 def _inherit_cancellation(
     child: SearchContext, parent: Optional[SearchContext]
 ) -> None:
-    """Forward a parent's deadline and cancellation into a child context."""
+    """Forward a parent's deadline and cancellation into a child context.
+
+    The child's hook polls its own hook (if it had one) first, then the
+    parent's cancellation flag, then the parent's own hook.
+    """
     if parent is None:
         return
     child.deadline = parent.deadline
-    hook = _parent_cancelled(parent)
     own = child.cancel_hook
-    if own is None:
-        child.cancel_hook = hook
-    else:
-        child.cancel_hook = _AnyHook(own, hook)
+
+    def cancelled() -> bool:
+        return bool(
+            (own is not None and own())
+            or parent.cancelled
+            or (parent.cancel_hook is not None and parent.cancel_hook())
+        )
+
+    child.cancel_hook = cancelled
 
 
 def _decide_sets(
@@ -287,7 +243,7 @@ def _decide_bits(
     context = SearchContext(node_budget=node_budget, time_budget=time_budget)
     _seed_bound(context, target - 1)
     # Stop at the first witness: the hook is polled at every node entry.
-    context.cancel_hook = _TargetSideReached(context, target)
+    context.cancel_hook = lambda: context.best_side >= target
     _inherit_cancellation(context, parent)
     dense_mbb_on_bitgraph(
         bitgraph,
@@ -298,9 +254,9 @@ def _decide_bits(
         bitgraph.all_right_mask,
     )
     if context.best_side < target:
-        # ``aborted`` distinguishes an exhausted budget from a proven "no".
-        # A cancellation can only have been triggered by reaching the
-        # target, so any abort seen here came from a budget.
+        # ``aborted`` distinguishes a proven "no" from a search stopped
+        # early: reaching the target is not what stopped it, so a budget
+        # or the parent's cancellation did.
         return None, context.aborted, context.stats
     best = context.best
     if a >= b:

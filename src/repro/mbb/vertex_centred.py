@@ -113,16 +113,6 @@ class VertexCentredSubgraph:
         )
 
     @property
-    def center_side(self) -> str:
-        """Which side (:data:`LEFT` / :data:`RIGHT`) the centre lies on."""
-        return self.center[0]
-
-    @property
-    def center_label(self) -> Vertex:
-        """The centre's vertex label."""
-        return self.center[1]
-
-    @property
     def num_left(self) -> int:
         """Number of left-side member vertices (a count, nothing built)."""
         if self.center[0] == LEFT:

@@ -385,7 +385,7 @@ class TestFileErrors:
             ["generate", "{missing}", "--left", "3", "--right", "3", "--density", "0.5"],
             ["sweep", "--datasets", "unicodelang", "--backends", "mvb", "--output", "{missing}"],
             ["batch", "{requests}", "--serial", "--output", "{missing}"],
-            ["lint", "--root", "{directory}", "--graph-dot", "{missing}", "{module}"],
+            ["lint", "--root", "{directory}", "{missing}"],
         ],
         ids=[
             "solve-missing",
@@ -394,7 +394,7 @@ class TestFileErrors:
             "generate",
             "sweep",
             "batch",
-            "lint-graph-dot",
+            "lint-missing-path",
         ],
     )
     def test_os_error_prints_error_and_exits_2(self, argv, tmp_path, capsys):
@@ -403,13 +403,10 @@ class TestFileErrors:
             json.dumps([{"graph": {"kind": "edges", "edges": [[0, 0]]}, "backend": "dense"}]),
             encoding="utf-8",
         )
-        module = tmp_path / "module.py"
-        module.write_text("import os\n", encoding="utf-8")
         paths = {
             "missing": str(tmp_path / "absent" / "x.out"),
             "directory": str(tmp_path),
             "requests": str(requests),
-            "module": str(module),
         }
         exit_code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err

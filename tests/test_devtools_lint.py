@@ -1,14 +1,15 @@
 """Tests for :mod:`repro.devtools.lint` — the reprolint invariant analyzer.
 
-Covers the rule framework (registry, suppressions, baseline round-trips,
-deterministic ordering), one firing fixture per shipped rule (RPL001 to
-RPL004 plus the RPL000 parse-failure path), the CLI command, and the
-meta-test asserting the repository itself is clean of non-baselined
-findings — the contract the CI ``invariants`` job enforces.
+Covers the rule framework (registry, deterministic ordering), one firing
+fixture per shipped rule (RPL001 to RPL004 plus the RPL000
+parse-failure path), the reports, the CLI command, and the meta-test
+asserting the repository itself has no findings — the contract the CI
+``invariants`` job enforces.
 """
 
+import ast
+import dataclasses
 import json
-import pickle
 import textwrap
 from pathlib import Path
 
@@ -16,9 +17,6 @@ import pytest
 
 from repro.cli import main
 from repro.devtools.lint import (
-    Baseline,
-    BaselineError,
-    Finding,
     PARSE_ERROR_CODE,
     all_rules,
     render_json,
@@ -26,21 +24,22 @@ from repro.devtools.lint import (
     rule_table,
     run_lint,
 )
+from repro.devtools.lint.rules.pool_safety import worker_call
 from repro.mbb.context import SearchAborted, SearchContext
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def lint_fixture(tmp_path, relpath, source, rules=(), baseline=None):
+def lint_fixture(tmp_path, relpath, source, rules=()):
     """Write ``source`` at ``relpath`` under a scratch root and lint it."""
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return run_lint([relpath], root=str(tmp_path), rules=rules, baseline=baseline)
+    return run_lint([relpath], root=str(tmp_path), rules=rules)
 
 
 def codes(result):
-    return [finding.code for finding in result.new_findings]
+    return [finding.code for finding in result.findings]
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +92,7 @@ class TestFramework:
     def test_parse_failure_reports_rpl000(self, tmp_path):
         result = lint_fixture(tmp_path, "src/repro/broken.py", "def oops(:\n")
         assert codes(result) == [PARSE_ERROR_CODE]
-        assert "does not parse" in result.new_findings[0].message
+        assert "does not parse" in result.findings[0].message
 
     def test_findings_are_deterministically_ordered(self, tmp_path):
         source = """
@@ -107,10 +106,10 @@ class TestFramework:
         """
         first = lint_fixture(tmp_path, "src/repro/clocks.py", source)
         second = lint_fixture(tmp_path, "src/repro/clocks.py", source)
-        assert [f.location for f in first.new_findings] == [
-            f.location for f in second.new_findings
+        assert [f.location for f in first.findings] == [
+            f.location for f in second.findings
         ]
-        lines = [f.line for f in first.new_findings]
+        lines = [f.line for f in first.findings]
         assert lines == sorted(lines)
 
     def test_missing_lint_path_raises(self, tmp_path):
@@ -139,7 +138,7 @@ class TestBudgetCheckpointRule:
             tmp_path, "src/repro/mbb/fixture.py", self.FIXTURE, rules=["RPL001"]
         )
         assert codes(result) == ["RPL001", "RPL001"]
-        messages = [f.message for f in result.new_findings]
+        messages = [f.message for f in result.findings]
         assert any("deadline" in message for message in messages)
         assert any("node_budget" in message for message in messages)
 
@@ -183,7 +182,7 @@ class TestDeterminismRule:
             tmp_path, "src/repro/workloads/fixture.py", source, rules=["RPL002"]
         )
         assert codes(result) == ["RPL002"]
-        assert "wall-clock" in result.new_findings[0].message
+        assert "wall-clock" in result.findings[0].message
 
     def test_wall_clock_from_import_alias_fires(self, tmp_path):
         source = """
@@ -227,7 +226,7 @@ class TestDeterminismRule:
             tmp_path, "src/repro/workloads/fixture.py", source, rules=["RPL002"]
         )
         assert codes(result) == ["RPL002"]
-        assert "random.Random(seed)" in result.new_findings[0].message
+        assert "random.Random(seed)" in result.findings[0].message
 
     def test_seeded_random_instance_passes(self, tmp_path):
         source = """
@@ -253,7 +252,7 @@ class TestDeterminismRule:
             tmp_path, "src/repro/cores/fixture.py", source, rules=["RPL002"]
         )
         assert codes(result) == ["RPL002"]
-        assert "ordering-sensitive" in result.new_findings[0].message
+        assert "ordering-sensitive" in result.findings[0].message
 
     def test_list_comprehension_over_set_algebra_fires(self, tmp_path):
         source = """
@@ -322,7 +321,7 @@ class TestKernelParityRule:
             tmp_path, "src/repro/mbb/fixture.py", source, rules=["RPL003"]
         )
         assert codes(result) == ["RPL003"]
-        assert "sets" in result.new_findings[0].message
+        assert "sets" in result.findings[0].message
 
     def test_bits_dispatch_with_sets_counterpart_passes(self, tmp_path):
         source = """
@@ -364,7 +363,7 @@ class TestKernelParityRule:
             tmp_path, "src/repro/api/fixture.py", source, rules=["RPL003"]
         )
         assert codes(result) == ["RPL003"]
-        assert "BackendInfo.kernels" in result.new_findings[0].message
+        assert "BackendInfo.kernels" in result.findings[0].message
 
     def test_bits_only_metadata_through_alias_fires(self, tmp_path):
         source = """
@@ -409,57 +408,8 @@ class TestKernelParityRule:
 # RPL004 — pool safety
 # ----------------------------------------------------------------------
 class TestPoolSafetyRule:
-    def test_submit_lambda_fires(self, tmp_path):
-        source = """
-        def fan_out(pool, graphs):
-            return [pool.submit(lambda: solve(graph)) for graph in graphs]
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == ["RPL004"]
-        assert "module-level" in result.new_findings[0].message
-
-    def test_submit_locally_defined_callable_fires(self, tmp_path):
-        source = """
-        def fan_out(pool, graph):
-            def work():
-                return solve(graph)
-
-            return pool.submit(work)
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == ["RPL004"]
-
-    def test_submit_lambda_payload_fires(self, tmp_path):
-        source = """
-        def fan_out(pool, graph):
-            return pool.submit(solve, lambda: graph)
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == ["RPL004"]
-        assert "payload" in result.new_findings[0].message
-
-    def test_submit_module_level_callable_passes(self, tmp_path):
-        source = """
-        def solve_json(payload):
-            return payload
-
-        def fan_out(pool, requests):
-            return [pool.submit(solve_json, request.to_json()) for request in requests]
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == []
-
     def test_process_closure_target_fires(self, tmp_path):
-        # A Process target ships to a worker like a submitted callable:
-        # the module-level lane target passes, the closure does not.
+        # The module-level lane target passes, the closure does not.
         source = """
         import multiprocessing
 
@@ -477,7 +427,7 @@ class TestPoolSafetyRule:
             tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
         )
         assert codes(result) == ["RPL004"]
-        (finding,) = result.new_findings
+        (finding,) = result.findings
         assert "Process(target=...)" in finding.message
         assert "module-level" in finding.message
         assert finding.line == 12
@@ -496,9 +446,72 @@ class TestPoolSafetyRule:
             tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
         )
         assert codes(result) == ["RPL004"]
-        assert "payload" in result.new_findings[0].message
+        assert "payload" in result.findings[0].message
 
-    def test_cancel_hook_lambda_in_library_fires(self, tmp_path):
+    def test_process_lambda_target_fires(self, tmp_path):
+        source = """
+        import multiprocessing
+
+        def serve(conn):
+            return conn.recv()
+
+        def start(conn):
+            return multiprocessing.Process(target=lambda: serve(conn))
+        """
+        result = lint_fixture(
+            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
+        )
+        assert codes(result) == ["RPL004"]
+        assert "given a lambda" in result.findings[0].message
+
+    def test_module_level_target_through_a_context_passes(self, tmp_path):
+        # Any callee named Process counts, a start-method context's too;
+        # a module-level target with JSON payloads is the safe form.
+        source = """
+        import multiprocessing
+
+        def serve(conn, payload):
+            return conn.send(payload)
+
+        def start(conn, request):
+            context = multiprocessing.get_context("spawn")
+            return context.Process(target=serve, args=(conn, request.to_json()))
+        """
+        result = lint_fixture(
+            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
+        )
+        assert codes(result) == []
+
+    def test_module_scope_process_call_is_checked(self, tmp_path):
+        source = """
+        from multiprocessing import Process
+
+        WORKER = Process(target=lambda: None)
+        """
+        result = lint_fixture(
+            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
+        )
+        assert codes(result) == ["RPL004"]
+        assert result.findings[0].line == 4
+
+    def test_only_process_calls_ship_work(self, tmp_path):
+        # Lanes are the only worker processes: an executor's submit or
+        # map runs in whatever process calls it, so it is not checked.
+        source = """
+        def fan_out(pool, graphs):
+            futures = [pool.submit(lambda: solve(graph)) for graph in graphs]
+            return futures, pool.map(lambda graph: solve(graph), graphs)
+        """
+        result = lint_fixture(
+            tmp_path, "src/repro/api/fixture.py", source, rules=["RPL004"]
+        )
+        assert codes(result) == []
+        call = ast.parse("pool.submit(solve, graph)").body[0].value
+        assert worker_call(call) is None
+
+    def test_cancel_hook_lambda_in_library_passes(self, tmp_path):
+        # Contexts are built inside the worker and never pickled, so a
+        # closure hook is legal library code (size_constrained uses one).
         source = """
         def run(context, target):
             context.cancel_hook = lambda: context.best_side >= target
@@ -506,151 +519,38 @@ class TestPoolSafetyRule:
         result = lint_fixture(
             tmp_path, "src/repro/mbb/fixture.py", source, rules=["RPL004"]
         )
-        assert codes(result) == ["RPL004"]
-        assert "unpicklable" in result.new_findings[0].message
-
-    def test_cancel_hook_keyword_lambda_fires(self, tmp_path):
-        source = """
-        def run(target):
-            return make_context(cancel_hook=lambda: target())
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/mbb/fixture.py", source, rules=["RPL004"]
-        )
-        assert codes(result) == ["RPL004"]
-
-    def test_cancel_hook_lambda_in_tests_passes(self, tmp_path):
-        source = """
-        def test_cancel(context):
-            context.cancel_hook = lambda: True
-        """
-        result = lint_fixture(tmp_path, "tests/fixture.py", source, rules=["RPL004"])
-        assert codes(result) == []
-
-    def test_cancel_hook_callable_object_passes(self, tmp_path):
-        source = """
-        class TargetReached:
-            def __init__(self, context, target):
-                self.context = context
-                self.target = target
-
-            def __call__(self):
-                return self.context.best_side >= self.target
-
-        def run(context, target):
-            context.cancel_hook = TargetReached(context, target)
-        """
-        result = lint_fixture(
-            tmp_path, "src/repro/mbb/fixture.py", source, rules=["RPL004"]
-        )
         assert codes(result) == []
 
 
 # ----------------------------------------------------------------------
-# suppressions
+# every finding fails the run
 # ----------------------------------------------------------------------
-class TestSuppressions:
-    SOURCE = """
-    import time
-
-    def stamp():
-        return time.perf_counter(){comment}
-    """
-
-    def test_disable_comment_suppresses_on_its_line(self, tmp_path):
-        result = lint_fixture(
-            tmp_path,
-            "src/repro/workloads/fixture.py",
-            self.SOURCE.format(comment="  # reprolint: disable=RPL002"),
+class TestEveryFindingFails:
+    @pytest.mark.parametrize(
+        "comment", ["# reprolint: disable=RPL002", "# reprolint: disable=all"]
+    )
+    def test_a_disable_comment_does_not_hide_a_finding(self, tmp_path, comment):
+        source = (
+            "import time\n"
+            "\n"
+            "def stamp():\n"
+            f"    return time.perf_counter()  {comment}\n"
         )
-        assert codes(result) == []
-        assert result.suppressed == 1
-
-    def test_disable_all_suppresses_every_code(self, tmp_path):
-        result = lint_fixture(
-            tmp_path,
-            "src/repro/workloads/fixture.py",
-            self.SOURCE.format(comment="  # reprolint: disable=all"),
-        )
-        assert codes(result) == []
-        assert result.suppressed == 1
-
-    def test_mismatched_code_does_not_suppress(self, tmp_path):
-        result = lint_fixture(
-            tmp_path,
-            "src/repro/workloads/fixture.py",
-            self.SOURCE.format(comment="  # reprolint: disable=RPL001"),
-        )
-        assert codes(result) == ["RPL002"]
-        assert result.suppressed == 0
-
-    def test_suppression_is_per_line(self, tmp_path):
-        source = """
-        import time
-
-        def stamp():
-            a = time.perf_counter()  # reprolint: disable=RPL002
-            return a + time.perf_counter()
-        """
         result = lint_fixture(tmp_path, "src/repro/workloads/fixture.py", source)
         assert codes(result) == ["RPL002"]
-        assert result.suppressed == 1
+        assert result.findings[0].line == 4
+        assert result.exit_code == 1
 
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def finding(self, message="m", line=1):
-        return Finding(
-            path="src/x.py", line=line, column=1, code="RPL002", message=message
-        )
-
-    def test_split_absorbs_baselined_counts_only(self):
-        baseline = Baseline.from_findings([self.finding()])
-        new, accepted = baseline.split([self.finding(line=3), self.finding(line=9)])
-        assert len(accepted) == 1 and len(new) == 1
-        # The earlier occurrence is absorbed; the extra one is new.
-        assert accepted[0].line == 3 and new[0].line == 9
-
-    def test_round_trip_through_file(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        baseline = Baseline.from_findings([self.finding(), self.finding(line=5)])
-        baseline.save(str(path))
-        assert Baseline.load(str(path)) == baseline
-        # The document itself is valid, versioned JSON.
-        document = json.loads(path.read_text())
-        assert document["version"] == 1
-        assert document["entries"][0]["count"] == 2
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert len(Baseline.load(str(tmp_path / "absent.json"))) == 0
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("[]")
-        with pytest.raises(BaselineError):
-            Baseline.load(str(path))
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(BaselineError):
-            Baseline.load(str(path))
-
-    def test_run_lint_with_baseline_reports_zero_new(self, tmp_path):
-        source = """
-        import time
-
-        def stamp():
-            return time.perf_counter()
-        """
-        dirty = lint_fixture(tmp_path, "src/repro/workloads/fixture.py", source)
-        assert len(dirty.new_findings) == 1
-        baseline = Baseline.from_findings(dirty.new_findings)
-        clean = lint_fixture(
-            tmp_path, "src/repro/workloads/fixture.py", source, baseline=baseline
-        )
-        assert clean.new_findings == []
-        assert len(clean.baselined_findings) == 1
-        assert clean.exit_code == 0
+    def test_result_holds_the_findings_and_the_run_counts_only(self, tmp_path):
+        result = lint_fixture(tmp_path, "src/repro/workloads/fixture.py", "X = 1\n")
+        assert [field.name for field in dataclasses.fields(result)] == [
+            "findings",
+            "checked_files",
+            "modules",
+            "rules",
+        ]
+        assert result.findings == [] and result.exit_code == 0
+        assert result.checked_files == 1
 
 
 # ----------------------------------------------------------------------
@@ -667,7 +567,7 @@ class TestReports:
         result = lint_fixture(tmp_path, "src/repro/workloads/fixture.py", source)
         text = render_text(result)
         assert "src/repro/workloads/fixture.py:5:12: RPL002" in text
-        assert "1 new finding" in text
+        assert "reprolint: 1 finding across" in text
 
     def test_json_report_schema(self, tmp_path):
         source = """
@@ -678,10 +578,38 @@ class TestReports:
         """
         result = lint_fixture(tmp_path, "src/repro/workloads/fixture.py", source)
         document = json.loads(render_json(result))
-        assert document["schema_version"] == 1
+        assert document["schema_version"] == 2
         assert document["exit_code"] == 1
-        assert document["new_findings"][0]["code"] == "RPL002"
-        assert document["new_findings"][0]["path"] == "src/repro/workloads/fixture.py"
+        assert document["findings"][0]["code"] == "RPL002"
+        assert document["findings"][0]["path"] == "src/repro/workloads/fixture.py"
+
+    def test_json_report_of_a_clean_run(self, tmp_path):
+        result = lint_fixture(tmp_path, "src/repro/workloads/fixture.py", "X = 1\n")
+        document = json.loads(render_json(result))
+        assert sorted(document) == [
+            "checked_files",
+            "exit_code",
+            "findings",
+            "modules",
+            "rules",
+            "schema_version",
+            "tool",
+        ]
+        assert document["findings"] == [] and document["exit_code"] == 0
+        assert document["rules"] == result.rules
+
+    def test_text_summary_counts_every_finding(self, tmp_path):
+        source = """
+        import time
+
+        def stamp():
+            return time.perf_counter() - time.monotonic()
+        """
+        result = lint_fixture(tmp_path, "src/repro/workloads/fixture.py", source)
+        lines = render_text(result).splitlines()
+        assert len(lines) == 3
+        assert all(": RPL002 " in line for line in lines[:2])
+        assert lines[2].startswith("reprolint: 2 findings across 1 files")
 
 
 # ----------------------------------------------------------------------
@@ -714,16 +642,6 @@ class TestLintCli:
         document = json.loads(capsys.readouterr().out)
         assert document["exit_code"] == 1
 
-    def test_write_baseline_then_clean_run(self, tmp_path, capsys):
-        self.write_project(tmp_path)
-        assert main(["lint", "--root", str(tmp_path), "--write-baseline"]) == 0
-        assert (tmp_path / "reprolint-baseline.json").exists()
-        capsys.readouterr()
-        assert main(["lint", "--root", str(tmp_path)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # --no-baseline surfaces the findings again.
-        assert main(["lint", "--root", str(tmp_path), "--no-baseline"]) == 1
-
     def test_rules_subset(self, tmp_path):
         self.write_project(tmp_path)
         assert main(["lint", "--root", str(tmp_path), "--rules", "RPL001"]) == 0
@@ -739,28 +657,30 @@ class TestLintCli:
         assert main(["lint", "--root", str(tmp_path), "--rules", "RPL999"]) == 2
         assert "RPL999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--baseline", "ledger.json"],
+            ["--no-baseline"],
+            ["--write-baseline"],
+            ["--graph-dot", "-"],
+        ],
+        ids=["baseline", "no-baseline", "write-baseline", "graph-dot"],
+    )
+    def test_removed_option_is_usage_error(self, option, tmp_path, capsys):
+        # No ledger excuses a finding, and no import graph is drawn.
+        self.write_project(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--root", str(tmp_path), *option])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["src"]
+
 
 # ----------------------------------------------------------------------
 # the satellite fixes the rules now pin
 # ----------------------------------------------------------------------
 class TestSatelliteFixes:
-    def test_search_context_with_hooks_pickles(self):
-        from repro.mbb.size_constrained import (
-            _AnyHook,
-            _ParentCancelled,
-            _TargetSideReached,
-        )
-
-        parent = SearchContext()
-        child = SearchContext()
-        child.cancel_hook = _AnyHook(
-            _TargetSideReached(child, 3), _ParentCancelled(parent)
-        )
-        clone = pickle.loads(pickle.dumps(child))
-        assert clone.cancel_hook() is False
-        parent.cancelled = True
-        assert child.cancel_hook() is True
-
     def test_checkpoint_enforces_node_budget_on_request(self):
         context = SearchContext(node_budget=2)
         context.stats.record_node(0)
@@ -793,19 +713,12 @@ class TestSatelliteFixes:
 # the meta-test: the repository itself stays clean
 # ----------------------------------------------------------------------
 class TestRepositoryIsClean:
-    def test_repo_has_zero_non_baselined_findings(self):
-        baseline = Baseline.load(str(REPO_ROOT / "reprolint-baseline.json"))
+    def test_repo_has_zero_findings(self):
         paths = [
             path
             for path in ("src", "tests", "benchmarks", "examples")
             if (REPO_ROOT / path).exists()
         ]
-        result = run_lint(paths, root=str(REPO_ROOT), baseline=baseline)
-        assert result.new_findings == [], render_text(result)
+        result = run_lint(paths, root=str(REPO_ROOT))
+        assert result.findings == [], render_text(result)
         assert result.checked_files > 100
-
-    def test_checked_in_baseline_is_empty(self):
-        # The goal state: every invariant violation fixed at the source,
-        # nothing grandfathered.  A future staged cleanup may relax this.
-        baseline = Baseline.load(str(REPO_ROOT / "reprolint-baseline.json"))
-        assert len(baseline) == 0

@@ -194,6 +194,79 @@ class TestHitCounters:
         assert slept == [MAX_HANG_SECONDS]
 
 
+class TestHandoff:
+    """What a lane hands its new worker, and what the worker makes of it."""
+
+    def test_handoff_carries_the_armed_specs_and_the_env_text(self, monkeypatch):
+        env_plan = FaultPlan.of(FaultSpec(point="q", match="g2"))
+        monkeypatch.setenv(faults.ENV_VAR, env_plan.to_env())
+        spec = FaultSpec(point="p", match="g1")
+        faults.arm(spec)
+        assert faults.handoff() == ((spec,), env_plan.to_env())
+
+    def test_a_process_without_faults_hands_off_nothing(self, monkeypatch):
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        assert faults.handoff() == ((), "")
+
+    def test_adopt_replaces_the_armed_specs(self, monkeypatch):
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        faults.arm(FaultSpec(point="own"))
+        handed = FaultSpec(point="handed")
+        faults.adopt(((handed,), ""))
+        assert faults.armed() == (handed,)
+        faults.hit("own")
+        with pytest.raises(InjectedFault):
+            faults.hit("handed")
+
+    def test_adopt_counts_hits_afresh(self, monkeypatch):
+        # A window this process has used up fires again in the worker.
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        faults.arm(FaultSpec(point="p", times=1))
+        with pytest.raises(InjectedFault):
+            faults.hit("p")
+        faults.hit("p")
+        faults.adopt(faults.handoff())
+        with pytest.raises(InjectedFault):
+            faults.hit("p")
+
+    def test_adopt_sets_the_handed_env_text(self, monkeypatch):
+        # A fork server's worker starts with the server's environment,
+        # which may predate the variable.
+        monkeypatch.setenv(faults.ENV_VAR, "")
+        plan = FaultPlan.of(FaultSpec(point="p", match="g1"))
+        faults.adopt(((), plan.to_env()))
+        assert os.environ[faults.ENV_VAR] == plan.to_env()
+        with pytest.raises(InjectedFault):
+            faults.hit("p", key="g1")
+
+    def test_adopt_drops_an_env_text_the_parent_does_not_have(self, monkeypatch):
+        # A worker forked from a server started while the variable was
+        # set must not fire what the batch parent has since unset.
+        monkeypatch.setenv(faults.ENV_VAR, FaultPlan.of(FaultSpec(point="p")).to_env())
+        faults.adopt(((), ""))
+        assert faults.ENV_VAR not in os.environ
+        faults.hit("p")
+
+    def test_a_malformed_env_text_fails_at_the_injection_point(self, monkeypatch):
+        # Adopting does not parse the text, so the worker starts and each
+        # request meets the error where the batch parent would.
+        monkeypatch.setenv(faults.ENV_VAR, "")
+        faults.adopt(((), "point=p,when=now"))
+        with pytest.raises(InvalidParameterError):
+            faults.hit("p")
+
+    def test_a_match_the_env_form_cannot_carry_survives_the_handoff(self, monkeypatch):
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        spec = FaultSpec(point="p", match="cell;a,b")
+        with pytest.raises(InvalidParameterError):
+            FaultPlan.from_env(FaultPlan.of(spec).to_env())
+        faults.arm(spec)
+        faults.adopt(faults.handoff())
+        assert faults.armed() == (spec,)
+        with pytest.raises(InjectedFault):
+            faults.hit("p", key="sweep:cell;a,b")
+
+
 class TestWorkerFaults:
     def test_injected_raise_isolates_one_request(self, monkeypatch):
         plan = FaultPlan.of(
@@ -671,6 +744,79 @@ class TestParentDeath:
             parent.wait(timeout=10)
             assert _alive_after([first], 2.0) == []
             assert not _exited(second), "the hang ended before the check, so it shows nothing"
+
+
+#: A batch parent under the start method named by its first argument, given
+#: a fault plan as its second.  Its first batch runs with no plan (under
+#: ``forkserver`` it starts the fork server); the second runs with
+#: REPRO_FAULTS set only afterwards, the third with the plan armed
+#: in-process instead.  It prints ``tag status error-kind`` per report of
+#: the last two batches.
+_START_METHOD_PARENT = """
+import multiprocessing
+import os
+import sys
+
+from repro.api import GraphSpec, MBBEngine, SolveRequest
+from repro.devtools import faults
+
+multiprocessing.set_start_method(sys.argv[1])
+requests = [
+    SolveRequest(graph=GraphSpec.random(7, 7, 0.5, seed=seed), backend="dense", tag=f"g{seed}")
+    for seed in range(2)
+]
+MBBEngine(max_workers=2).solve_many(requests)
+os.environ[faults.ENV_VAR] = sys.argv[2]
+batches = [MBBEngine(max_workers=2).solve_many(requests)]
+del os.environ[faults.ENV_VAR]
+with faults.FaultPlan.from_env(sys.argv[2]):
+    batches.append(MBBEngine(max_workers=2).solve_many(requests))
+for reports in batches:
+    for report in reports:
+        print(report.request.tag, report.status, report.error and report.error.kind)
+"""
+
+
+def _run_start_method_parent(method):
+    """Run :data:`_START_METHOD_PARENT` under ``method`` with a plan that
+    fails the request tagged ``g1`` in a worker; return its report lines."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"the {method} start method is unavailable")
+    plan = FaultPlan.of(
+        FaultSpec(point="worker.solve", action=ACTION_RAISE, match="g1", scope=SCOPE_WORKER)
+    )
+    env = {key: value for key, value in os.environ.items() if key != faults.ENV_VAR}
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    parent = subprocess.run(
+        [sys.executable, "-c", _START_METHOD_PARENT, method, plan.to_env()],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert parent.returncode == 0, parent.stderr
+    return parent.stdout.splitlines()
+
+
+class TestStartMethods:
+    OK, FAILED = "g0 ok None", f"g1 error {ERROR_KIND_INJECTED_FAULT}"
+
+    def test_a_plan_set_after_the_fork_server_started_reaches_its_workers(self):
+        # A forkserver worker forks from the server, not from the batch
+        # parent, so it inherits neither the parent's armed specs nor an
+        # environment variable set after the server started.  The lane
+        # hands the plan over instead, and the tagged request must fail.
+        lines = _run_start_method_parent("forkserver")
+        assert lines == [self.OK, self.FAILED, self.OK, self.FAILED]
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_an_env_or_armed_plan_reaches_the_workers(self, method):
+        # A spawned worker starts a fresh interpreter, so it has none of
+        # the parent's armed specs unless the lane hands them over; a
+        # forked worker's copy of them and of the environment must not
+        # fire twice or go stale either.
+        lines = _run_start_method_parent(method)
+        assert lines == [self.OK, self.FAILED, self.OK, self.FAILED]
 
 
 class TestChooseRequest:

@@ -3,9 +3,9 @@
 Covers the project model itself (module naming, import-graph/alias
 resolution, re-export chasing, cycle detection, call-graph construction
 and reachability) through fixture mini-packages, one seeded-violation
-fixture suite per project rule (RPL005–RPL008), the new CLI surface
-(``--explain``, ``--graph-dot``), and the determinism meta-test (two
-consecutive runs over the repository render byte-identical JSON).
+fixture suite per project rule (RPL005–RPL009), the ``--explain`` CLI
+surface, and the determinism meta-test (two consecutive runs over the
+repository render byte-identical JSON).
 """
 
 import textwrap
@@ -13,7 +13,6 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.devtools.lint import (
-    Baseline,
     ProjectContext,
     build_project,
     module_name_for,
@@ -46,7 +45,7 @@ def lint_fixture(tmp_path, files, rules=()):
 
 
 def codes(result):
-    return [finding.code for finding in result.new_findings]
+    return [finding.code for finding in result.findings]
 
 
 #: A minimal stand-in for the real context module, used by the RPL006
@@ -246,20 +245,6 @@ class TestProjectModel:
         assert project.internal_import_edges()["pkg.c"] == []
         assert any(not record.toplevel for record in project.modules["pkg.c"].imports)
 
-    def test_to_dot_lists_sorted_edges(self, tmp_path):
-        project = project_fixture(
-            tmp_path,
-            {
-                "src/pkg/__init__.py": "",
-                "src/pkg/a.py": "from pkg import b\nfrom pkg import c\n",
-                "src/pkg/b.py": "",
-                "src/pkg/c.py": "",
-            },
-        )
-        dot = project.to_dot()
-        assert dot.startswith("digraph reprolint_imports {")
-        assert dot.index('"pkg.a" -> "pkg.b";') < dot.index('"pkg.a" -> "pkg.c";')
-
 
 # ----------------------------------------------------------------------
 # RPL005 — shared-state safety
@@ -290,7 +275,7 @@ class TestSharedStateRule:
             rules=["RPL005"],
         )
         assert codes(result) == ["RPL005"]
-        assert "attribute assignment" in result.new_findings[0].message
+        assert "attribute assignment" in result.findings[0].message
 
     def test_element_store_into_flat_array_flagged(self, tmp_path):
         result = lint_fixture(
@@ -304,7 +289,7 @@ class TestSharedStateRule:
             rules=["RPL005"],
         )
         assert codes(result) == ["RPL005"]
-        assert "element store" in result.new_findings[0].message
+        assert "element store" in result.findings[0].message
 
     def test_mutator_call_on_array_flagged(self, tmp_path):
         result = lint_fixture(
@@ -318,7 +303,7 @@ class TestSharedStateRule:
             rules=["RPL005"],
         )
         assert codes(result) == ["RPL005"]
-        assert "in-place mutator" in result.new_findings[0].message
+        assert "in-place mutator" in result.findings[0].message
 
     def test_constructor_assignment_tracks_receiver(self, tmp_path):
         result = lint_fixture(
@@ -392,7 +377,7 @@ class TestSharedStateRule:
             rules=["RPL005"],
         )
         assert codes(result) == ["RPL005"]
-        assert "outside to_shm/from_shm" in result.new_findings[0].message
+        assert "outside to_shm/from_shm" in result.findings[0].message
 
     def test_shm_buf_write_inside_to_shm_passes(self, tmp_path):
         result = lint_fixture(
@@ -448,7 +433,7 @@ class TestCheckpointReachabilityRule:
             rules=["RPL006"],
         )
         assert codes(result) == ["RPL006"]
-        assert "my_search()" in result.new_findings[0].message
+        assert "my_search()" in result.findings[0].message
 
     def test_poll_through_helper_chain_passes(self, tmp_path):
         result = lint_fixture(
@@ -566,7 +551,7 @@ class TestLayeringRule:
             rules=["RPL007"],
         )
         assert codes(result) == ["RPL007"]
-        assert "repro.api.engine" in result.new_findings[0].message
+        assert "repro.api.engine" in result.findings[0].message
 
     def test_lazy_upward_import_also_flagged(self, tmp_path):
         result = lint_fixture(
@@ -581,7 +566,7 @@ class TestLayeringRule:
             rules=["RPL007"],
         )
         assert codes(result) == ["RPL007"]
-        assert "(lazy import)" in result.new_findings[0].message
+        assert "(lazy import)" in result.findings[0].message
 
     def test_downward_import_is_legal(self, tmp_path):
         result = lint_fixture(
@@ -606,7 +591,7 @@ class TestLayeringRule:
             rules=["RPL007"],
         )
         assert codes(result) == ["RPL007"]
-        assert "pkg.a -> pkg.b -> pkg.a" in result.new_findings[0].message
+        assert "pkg.a -> pkg.b -> pkg.a" in result.findings[0].message
 
     def test_lazy_back_reference_breaks_no_cycle(self, tmp_path):
         result = lint_fixture(
@@ -657,8 +642,8 @@ class TestWireFormatRule:
             rules=["RPL008"],
         )
         assert codes(result) == ["RPL008"]
-        assert "'order_seconds'" in result.new_findings[0].message
-        assert "to_dict" in result.new_findings[0].message
+        assert "'order_seconds'" in result.findings[0].message
+        assert "to_dict" in result.findings[0].message
 
     def test_field_missing_from_from_dict_flagged(self, tmp_path):
         result = lint_fixture(
@@ -683,8 +668,8 @@ class TestWireFormatRule:
             rules=["RPL008"],
         )
         assert codes(result) == ["RPL008"]
-        assert "'right'" in result.new_findings[0].message
-        assert "from_dict" in result.new_findings[0].message
+        assert "'right'" in result.findings[0].message
+        assert "from_dict" in result.findings[0].message
 
     def test_extra_key_not_backed_by_field_flagged(self, tmp_path):
         result = lint_fixture(
@@ -709,7 +694,7 @@ class TestWireFormatRule:
             rules=["RPL008"],
         )
         assert codes(result) == ["RPL008"]
-        assert "'legacy'" in result.new_findings[0].message
+        assert "'legacy'" in result.findings[0].message
 
     def test_generic_fields_iteration_covers_everything(self, tmp_path):
         result = lint_fixture(
@@ -773,36 +758,40 @@ FAULTS_MODULE_FIXTURE = """
 
 
 class TestFaultBoundaryRule:
-    def test_submitted_callable_without_boundary_flagged(self, tmp_path):
+    def test_process_target_without_boundary_flagged(self, tmp_path):
         result = lint_fixture(
             tmp_path,
             {
                 "src/repro/api/runner.py": """
+                    import multiprocessing
+
                     def _solve_payload(payload):
                         return payload.upper()
 
-                    def run(pool, payload):
-                        return pool.submit(_solve_payload, payload)
+                    def run(payload):
+                        return multiprocessing.Process(target=_solve_payload, args=(payload,))
                     """,
             },
             rules=["RPL009"],
         )
         assert codes(result) == ["RPL009"]
-        assert "_solve_payload" in result.new_findings[0].message
+        assert "_solve_payload" in result.findings[0].message
 
     def test_direct_boundary_handler_passes(self, tmp_path):
         result = lint_fixture(
             tmp_path,
             {
                 "src/repro/api/runner.py": """
+                    import multiprocessing
+
                     def _solve_payload(payload):
                         try:
                             return payload.upper()
                         except Exception as exc:
                             return str(exc)
 
-                    def run(pool, payload):
-                        return pool.submit(_solve_payload, payload)
+                    def run(payload):
+                        return multiprocessing.Process(target=_solve_payload, args=(payload,))
                     """,
             },
             rules=["RPL009"],
@@ -810,12 +799,14 @@ class TestFaultBoundaryRule:
         assert codes(result) == []
 
     def test_boundary_reached_through_a_helper_passes(self, tmp_path):
-        # The engine's real shape: the submitted entry point delegates to
+        # The engine's real shape: the worker's entry point delegates to
         # a guarded helper, so the proof must walk the call graph.
         result = lint_fixture(
             tmp_path,
             {
                 "src/repro/api/runner.py": """
+                    import multiprocessing
+
                     def _guarded(payload):
                         try:
                             return payload.upper()
@@ -825,8 +816,8 @@ class TestFaultBoundaryRule:
                     def _solve_payload(payload):
                         return _guarded(payload)
 
-                    def run(pool, payload):
-                        return pool.submit(_solve_payload, payload)
+                    def run(payload):
+                        return multiprocessing.Process(target=_solve_payload, args=(payload,))
                     """,
             },
             rules=["RPL009"],
@@ -866,17 +857,19 @@ class TestFaultBoundaryRule:
             rules=["RPL009"],
         )
         assert codes(result) == ["RPL009"]
-        (finding,) = result.new_findings
+        (finding,) = result.findings
         assert "_bare_lane()" in finding.message
         assert "_lane_main" not in finding.message
 
-    def test_unresolvable_submit_argument_is_left_to_rpl004(self, tmp_path):
+    def test_unresolvable_process_target_is_left_to_rpl004(self, tmp_path):
         result = lint_fixture(
             tmp_path,
             {
                 "src/repro/api/runner.py": """
-                    def run(pool, solver, payload):
-                        return pool.submit(solver.step, payload)
+                    import multiprocessing
+
+                    def run(solver, payload):
+                        return multiprocessing.Process(target=solver.step, args=(payload,))
                     """,
             },
             rules=["RPL009"],
@@ -903,7 +896,7 @@ class TestFaultBoundaryRule:
             rules=["RPL009"],
         )
         assert codes(result) == ["RPL009"]
-        assert "src/repro/mbb/kernel.py" in result.new_findings[0].path
+        assert "src/repro/mbb/kernel.py" in result.findings[0].path
 
     def test_hit_imported_by_name_is_flagged_too(self, tmp_path):
         result = lint_fixture(
@@ -958,8 +951,8 @@ class TestCliPolish:
         out = capsys.readouterr().out
         assert "RPL005 — shared-state" in out
         assert "RPL007 — layering" in out
-        assert "Why:" in out and "Example:" in out and "Suppressing:" in out
-        assert "reprolint: disable=RPL005" in out
+        assert "Why:" in out and "Example:" in out
+        assert "Suppressing:" not in out
 
     def test_explain_all_covers_every_rule(self, capsys):
         assert main(["lint", "--explain", "all"]) == 0
@@ -972,88 +965,23 @@ class TestCliPolish:
         assert main(["lint", "--explain", "RPL999"]) == 2
         assert "RPL999" in capsys.readouterr().err
 
-    def test_graph_dot_to_stdout_and_file(self, tmp_path, capsys):
-        write_fixture(
-            tmp_path,
-            {
-                "src/pkg/__init__.py": "",
-                "src/pkg/a.py": "from pkg import b\n",
-                "src/pkg/b.py": "",
-            },
-        )
-        assert main(["lint", "--root", str(tmp_path), "--graph-dot", "-"]) == 0
-        out = capsys.readouterr().out
-        assert '"pkg.a" -> "pkg.b";' in out
-        target = tmp_path / "imports.dot"
-        assert (
-            main(["lint", "--root", str(tmp_path), "--graph-dot", str(target)]) == 0
-        )
-        assert '"pkg.a" -> "pkg.b";' in target.read_text(encoding="utf-8")
-
 
 class TestDeterminism:
     def test_two_repo_runs_render_byte_identical_json(self):
-        baseline = Baseline.load(str(REPO_ROOT / "reprolint-baseline.json"))
         paths = [
             path
             for path in ("src", "tests", "benchmarks", "examples")
             if (REPO_ROOT / path).exists()
         ]
-        first = render_json(
-            run_lint(paths, root=str(REPO_ROOT), baseline=baseline)
-        )
-        second = render_json(
-            run_lint(paths, root=str(REPO_ROOT), baseline=baseline)
-        )
+        first = render_json(run_lint(paths, root=str(REPO_ROOT)))
+        second = render_json(run_lint(paths, root=str(REPO_ROOT)))
         assert first == second
 
     def test_project_model_is_deterministic(self):
         first = build_project(["src"], root=str(REPO_ROOT))
         second = build_project(["src"], root=str(REPO_ROOT))
-        assert first.to_dot() == second.to_dot()
+        assert first.internal_import_edges() == second.internal_import_edges()
         assert first.import_cycles() == second.import_cycles()
         assert {k: sorted(v) for k, v in first.call_graph.items()} == {
             k: sorted(v) for k, v in second.call_graph.items()
         }
-
-
-class TestBaselineJustification:
-    def test_justification_survives_round_trip(self, tmp_path):
-        payload = {
-            "version": 1,
-            "tool": "reprolint",
-            "entries": [
-                {
-                    "path": "src/repro/x.py",
-                    "code": "RPL005",
-                    "message": "m",
-                    "count": 1,
-                    "justification": "staged cleanup lands in the next PR",
-                }
-            ],
-        }
-        baseline = Baseline.from_dict(payload)
-        target = tmp_path / "baseline.json"
-        baseline.save(str(target))
-        reloaded = Baseline.load(str(target))
-        assert reloaded == baseline
-        assert (
-            reloaded.justifications["src/repro/x.py::RPL005::m"]
-            == "staged cleanup lands in the next PR"
-        )
-
-    def test_regeneration_carries_surviving_justifications(self):
-        from repro.devtools.lint.findings import Finding
-
-        surviving = Finding(
-            path="src/repro/x.py", line=3, column=1, code="RPL005", message="m"
-        )
-        previous = Baseline(
-            {surviving.fingerprint: 1, "src/gone.py::RPL007::old": 1},
-            {
-                surviving.fingerprint: "kept",
-                "src/gone.py::RPL007::old": "stale",
-            },
-        )
-        regenerated = Baseline.from_findings([surviving], previous=previous)
-        assert regenerated.justifications == {surviving.fingerprint: "kept"}

@@ -14,7 +14,10 @@ from repro.graph.generators import (
     star_bipartite,
 )
 from repro.graph.validation import is_biclique
+from repro.mbb.context import SearchContext
 from repro.mbb.size_constrained import (
+    _decide,
+    _inherit_cancellation,
     balanced_side_from_profile,
     find_biclique_of_size,
     has_biclique_of_size,
@@ -138,6 +141,100 @@ class TestSizeConstrainedMBB:
     def test_empty_graph(self):
         result = size_constrained_mbb(BipartiteGraph())
         assert result.optimal and result.side_size == 0
+
+    def test_a_parent_hook_stops_the_solve_inside_a_decision(self):
+        # Each (k, k) decision's context polls the parent's hook at every
+        # node, besides the parent's own checkpoint between decisions.
+        # The 20th poll lands inside a decision, so that decision stops
+        # and the solve with it, while the parent itself never saw the
+        # hook fire.
+        graph = random_bipartite(14, 14, 0.6, seed=6)
+        unhooked = size_constrained_mbb(graph)
+        polls = []
+
+        def hook():
+            polls.append(None)
+            return len(polls) >= 20
+
+        parent = SearchContext(cancel_hook=hook)
+        result = size_constrained_mbb(graph, context=parent)
+        assert not result.optimal
+        assert len(polls) == 20 and not parent.cancelled
+        assert 0 < result.stats.nodes < unhooked.stats.nodes
+        assert result.biclique.is_valid_in(graph) and result.biclique.is_balanced
+
+    def test_a_decision_stops_at_its_first_witness(self):
+        # A parent hook that never fires counts its polls.  A decision
+        # polls it at every node but the one after its first witness:
+        # there the decision's own hook, polled first, ends the search.
+        graph = random_bipartite(14, 14, 0.6, seed=6)
+        side = size_constrained_mbb(graph).side_size
+        polls = []
+
+        def hook():
+            polls.append(None)
+            return False
+
+        witness, aborted, stats = _decide(
+            graph, side, side, parent=SearchContext(cancel_hook=hook)
+        )
+        assert not aborted
+        assert stats.nodes == len(polls) + 1
+        assert witness == find_biclique_of_size(graph, side, side)
+        assert is_biclique(graph, witness.left, witness.right)
+        assert min(len(witness.left), len(witness.right)) >= side
+
+
+class TestInheritCancellation:
+    """A decision's context stops when its own hook or its parent does."""
+
+    @staticmethod
+    def recording(polls, name, fires):
+        def hook():
+            polls.append(name)
+            return fires
+
+        return hook
+
+    def test_without_a_parent_the_child_is_unchanged(self):
+        own = self.recording([], "own", False)
+        child = SearchContext(deadline=7.0, cancel_hook=own)
+        _inherit_cancellation(child, None)
+        assert child.cancel_hook is own and child.deadline == 7.0
+
+    def test_the_child_takes_the_parents_deadline(self):
+        parent = SearchContext(deadline=123.5)
+        child = SearchContext(time_budget=5.0)
+        _inherit_cancellation(child, parent)
+        assert child.deadline == 123.5
+        assert child.cancel_hook() is False
+
+    def test_the_childs_own_hook_is_polled_first(self):
+        polls = []
+        parent = SearchContext(cancel_hook=self.recording(polls, "parent", True))
+        parent.cancelled = True
+        child = SearchContext(cancel_hook=self.recording(polls, "own", True))
+        _inherit_cancellation(child, parent)
+        assert child.cancel_hook() is True
+        assert polls == ["own"]
+
+    def test_the_parents_flag_is_read_before_its_hook(self):
+        polls = []
+        parent = SearchContext(cancel_hook=self.recording(polls, "parent", False))
+        child = SearchContext(cancel_hook=self.recording(polls, "own", False))
+        _inherit_cancellation(child, parent)
+        parent.cancelled = True
+        assert child.cancel_hook() is True
+        assert polls == ["own"]
+
+    @pytest.mark.parametrize("fires", [False, True])
+    def test_the_parents_hook_is_polled_last(self, fires):
+        polls = []
+        parent = SearchContext(cancel_hook=self.recording(polls, "parent", fires))
+        child = SearchContext(cancel_hook=self.recording(polls, "own", False))
+        _inherit_cancellation(child, parent)
+        assert child.cancel_hook() is fires
+        assert polls == ["own", "parent"]
 
 
 class TestMaximalBicliqueProfile:
